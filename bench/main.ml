@@ -5,8 +5,6 @@
      main.exe                 run all paper figures at paper scale
      main.exe fig3 fig5       run selected experiments
      main.exe --quick         reduced sizes (used by the test suite)
-     main.exe --bechamel      wall-clock micro-benchmarks (Bechamel), one
-                              Test.make per paper figure
 
    All rates are in *simulated* time on the paper's hardware model
    (WREN IV disk, Sun-4/260 CPU); see EXPERIMENTS.md for paper-vs-measured
@@ -17,7 +15,6 @@ module W = Lfs_workload
 module J = Lfs_obs.Json
 
 let quick = ref false
-let bechamel = ref false
 let selected = ref []
 
 (* Machine-readable output: each experiment contributes its figure's
@@ -393,93 +390,6 @@ let run_ablation_checkpoint () =
        ~headers:
          [ "interval (s)"; "roll-forward"; "recovery time"; "files survived"; "segs replayed" ]
        rows)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (wall clock, one Test.make per figure)    *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let fig12 =
-    Test.make ~name:"fig1+2:creation-trace" (Staged.stage (fun () ->
-        ignore (List.map W.Creation_trace.run (W.Setup.both ~disk_mb:16 ()))))
-  in
-  let fig3 =
-    Test.make ~name:"fig3:small-file" (Staged.stage (fun () ->
-        List.iter
-          (fun inst -> ignore (W.Smallfile.run ~nfiles:200 ~file_size:1024 inst))
-          (W.Setup.both ~disk_mb:16 ())))
-  in
-  let fig4 =
-    Test.make ~name:"fig4:large-file" (Staged.stage (fun () ->
-        List.iter
-          (fun inst -> ignore (W.Largefile.run ~file_mb:2 inst))
-          (W.Setup.both ~disk_mb:16 ())))
-  in
-  let fig5 =
-    Test.make ~name:"fig5:cleaning" (Staged.stage (fun () ->
-        let io = W.Setup.make_io ~disk_mb:8 () in
-        (match Lfs_core.Fs.format io Config.default with
-        | Ok () -> ()
-        | Error e -> failwith e);
-        let fs =
-          match Lfs_core.Fs.mount io with Ok fs -> fs | Error e -> failwith e
-        in
-        ignore (W.Cleaning.run ~target_utilization:0.5 fs)))
-  in
-  let recovery =
-    Test.make ~name:"ablation:recovery" (Staged.stage (fun () ->
-        let io = W.Setup.make_io ~disk_mb:8 () in
-        (match Lfs_core.Fs.format io Config.default with
-        | Ok () -> ()
-        | Error e -> failwith e);
-        let fs =
-          match Lfs_core.Fs.mount io with Ok fs -> fs | Error e -> failwith e
-        in
-        let inst = Lfs_vfs.Fs_intf.Instance ((module Lfs_core.Fs), fs) in
-        for i = 0 to 49 do
-          W.Driver.create inst (Printf.sprintf "/f%02d" i);
-          W.Driver.write inst (Printf.sprintf "/f%02d" i) ~off:0
-            (W.Driver.content ~seed:i 2048)
-        done;
-        W.Driver.sync inst;
-        match Lfs_core.Fs.mount io with
-        | Ok _ -> ()
-        | Error e -> failwith e))
-  in
-  let trace =
-    Test.make ~name:"trace:replay" (Staged.stage (fun () ->
-        let events =
-          W.Trace.generate
-            ~config:{ W.Trace.default_gen with W.Trace.events = 400; target_live = 80; dirs = 4 }
-            ()
-        in
-        List.iter
-          (fun inst -> ignore (W.Trace.replay inst events))
-          (W.Setup.both ~disk_mb:16 ())))
-  in
-  Test.make_grouped ~name:"figures" [ fig12; fig3; fig4; fig5; recovery; trace ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) () in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun measure tbl ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          say "%s (%s): %s" name measure
-            (match Analyze.OLS.estimates ols_result with
-            | Some (est :: _) -> Printf.sprintf "%.3f ms/run" (est /. 1e6)
-            | Some [] | None -> "n/a"))
-        tbl)
-    results
 
 let run_scaling () =
   header "Ablation: CPU scaling (the section 3.1 argument - a 10x faster\n\
@@ -1375,8 +1285,8 @@ let run_check_json file =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--quick] [--bechamel] [--json FILE] [--check-json \
-     FILE] [experiment...]\nknown experiments: %s\n"
+    "usage: main.exe [--quick] [--json FILE] [--check-json FILE] \
+     [experiment...]\nknown experiments: %s\n"
     (String.concat ", " (List.map fst experiments));
   exit 2
 
@@ -1386,7 +1296,6 @@ let () =
   while !i < argc do
     (match Sys.argv.(!i) with
     | "--quick" -> quick := true
-    | "--bechamel" -> bechamel := true
     | "--json" when !i + 1 < argc ->
         incr i;
         json_out := Some Sys.argv.(!i)
@@ -1403,13 +1312,10 @@ let () =
   match !check_json with
   | Some file -> run_check_json file
   | None ->
-      if !bechamel then run_bechamel ()
-      else begin
-        let todo =
-          match List.rev !selected with
-          | [] -> default_order
-          | l -> List.sort_uniq compare l
-        in
-        List.iter (fun name -> (List.assoc name experiments) ()) todo;
-        Option.iter write_json !json_out
-      end
+      let todo =
+        match List.rev !selected with
+        | [] -> default_order
+        | l -> List.sort_uniq compare l
+      in
+      List.iter (fun name -> (List.assoc name experiments) ()) todo;
+      Option.iter write_json !json_out

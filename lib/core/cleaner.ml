@@ -72,32 +72,41 @@ let data_block_live (st : State.t) ~inum ~blkno ~version ~addr =
   | None -> false
   | Some e -> Inode_store.bmap_read st e blkno = addr
 
-(* Relocate one live data block: append it to the log immediately and
-   re-point the file at the copy.  A dirty cache copy is newer than the
-   on-disk one, so it is what gets written (and becomes clean). *)
-let move_data_block (st : State.t) ~inum ~blkno ~version slice =
+(* Relocate one live data block (the block at [off] in [payload]):
+   append it to the log immediately and re-point the file at the copy.  A
+   dirty cache copy is newer than the on-disk one, so it is what gets
+   written (and becomes clean). *)
+let move_data_block (st : State.t) ~inum ~blkno ~version payload ~off =
   let bs = st.layout.Layout.block_size in
   let key = Block_io.key_data ~inum ~blkno in
-  let content =
-    match Cache.find st.cache key with Some b -> b | None -> slice
-  in
+  let entry = Summary.Data { inum; blkno; version } in
   let addr' =
-    Segwriter.append st ~privilege:`System
-      ~entry:(Summary.Data { inum; blkno; version })
-      ~live_bytes:bs content
+    match Cache.find st.cache key with
+    | Some b -> Segwriter.append st ~privilege:`System ~entry ~live_bytes:bs b
+    | None ->
+        Segwriter.append st ~privilege:`System ~entry ~live_bytes:bs ~off
+          payload
   in
   let e = Inode_store.find st inum in
   let old = Inode_store.bmap_write st e blkno addr' in
   release st old ~bytes:bs;
   Cache.mark_clean st.cache key
 
-(* [moved] accumulates the *bytes* of live data being relocated. *)
-let process_entry (st : State.t) ~addr ~slice entry ~moved =
+(* Hand the copy of a pointer block we already read to the cache, so
+   loading the map does not re-read the disk.  The cache keeps what it is
+   given, so it gets its own copy. *)
+let cache_block (st : State.t) ~addr payload ~off =
+  Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false
+    (Bytes.sub payload off st.layout.Layout.block_size)
+
+(* The block at [addr] is the [block_size] bytes at [off] in [payload].
+   [moved] accumulates the *bytes* of live data being relocated. *)
+let process_entry (st : State.t) ~addr payload ~off entry ~moved =
   let bs = st.layout.Layout.block_size in
   match (entry : Summary.entry) with
   | Summary.Data { inum; blkno; version } ->
       if data_block_live st ~inum ~blkno ~version ~addr then begin
-        move_data_block st ~inum ~blkno ~version slice;
+        move_data_block st ~inum ~blkno ~version payload ~off;
         moved := !moved + bs
       end
   | Summary.Indirect { inum; idx } ->
@@ -105,9 +114,7 @@ let process_entry (st : State.t) ~addr ~slice entry ~moved =
         match find_entry st inum with
         | None -> ()
         | Some e ->
-            (* Hand the copy we already read to the cache so loading the
-               map does not re-read the disk. *)
-            Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false slice;
+            cache_block st ~addr payload ~off;
             if idx = 0 then begin
               if e.ino.Inode.indirect = addr then begin
                 Inode_store.cleaner_touch_ind st e;
@@ -128,7 +135,7 @@ let process_entry (st : State.t) ~addr ~slice entry ~moved =
         | None -> ()
         | Some e ->
             if e.ino.Inode.dindirect = addr then begin
-              Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false slice;
+              cache_block st ~addr payload ~off;
               Inode_store.cleaner_touch_dind_top st e;
               moved := !moved + bs
             end
@@ -136,7 +143,8 @@ let process_entry (st : State.t) ~addr ~slice entry ~moved =
   | Summary.Inode_block ->
       let per_block = Layout.inodes_per_block st.layout in
       for slot = 0 to per_block - 1 do
-        match Inode.decode_at slice ~off:(slot * Layout.inode_bytes) with
+        let ino_off = off + (slot * Layout.inode_bytes) in
+        match Inode.decode_at payload ~off:ino_off with
         | None -> ()
         | Some ino -> (
             let inum = ino.Inode.inum in
@@ -195,8 +203,7 @@ let clean_segment (st : State.t) seg ~moved ~max_seq =
       List.iteri
         (fun idx entry ->
           let addr = Layout.segment_payload_block layout ~seg ~idx in
-          let slice = Bytes.sub payload (idx * bs) bs in
-          process_entry st ~addr ~slice entry ~moved)
+          process_entry st ~addr payload ~off:(idx * bs) entry ~moved)
         entries
 
 (* Evacuate [victims] and mark them clean; the shared machinery behind

@@ -30,9 +30,12 @@ let flush_active (st : State.t) =
     in
     Bytes.blit summary 0 seg.buf 0 summary_bytes;
     let first_block = Layout.segment_first_block layout seg.seg in
+    let len = summary_bytes + payload_len in
+    (* Io never keeps the caller's buffer past the call without copying
+       it, so a full segment can go out straight from [seg.buf]. *)
     Io.async_write st.io
       ~sector:(Layout.sector_of_block layout first_block)
-      (Bytes.sub seg.buf 0 (summary_bytes + payload_len));
+      (if len = Bytes.length seg.buf then seg.buf else Bytes.sub seg.buf 0 len);
     Seg_usage.set_state st.usage seg.seg Seg_usage.Dirty;
     st.tail_segment <- seg.seg;
     st.next_seq <- st.next_seq + 1;
@@ -72,11 +75,20 @@ let claim (st : State.t) ~privilege =
       st.seg.nblocks <- 0;
       st.seg.entries_rev <- []
 
-let append (st : State.t) ~privilege ~entry ~live_bytes data =
+let append (st : State.t) ~privilege ~entry ~live_bytes ?off data =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
-  if Bytes.length data <> bs then
-    invalid_arg "Segwriter.append: data must be exactly one block";
+  let off =
+    match off with
+    | None ->
+        if Bytes.length data <> bs then
+          invalid_arg "Segwriter.append: data must be exactly one block";
+        0
+    | Some off ->
+        if off < 0 || off + bs > Bytes.length data then
+          invalid_arg "Segwriter.append: block outside the buffer";
+        off
+  in
   if st.seg.seg < 0 then claim st ~privilege
   else if st.seg.nblocks >= layout.Layout.payload_blocks then begin
     flush_active st;
@@ -84,7 +96,7 @@ let append (st : State.t) ~privilege ~entry ~live_bytes data =
   end;
   let seg = st.seg in
   let idx = seg.nblocks in
-  Bytes.blit data 0 seg.buf ((layout.Layout.summary_blocks + idx) * bs) bs;
+  Bytes.blit data off seg.buf ((layout.Layout.summary_blocks + idx) * bs) bs;
   seg.entries_rev <- entry :: seg.entries_rev;
   seg.nblocks <- idx + 1;
   let addr = Layout.segment_payload_block layout ~seg:seg.seg ~idx in

@@ -15,14 +15,20 @@ val append :
   privilege:State.privilege ->
   entry:Summary.entry ->
   live_bytes:int ->
+  ?off:int ->
   bytes ->
   int
-(** Append one block (exactly [block_size] bytes) to the log; returns its
-    disk block address.  Accounts [live_bytes] of live data to the
-    segment.  Flushes the active segment and claims a clean one as
-    needed.
+(** Append one block to the log; returns its disk block address.  The
+    block is [data] itself, which must then be exactly [block_size]
+    bytes, or with [~off] the [block_size] bytes of [data] starting at
+    [off] (so a caller holding a multi-block buffer need not copy the
+    block out).  The bytes are copied into the segment buffer before
+    [append] returns; [data] is not retained.  Accounts [live_bytes] of
+    live data to the segment.  Flushes the active segment and claims a
+    clean one as needed.
     @raise Errors.Error [Enospc] when no segment is available at this
-    privilege. *)
+    privilege.
+    @raise Invalid_argument when the block does not lie within [data]. *)
 
 val flush_active : State.t -> unit
 (** Write out the active segment (possibly partial) and close it; no-op

@@ -92,7 +92,7 @@ let flush_file_data (st : State.t) ~privilege inum blknos =
               let addr =
                 Segwriter.append st ~privilege
                   ~entry:(Summary.Data { inum; blkno; version })
-                  ~live_bytes:bs (Bytes.copy data)
+                  ~live_bytes:bs data
               in
               let old = Inode_store.bmap_write st e blkno addr in
               release st old ~bytes:bs;
@@ -128,9 +128,9 @@ let flush_inodes (st : State.t) ~privilege =
       Segwriter.append st ~privilege ~entry:Summary.Inode_block
         ~live_bytes:live block
     in
-    (* Cache the fresh inode block so immediate re-reads are hits. *)
-    Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false
-      (Bytes.copy block);
+    (* Cache the fresh inode block so immediate re-reads are hits;
+       [append] copied it, so the cache may keep this one. *)
+    Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false block;
     List.iteri
       (fun slot (e : State.itable_entry) ->
         let inum = e.ino.Inode.inum in
@@ -200,8 +200,7 @@ let flush_file (st : State.t) ~privilege inum =
         Segwriter.append st ~privilege ~entry:Summary.Inode_block
           ~live_bytes:Layout.inode_bytes block
       in
-      Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false
-        (Bytes.copy block);
+      Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false block;
       (match Imap.location st.imap inum with
       | Some (old_addr, _) -> release st old_addr ~bytes:Layout.inode_bytes
       | None -> ());

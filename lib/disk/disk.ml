@@ -1,6 +1,11 @@
 module Metrics = Lfs_obs.Metrics
 
 exception Crash
+
+let () =
+  Printexc.register_printer (function
+    | Crash -> Some "Faulty.Crash (simulated power cut)"
+    | _ -> None)
 exception Read_fault of { sector : int; transient : bool }
 
 type fault_hook = {

@@ -14,6 +14,14 @@ type request = {
 
 exception Read_failed of { sector : int; attempts : int }
 
+let () =
+  Printexc.register_printer (function
+    | Read_failed { sector; attempts } ->
+        Some
+          (Printf.sprintf "Io.Read_failed (sector %d, %d attempts)" sector
+             attempts)
+    | _ -> None)
+
 (* The device behind the scheduler: one disk, or a multi-member volume.
    Either way, every member ("lane") has its own busy horizon and request
    queue — a single disk is simply the one-lane case, running the exact

@@ -150,7 +150,15 @@ val sync_read : t -> sector:int -> count:int -> bytes
     number of attempts (see {!create}). *)
 
 val sync_write : t -> sector:int -> bytes -> unit
+
 val async_write : t -> sector:int -> bytes -> unit
+(** Buffer contract, for both writes: Io never keeps the caller's buffer
+    past the call without copying it.  A request that is queued gets a
+    copy; one that is not is written to the device before the call
+    returns.  The caller may therefore reuse or mutate the buffer as soon
+    as the call returns (the segment writer hands over its segment
+    buffer this way). *)
+
 val drain : t -> unit
 (** Dispatch any queued requests and advance the clock until the device
     is idle. *)

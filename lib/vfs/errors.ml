@@ -24,6 +24,11 @@ let equal a b = a = b
 
 exception Error of t
 
+let () =
+  Printexc.register_printer (function
+    | Error e -> Some ("Errors.Error (" ^ to_string e ^ ")")
+    | _ -> None)
+
 let raise_ e = raise (Error e)
 
 let wrap f = match f () with v -> Ok v | exception Error e -> Error e

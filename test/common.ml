@@ -6,6 +6,24 @@ module Disk = Lfs_disk.Disk
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 
+(* Property tests draw from a fixed seed so two runs test the same
+   cases; set QCHECK_SEED to explore others.  Each property gets a fresh
+   state from the seed, as qcheck-alcotest's own default does. *)
+let qcheck_seed =
+  lazy
+    (let seed =
+       match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+       | Some s -> s
+       | None -> 1990
+     in
+     Printf.printf "qcheck random seed: %d\n%!" seed;
+     seed)
+
+let qcheck t =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| Lazy.force qcheck_seed |])
+    t
+
 let small_geometry ?(size_bytes = 8 * 1024 * 1024) () =
   Geometry.wren_iv ~size_bytes
 

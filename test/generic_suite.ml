@@ -227,4 +227,4 @@ let props =
 
 let suite =
   Lfs_suite.suite @ Ffs_suite.suite
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest p) props
+  @ List.map Common.qcheck props

@@ -10,7 +10,7 @@ module Layout = Lfs_core.Layout
 module Seg_usage = Lfs_core.Seg_usage
 module Summary = Lfs_core.Summary
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 
 let layout () =
   let geometry = Geometry.wren_iv ~size_bytes:(8 * 1024 * 1024) in

@@ -6,7 +6,7 @@ module Config = Lfs_ffs.Config
 module Geometry = Lfs_disk.Geometry
 module Layout = Lfs_ffs.Layout
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 
 let layout () =
   match

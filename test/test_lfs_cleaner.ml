@@ -73,7 +73,12 @@ let test_log_wraps () =
     Fs.sync fs
   done;
   (* ~8 MB written through a 4 MB disk. *)
-  Alcotest.(check bool) "cleaner ran" true ((Fs.stats fs).Lfs_core.State.segments_cleaned > 0)
+  Alcotest.(check bool) "cleaner ran" true ((Fs.stats fs).Lfs_core.State.segments_cleaned > 0);
+  (* Every byte that reached the disk — full segments, cleaner output and
+     the final partial segment — pinned, so host-side work on the log
+     path cannot silently change the on-disk format. *)
+  Alcotest.(check string) "media digest" "e8aeea921b3beaa17770f5731d67988c"
+    (Digest.to_hex (Digest.bytes (Io.snapshot_media fs.Lfs_core.State.io)))
 
 let test_greedy_picks_emptiest () =
   let fs = make_lfs ~config:no_autoclean () in

@@ -11,7 +11,6 @@ module Seg_usage = Lfs_core.Seg_usage
 module Segwriter = Lfs_core.Segwriter
 module Summary = Lfs_core.Summary
 
-let qcheck = QCheck_alcotest.to_alcotest
 
 (* Layout *)
 
@@ -76,6 +75,32 @@ let test_segwriter_fills_and_rolls () =
   Alcotest.(check bool) "partials counted" true
     (stats.Lfs_core.State.partial_segments >= 1);
   Alcotest.(check int) "buffer drained" 0 (Segwriter.active_blocks fs)
+
+let test_segwriter_append_off () =
+  let fs = make_lfs () in
+  let layout = Lfs_core.Fs.layout fs in
+  let bs = layout.Lfs_core.Layout.block_size in
+  let buf = pattern ~seed:2 (2 * bs) in
+  let append ?off data =
+    Segwriter.append fs ~privilege:`System ~entry:Summary.Inode_block
+      ~live_bytes:0 ?off data
+  in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "negative off" (fun () -> append ~off:(-1) buf);
+  rejects "block past the end" (fun () -> append ~off:(bs + 1) buf);
+  rejects "short buffer" (fun () -> append ~off:0 (Bytes.create (bs - 1)));
+  rejects "no off, two blocks" (fun () -> append buf);
+  Alcotest.(check int) "nothing appended" 0 (Segwriter.active_blocks fs);
+  ignore (append ~off:bs buf : int);
+  let st : Lfs_core.State.t = fs in
+  let pos = layout.Lfs_core.Layout.summary_blocks * bs in
+  Alcotest.(check string) "second block copied"
+    (Bytes.sub_string buf bs bs)
+    (Bytes.sub_string st.seg.buf pos bs)
 
 (* Namespace: directory growth across blocks *)
 
@@ -171,6 +196,8 @@ let suite =
       test_layout_addr_roundtrip;
     Alcotest.test_case "segment writer fills and rolls" `Quick
       test_segwriter_fills_and_rolls;
+    Alcotest.test_case "segment writer append off" `Quick
+      test_segwriter_append_off;
     Alcotest.test_case "directory spills blocks" `Quick
       test_directory_spills_blocks;
     Alcotest.test_case "max name length" `Quick test_max_name_length;

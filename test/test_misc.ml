@@ -76,6 +76,11 @@ let test_inspect_segment () =
     Alcotest.(check bool) "virgin segment has no summary" true
       (Lfs_core.Inspect.segment_summary fs virgin = None)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let test_inspect_checkpoints () =
   let fs = make_lfs () in
   write_file fs "/f" (pattern ~seed:3 100);
@@ -83,11 +88,6 @@ let test_inspect_checkpoints () =
   let text = Lfs_core.Inspect.describe_checkpoints fs in
   Alcotest.(check bool) "describes both regions" true
     (String.length text > 40);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "recovery chooses one" true
     (contains text "recovery would use")
 
@@ -98,6 +98,18 @@ let test_errors_wrap () =
     (Lfs_vfs.Errors.wrap (fun () -> Lfs_vfs.Errors.raise_ Lfs_vfs.Errors.Enospc)
     = Error Lfs_vfs.Errors.Enospc)
 
+let test_exception_printers () =
+  let shows what needle exn =
+    let text = Printexc.to_string exn in
+    Alcotest.(check bool) (Printf.sprintf "%s: %S" what text) true
+      (contains text needle)
+  in
+  shows "Errors.Error" "no such file or directory: /missing"
+    (Lfs_vfs.Errors.Error (Lfs_vfs.Errors.Enoent "/missing"));
+  shows "Io.Read_failed" "sector 1234, 5 attempts"
+    (Io.Read_failed { sector = 1234; attempts = 5 });
+  shows "Faulty.Crash" "power cut" Lfs_disk.Faulty.Crash
+
 let suite =
   [
     Alcotest.test_case "LFS config validation" `Quick test_config_validation;
@@ -106,4 +118,5 @@ let suite =
     Alcotest.test_case "inspect segments" `Quick test_inspect_segment;
     Alcotest.test_case "inspect checkpoints" `Quick test_inspect_checkpoints;
     Alcotest.test_case "errors wrap" `Quick test_errors_wrap;
+    Alcotest.test_case "exception printers" `Quick test_exception_printers;
   ]

@@ -9,7 +9,7 @@ module E = Lfs_vfs.Errors
 module Fs_intf = Lfs_vfs.Fs_intf
 module Model_fs = Lfs_scenario.Model_fs
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 
 (* Deep-fuzz sessions can crank the case counts without recompiling:
    MODEL_COUNT=500 dune exec test/test_main.exe -- test model *)

@@ -5,7 +5,7 @@ module Event = Lfs_obs.Event
 module Json = Lfs_obs.Json
 module Metrics = Lfs_obs.Metrics
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 
 (* ---------------- metrics ---------------- *)
 

@@ -4,7 +4,7 @@ module W = Lfs_workload
 module Trace = Lfs_workload.Trace
 module Model_fs = Lfs_scenario.Model_fs
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 
 let test_generation_well_formed () =
   let events = Trace.generate ~seed:1 ~config:{ Trace.default_gen with Trace.events = 2_000; target_live = 300 } () in

@@ -9,7 +9,7 @@ module Rng = Lfs_util.Rng
 module Table = Lfs_util.Table
 module Zipf = Lfs_util.Zipf
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 
 (* Bitset *)
 
@@ -165,6 +165,56 @@ let test_crc32_slice () =
   let b = Bytes.of_string "xx123456789yy" in
   Alcotest.(check int32) "slice" 0xCBF43926l (Crc32.digest_bytes ~off:2 ~len:9 b)
 
+(* Bit-at-a-time CRC-32, straight from the definition: the reference the
+   table-driven implementation is checked against. *)
+let crc32_reference b ~off ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let test_crc32_differential () =
+  let n = 1 lsl 20 in
+  let b = Bytes.init n (fun i -> Char.chr (((i * 131) + (i lsr 8)) land 0xFF)) in
+  let check off len =
+    Alcotest.(check int32)
+      (Printf.sprintf "off %d len %d" off len)
+      (crc32_reference b ~off ~len)
+      (Crc32.digest_bytes ~off ~len b)
+  in
+  (* Every alignment and every tail length around the 8-byte stride. *)
+  for off = 0 to 7 do
+    for len = 0 to 64 do
+      check off len
+    done
+  done;
+  let rng = Rng.create 17 in
+  for _ = 1 to 1000 do
+    let off = Rng.int rng n in
+    let len = Rng.int rng (min 4096 (n - off) + 1) in
+    check off len
+  done;
+  Alcotest.(check int32) "whole buffer"
+    (crc32_reference b ~off:0 ~len:n)
+    (Crc32.digest_bytes b);
+  Alcotest.(check int32) "check value" 0xCBF43926l
+    (Crc32.digest_bytes (Bytes.of_string "123456789"));
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let small = Bytes.create 16 in
+  rejects "negative off" (fun () -> Crc32.digest_bytes ~off:(-1) small);
+  rejects "off past end" (fun () -> Crc32.digest_bytes ~off:17 small);
+  rejects "negative len" (fun () -> Crc32.digest_bytes ~len:(-1) small);
+  rejects "len past end" (fun () -> Crc32.digest_bytes ~off:8 ~len:9 small)
+
 (* RNG *)
 
 let test_rng_determinism () =
@@ -315,6 +365,8 @@ let suite =
     qcheck prop_lru_model;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 slice" `Quick test_crc32_slice;
+    Alcotest.test_case "crc32 matches bitwise reference" `Quick
+      test_crc32_differential;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;

@@ -4,7 +4,7 @@ module Dir_block = Lfs_vfs.Dir_block
 module E = Lfs_vfs.Errors
 module Path = Lfs_vfs.Path
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 
 let test_path_split () =
   Alcotest.(check (list string)) "root" [] (Path.split_exn "/");

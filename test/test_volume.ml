@@ -15,7 +15,7 @@ module Driver = Lfs_workload.Driver
 module Scenario = Lfs_scenario.Scenario
 module Setup = Lfs_workload.Setup
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Common.qcheck
 let geo () = Geometry.wren_iv ~size_bytes:(16 * 1024 * 1024)
 
 let cval io name = Metrics.value (Metrics.counter (Io.metrics io) name)
