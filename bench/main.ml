@@ -688,22 +688,10 @@ let run_profile () =
         print_string (Lfs_obs.Profile.render_ops rep);
         say "";
         List.map
-          (fun (s : Lfs_obs.Profile.op_stat) ->
-            J.Obj
-              [
-                ("label", J.String label);
-                ("op", J.String s.Lfs_obs.Profile.op);
-                ("count", J.Int s.Lfs_obs.Profile.count);
-                ("total_us", J.Int s.Lfs_obs.Profile.total_us);
-                ("mean_us", J.Float s.Lfs_obs.Profile.mean_us);
-                ("p50_us", J.Int s.Lfs_obs.Profile.p50_us);
-                ("p95_us", J.Int s.Lfs_obs.Profile.p95_us);
-                ("p99_us", J.Int s.Lfs_obs.Profile.p99_us);
-                ("cache_us", J.Int s.Lfs_obs.Profile.cache_us);
-                ("disk_us", J.Int s.Lfs_obs.Profile.disk_us);
-                ("cleaner_us", J.Int s.Lfs_obs.Profile.cleaner_us);
-                ("checkpoint_us", J.Int s.Lfs_obs.Profile.checkpoint_us);
-              ])
+          (fun s ->
+            match Lfs_obs.Profile.json_of_op s with
+            | J.Obj fields -> J.Obj (("label", J.String label) :: fields)
+            | j -> j)
           rep.Lfs_obs.Profile.ops)
       (W.Setup.both ~disk_mb ())
   in
@@ -1127,6 +1115,26 @@ let run_check_json file =
       "members"; "files"; "file_size"; "elapsed_us"; "write_mb_per_sec";
       "sectors_written"; "seeks_per_member_max"; "seeks_per_member_min";
     ];
+  (* Entry lookup for the sweep figures (scaleout, concurrency): an
+     entry is named by its label, a string key (policy or discipline)
+     and an integer axis (members or clients). *)
+  let str fig entry field =
+    match J.member field entry with
+    | Some (J.String s) -> s
+    | _ -> fail "%s: missing string field %S" fig field
+  in
+  let find fig entries ~key ~axis label k n field =
+    match
+      List.find_opt
+        (fun e ->
+          str fig e "label" = label
+          && str fig e key = k
+          && int_of_float (num e axis) = n)
+        entries
+    with
+    | Some e -> num e field
+    | None -> fail "%s: missing entry %s/%s/%d" fig label k n
+  in
   (* The scale-out invariants.  (a) Striping the log works: LFS write
      bandwidth under [log_stripe] grows at least 3x from 1 to 4 members
      while FFS gains under 1.5x from the same spindles.  (b) The
@@ -1135,24 +1143,7 @@ let run_check_json file =
      as the single-disk log does. *)
   (match List.assoc_opt "scaleout" figs with
   | Some (J.List entries) ->
-      let str entry field =
-        match J.member field entry with
-        | Some (J.String s) -> s
-        | _ -> fail "scaleout: missing string field %S" field
-      in
-      let find label policy members field =
-        match
-          List.find_opt
-            (fun e ->
-              str e "label" = label
-              && str e "policy" = policy
-              && int_of_float (num e "members") = members)
-            entries
-        with
-        | Some e -> num e field
-        | None ->
-            fail "scaleout: missing entry %s/%s/%d" label policy members
-      in
+      let find = find "scaleout" entries ~key:"policy" ~axis:"members" in
       let scaling label =
         find label "log_stripe" 4 "write_mb_per_sec"
         /. find label "log_stripe" 1 "write_mb_per_sec"
@@ -1182,23 +1173,8 @@ let run_check_json file =
      pair must exist, or the figure measured nothing. *)
   (match List.assoc_opt "concurrency" figs with
   | Some (J.List entries) ->
-      let str entry field =
-        match J.member field entry with
-        | Some (J.String s) -> s
-        | _ -> fail "concurrency: missing string field %S" field
-      in
-      let find label disc clients field =
-        match
-          List.find_opt
-            (fun e ->
-              str e "label" = label
-              && str e "discipline" = disc
-              && int_of_float (num e "clients") = clients)
-            entries
-        with
-        | Some e -> num e field
-        | None -> fail "concurrency: missing entry %s/%s/%d" label disc clients
-      in
+      let str = str "concurrency" in
+      let find = find "concurrency" entries ~key:"discipline" ~axis:"clients" in
       let clients_of label disc =
         List.filter_map
           (fun e ->

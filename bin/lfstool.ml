@@ -35,9 +35,35 @@ let make_io ~size_bytes =
   let geometry = Geometry.wren_iv ~size_bytes in
   Io.create (Disk.create geometry) (Clock.create ()) Cpu_model.free
 
+(* A missing or unreadable image, or one whose size is not a whole
+   geometry (a truncated copy, a stray file), is a usage error: report
+   it and exit 1 rather than die on the exception. *)
 let load_image path =
-  let media = read_file path in
-  let io = make_io ~size_bytes:(String.length media) in
+  let fail reason =
+    Printf.eprintf "lfstool: %s: %s\n" path reason;
+    exit 1
+  in
+  let media =
+    match read_file path with
+    | media -> media
+    | exception Sys_error msg ->
+        (* Open errors already read "PATH: reason"; read errors do not. *)
+        let prefix = path ^ ": " in
+        let skip =
+          if String.starts_with ~prefix msg then String.length prefix else 0
+        in
+        fail (String.sub msg skip (String.length msg - skip))
+  in
+  let size_bytes = String.length media in
+  let whole =
+    size_bytes > 0
+    && Geometry.size_bytes (Geometry.wren_iv ~size_bytes) = size_bytes
+  in
+  if not whole then
+    fail
+      (Printf.sprintf "%d bytes is not a whole disk image (truncated?)"
+         size_bytes);
+  let io = make_io ~size_bytes in
   Disk.restore (Io.disk io) (Bytes.of_string media);
   io
 
@@ -505,350 +531,6 @@ let cmd_benchdiff base_file cur_file tolerance gate json =
         exit 1
       end
 
-(* Fault-injection sweep: crash a scratch workload at every write
-   boundary on both systems, tear the crashing write on LFS, inject
-   transient read errors into a full read-back, and mark checkpoint
-   region A sticky-bad.  No image argument — every replay runs on a
-   fresh in-memory stack.  Exits non-zero if any replay recovers to a
-   state that violates the durable model. *)
-
-module Crashpoint = Lfs_workload.Crashpoint
-
-let cmd_crashtest json files size seed =
-  let ops = Crashpoint.smallfile ~files ~size () in
-  let sweeps =
-    [
-      Crashpoint.sweep ~seed `Lfs ops;
-      Crashpoint.sweep ~seed `Ffs ops;
-      Crashpoint.sweep ~torn:true ~seed `Lfs ops;
-    ]
-  in
-  let reads =
-    List.map
-      (fun sys ->
-        (sys, Crashpoint.read_fault_run ~rate:0.2 ~seed:(seed + 4) sys ops))
-      ([ `Lfs; `Ffs ] : Crashpoint.system list)
-  in
-  let bad = Crashpoint.bad_sector_run ~seed:(seed + 6) () in
-  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
-  let crashed_points (o : Crashpoint.outcome) =
-    List.filter (fun p -> p.Crashpoint.crashed) o.Crashpoint.points
-  in
-  let crashed o = List.length (crashed_points o) in
-  let mean f o =
-    match crashed_points o with
-    | [] -> 0
-    | pts -> sum f pts / List.length pts
-  in
-  let kinds =
-    [
-      ("crash", sum crashed sweeps);
-      ( "torn_write",
-        sum crashed (List.filter (fun o -> o.Crashpoint.torn) sweeps) );
-      ("read_error", sum (fun (_, r) -> r.Crashpoint.read_errors) reads);
-      ("bad_sector", bad.Crashpoint.bad_sector_reads);
-    ]
-  in
-  let violations =
-    List.concat_map (fun o -> o.Crashpoint.violations) sweeps
-    @ List.concat_map (fun (_, r) -> r.Crashpoint.rf_violations) reads
-    @ bad.Crashpoint.bs_violations
-  in
-  let strings l = Json.List (List.map (fun s -> Json.String s) l) in
-  if json then
-    print_endline
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("schema", Json.String "lfs-crashtest/1");
-              ("ops", Json.Int (List.length ops));
-              ( "fault_kinds",
-                Json.List
-                  (List.map
-                     (fun (kind, faults) ->
-                       Json.Obj
-                         [
-                           ("kind", Json.String kind);
-                           ("faults", Json.Int faults);
-                         ])
-                     kinds) );
-              ( "sweeps",
-                Json.List
-                  (List.map
-                     (fun (o : Crashpoint.outcome) ->
-                       Json.Obj
-                         [
-                           ("label", Json.String o.Crashpoint.label);
-                           ("torn", Json.Bool o.Crashpoint.torn);
-                           ("total_writes", Json.Int o.Crashpoint.total_writes);
-                           ( "boundaries_tested",
-                             Json.Int o.Crashpoint.boundaries_tested );
-                           ("faults", Json.Int o.Crashpoint.faults);
-                           ( "mean_recovery_us",
-                             Json.Int (mean (fun p -> p.Crashpoint.recovery_us) o)
-                           );
-                           ( "mean_recovery_reads",
-                             Json.Int
-                               (mean (fun p -> p.Crashpoint.recovery_reads) o) );
-                           ("violations", strings o.Crashpoint.violations);
-                         ])
-                     sweeps) );
-              ( "read_faults",
-                Json.List
-                  (List.map
-                     (fun (sys, r) ->
-                       Json.Obj
-                         [
-                           ( "system",
-                             Json.String (Crashpoint.system_name sys) );
-                           ("retries", Json.Int r.Crashpoint.retries);
-                           ("backoff_us", Json.Int r.Crashpoint.backoff_us);
-                           ("read_errors", Json.Int r.Crashpoint.read_errors);
-                           ("violations", strings r.Crashpoint.rf_violations);
-                         ])
-                     reads) );
-              ( "bad_sector",
-                Json.Obj
-                  [
-                    ( "bad_sector_reads",
-                      Json.Int bad.Crashpoint.bad_sector_reads );
-                    ("violations", strings bad.Crashpoint.bs_violations);
-                  ] );
-              ("violations", Json.Int (List.length violations));
-              ("clean", Json.Bool (violations = []));
-            ]))
-  else begin
-    Printf.printf "crashtest: %d-op workload (%d files)\n" (List.length ops)
-      files;
-    List.iter
-      (fun (o : Crashpoint.outcome) ->
-        Printf.printf
-          "sweep %-3s%s : %d/%d boundaries crashed, %d faults, mean recovery \
-           %d us / %d reads\n"
-          o.Crashpoint.label
-          (if o.Crashpoint.torn then " torn" else "     ")
-          (crashed o) o.Crashpoint.boundaries_tested o.Crashpoint.faults
-          (mean (fun p -> p.Crashpoint.recovery_us) o)
-          (mean (fun p -> p.Crashpoint.recovery_reads) o))
-      sweeps;
-    List.iter
-      (fun (sys, r) ->
-        Printf.printf
-          "read faults %-3s: %d injected, %d retries, %d us backoff\n"
-          (Crashpoint.system_name sys)
-          r.Crashpoint.read_errors r.Crashpoint.retries
-          r.Crashpoint.backoff_us)
-      reads;
-    Printf.printf "bad sector     : %d faulted reads\n"
-      bad.Crashpoint.bad_sector_reads;
-    List.iter (fun v -> Printf.printf "violation: %s\n" v) violations;
-    Printf.printf "crashtest: %d fault kinds, %d violations\n"
-      (List.length (List.filter (fun (_, n) -> n > 0) kinds))
-      (List.length violations)
-  end;
-  if violations <> [] then exit 1
-
-(* Concurrent multi-client engine: run N closed-loop clients against
-   scratch LFS and FFS stacks under a chosen disk-scheduling discipline
-   and report aggregate throughput plus latency percentiles.  Exits
-   non-zero if the per-client accounting does not add up. *)
-
-module Engine = Lfs_workload.Engine
-module Sched = Lfs_disk.Sched
-
-let cmd_concurrency clients ops discipline disk_mb per_client json =
-  let disc =
-    match discipline with
-    | "none" | "immediate" -> None
-    | s -> (
-        match Sched.discipline_of_string s with
-        | Some d -> Some d
-        | None ->
-            Printf.eprintf
-              "lfstool: concurrency: unknown discipline %S (want fcfs, scan, \
-               cscan or none)\n"
-              s;
-            exit 2)
-  in
-  let config =
-    {
-      Engine.default with
-      Engine.clients;
-      ops_per_client = ops;
-      discipline = disc;
-    }
-  in
-  let results =
-    List.map
-      (fun inst -> Engine.run ~config inst)
-      (Setup.both ~disk_mb ())
-  in
-  let violations =
-    List.concat_map
-      (fun (r : Engine.result) ->
-        let ops_sum =
-          List.fold_left
-            (fun acc (s : Engine.client_stat) -> acc + s.Engine.ops)
-            0 r.Engine.per_client
-        in
-        (if ops_sum <> r.Engine.total_ops then
-           [
-             Printf.sprintf "%s: per-client ops %d do not sum to total %d"
-               r.Engine.label ops_sum r.Engine.total_ops;
-           ]
-         else [])
-        @
-        if r.Engine.p50_us > r.Engine.p99_us then
-          [ Printf.sprintf "%s: p50 above p99" r.Engine.label ]
-        else [])
-      results
-  in
-  if json then
-    print_endline
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("schema", Json.String "lfs-concurrency/1");
-              ("clients", Json.Int clients);
-              ("ops_per_client", Json.Int ops);
-              ( "discipline",
-                Json.String
-                  (match disc with
-                  | Some d -> Sched.discipline_name d
-                  | None -> "immediate") );
-              ( "systems",
-                Json.List (List.map Engine.to_json results) );
-              ("clean", Json.Bool (violations = []));
-            ]))
-  else
-    List.iter
-      (fun (r : Engine.result) ->
-        Printf.printf
-          "%-4s %s  clients=%d ops=%d  %.1f ops/s  mean=%d us p50=%d us \
-           p99=%d us  qdepth=%.1f qwait=%d us pos=%d us\n"
-          r.Engine.label r.Engine.discipline r.Engine.clients
-          r.Engine.total_ops r.Engine.ops_per_sec
-          (int_of_float r.Engine.mean_us)
-          r.Engine.p50_us r.Engine.p99_us r.Engine.mean_queue_depth
-          (int_of_float r.Engine.mean_queue_wait_us)
-          (int_of_float r.Engine.mean_positioning_us);
-        if per_client then
-          List.iter
-            (fun (s : Engine.client_stat) ->
-              Printf.printf
-                "  client %2d: %4d ops  mean=%d us p50=%d us p99=%d us \
-                 max=%d us\n"
-                s.Engine.client s.Engine.ops
-                (int_of_float s.Engine.mean_us)
-                s.Engine.p50_us s.Engine.p99_us s.Engine.max_us)
-            r.Engine.per_client)
-      results;
-  List.iter (fun v -> Printf.eprintf "concurrency: %s\n" v) violations;
-  if violations <> [] then exit 1
-
-
-(* Scale-out demo: the bench `scaleout` figure's workload at CLI scale —
-   LFS and FFS writing small files over a striped (or mirrored) volume,
-   one row per member count, with per-member seek counts.  The always-on
-   sanitizer runs after every row. *)
-
-let cmd_scaleout members_arg policy_arg files file_size json =
-  let member_counts =
-    match
-      List.map int_of_string_opt (String.split_on_char ',' members_arg)
-    with
-    | l when l <> [] && List.for_all (fun o -> o <> None) l ->
-        List.map Option.get l
-    | _ ->
-        Printf.eprintf "lfstool: scaleout: bad --members %S (want e.g. 1,2,4)\n"
-          members_arg;
-        exit 2
-  in
-  let segment_sectors = Config.default.Config.segment_size / 512 in
-  let policy_of_string = function
-    | "log_stripe" ->
-        (Lfs_disk.Volume.Log_stripe { stripe_sectors = segment_sectors },
-         segment_sectors)
-    | "stripe" -> (Lfs_disk.Volume.Stripe { chunk_sectors = 64 }, 0)
-    | "mirror" -> (Lfs_disk.Volume.Mirror, 0)
-    | other ->
-        Printf.eprintf
-          "lfstool: scaleout: unknown policy %S (want log_stripe, stripe or \
-           mirror)\n"
-          other;
-        exit 2
-  in
-  let policy, align = policy_of_string policy_arg in
-  let rows =
-    List.concat_map
-      (fun members ->
-        let run label mk =
-          let io =
-            Setup.make_volume_io ~disk_mb:16 ~cpu:Cpu_model.free ~policy
-              ~members ()
-          in
-          let inst = mk io in
-          let seeks0 =
-            List.init members (fun i -> (Io.member_stats io i).Disk.seeks)
-          in
-          let t0 = Io.now_us io in
-          for i = 0 to files - 1 do
-            let path = Printf.sprintf "/f%05d" i in
-            Driver.create inst path;
-            Driver.write inst path ~off:0 (Driver.content ~seed:i file_size)
-          done;
-          Driver.sync inst;
-          let elapsed_us = max 1 (Io.now_us io - t0) in
-          let member_seeks =
-            List.map2 ( - )
-              (List.init members (fun i -> (Io.member_stats io i).Disk.seeks))
-              seeks0
-          in
-          Driver.sanitize inst;
-          let mbs =
-            float_of_int (files * file_size)
-            /. 1024.0 /. 1024.0
-            /. (float_of_int elapsed_us /. 1e6)
-          in
-          (label, members, mbs, List.fold_left max 0 member_seeks)
-        in
-        [
-          run "LFS" (fun io ->
-              let config =
-                { Config.default with Config.segment_align_sectors = align }
-              in
-              Setup.lfs_on io ~config ());
-          run "FFS" (fun io -> Setup.ffs_on io ());
-        ])
-      member_counts
-  in
-  if json then
-    print_endline
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("schema", Json.String "lfs-scaleout/1");
-              ("policy", Json.String policy_arg);
-              ( "rows",
-                Json.List
-                  (List.map
-                     (fun (label, members, mbs, seeks) ->
-                       Json.Obj
-                         [
-                           ("label", Json.String label);
-                           ("members", Json.Int members);
-                           ("write_mb_per_sec", Json.Float mbs);
-                           ("seeks_per_member_max", Json.Int seeks);
-                         ])
-                     rows) );
-            ]))
-  else
-    List.iter
-      (fun (label, members, mbs, seeks) ->
-        Printf.printf "%-4s %-10s %d members: %6.2f MB/s  seeks/member max %d\n"
-          label policy_arg members mbs seeks)
-      rows
-
 (* Declarative scenario runner: one builder over op streams, engine
    runs, crash sweeps and read-back fault scenarios, with seed-managed
    replay.  `--replay SEED` re-runs a printed replay line; `--plant`
@@ -1158,121 +840,6 @@ let () =
                volumes must not rise, and metrics with no known \
                direction must not drift, each beyond the tolerance.")
          Term.(const cmd_benchdiff $ base $ cur $ tolerance $ gate $ json));
-      (let json =
-         Arg.(
-           value & flag
-           & info [ "json" ] ~doc:"Emit the crash-test report as JSON.")
-       in
-       let files =
-         Arg.(
-           value & opt int 6
-           & info [ "files" ] ~doc:"Files in the scratch workload.")
-       in
-       let size =
-         Arg.(
-           value & opt int 2048
-           & info [ "file-size" ] ~doc:"Base file size in bytes.")
-       in
-       let seed =
-         Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Fault-injection seed.")
-       in
-       Cmd.v
-         (Cmd.info "crashtest"
-            ~doc:
-              "Run the fault-injection recovery sweeps on scratch \
-               in-memory stacks (no image needed): crash at every write \
-               boundary of a small workload on both LFS and FFS, tear \
-               the crashing write on LFS, inject transient read errors \
-               into a full read-back, and mark LFS checkpoint region A \
-               sticky-bad so recovery must fall back to region B.  \
-               Exits non-zero if any replay violates the durable model.")
-         Term.(const cmd_crashtest $ json $ files $ size $ seed));
-      (let clients =
-         Arg.(
-           value & opt int 4
-           & info [ "clients" ] ~doc:"Number of concurrent clients.")
-       in
-       let ops =
-         Arg.(
-           value & opt int 150
-           & info [ "ops" ] ~doc:"Operations per client.")
-       in
-       let discipline =
-         Arg.(
-           value & opt string "fcfs"
-           & info [ "discipline" ]
-               ~doc:
-                 "Disk request scheduling discipline: fcfs, scan, cscan, \
-                  or none (immediate issue-order service)."
-               ~docv:"DISC")
-       in
-       let disk_mb =
-         Arg.(
-           value & opt int 64
-           & info [ "disk-mb" ] ~doc:"Scratch disk size in MB.")
-       in
-       let per_client =
-         Arg.(
-           value & flag
-           & info [ "per-client" ]
-               ~doc:"Also print each client's latency percentiles.")
-       in
-       let json =
-         Arg.(
-           value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-       in
-       Cmd.v
-         (Cmd.info "concurrency"
-            ~doc:
-              "Run the concurrent multi-client engine on scratch LFS and \
-               FFS stacks (no image needed): N closed-loop clients with \
-               Zipf-skewed op streams and think times, multiplexed over \
-               one instance with a real disk request queue.  Reports \
-               aggregate throughput, latency percentiles, queue depth \
-               and mean positioning time per system.  Exits non-zero if \
-               the per-client accounting does not add up.")
-         Term.(
-           const cmd_concurrency $ clients $ ops $ discipline $ disk_mb
-           $ per_client $ json));
-      (let members =
-         Arg.(
-           value & opt string "1,2,4"
-           & info [ "members" ]
-               ~doc:"Comma-separated volume member counts to sweep."
-               ~docv:"N,N,...")
-       in
-       let policy =
-         Arg.(
-           value & opt string "log_stripe"
-           & info [ "policy" ]
-               ~doc:"Volume policy: log_stripe, stripe or mirror."
-               ~docv:"POLICY")
-       in
-       let files =
-         Arg.(
-           value & opt int 200
-           & info [ "files" ] ~doc:"Files written per run.")
-       in
-       let file_size =
-         Arg.(
-           value & opt int 8192 & info [ "file-size" ] ~doc:"File size in bytes.")
-       in
-       let json =
-         Arg.(
-           value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-       in
-       Cmd.v
-         (Cmd.info "scaleout"
-            ~doc:
-              "Write small files through LFS and FFS over a multi-disk \
-               volume (no image needed), one row per member count: write \
-               bandwidth and the busiest member's seek count.  The log's \
-               whole-segment writes split into one contiguous run per \
-               member, so LFS bandwidth grows with the spindle count \
-               while FFS stays pinned to single-disk latency — the bench \
-               scaleout figure at CLI scale.")
-         Term.(
-           const cmd_scaleout $ members $ policy $ files $ file_size $ json));
       (let sys =
          Arg.(
            value & opt string "lfs"

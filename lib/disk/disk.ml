@@ -1,12 +1,16 @@
 module Metrics = Lfs_obs.Metrics
 
 exception Crash
+exception Read_fault of { sector : int; transient : bool }
 
 let () =
   Printexc.register_printer (function
     | Crash -> Some "Faulty.Crash (simulated power cut)"
+    | Read_fault { sector; transient } ->
+        Some
+          (Printf.sprintf "Disk.Read_fault (sector %d, %s)" sector
+             (if transient then "transient" else "sticky"))
     | _ -> None)
-exception Read_fault of { sector : int; transient : bool }
 
 type fault_hook = {
   on_read : sector:int -> count:int -> unit;

@@ -17,12 +17,6 @@ let discipline_name = function
   | Scan -> "scan"
   | Cscan -> "cscan"
 
-let discipline_of_string = function
-  | "fcfs" -> Some Fcfs
-  | "scan" | "elevator" -> Some Scan
-  | "cscan" | "c-scan" -> Some Cscan
-  | _ -> None
-
 type entry = {
   id : int;
   kind : [ `Read | `Write ];

@@ -24,12 +24,7 @@ type discipline =
           platter *)
 
 val discipline_name : discipline -> string
-(** ["fcfs"] / ["scan"] / ["cscan"] — stable labels for bench JSON and
-    CLI flags. *)
-
-val discipline_of_string : string -> discipline option
-(** Inverse of {!discipline_name}; also accepts ["elevator"] and
-    ["c-scan"]. *)
+(** ["fcfs"] / ["scan"] / ["cscan"] — stable labels for bench JSON. *)
 
 type entry = {
   id : int;  (** issue order, dense from 0 per queue *)

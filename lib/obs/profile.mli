@@ -82,4 +82,7 @@ val render_ops : report -> string
 
 val render_tree : report -> string
 
+val json_of_op : op_stat -> Json.t
+(** One {!op_stat} as an object with the record's fields, in order. *)
+
 val to_json : report -> Json.t

@@ -24,13 +24,13 @@ type system = [ `Lfs | `Ffs ]
 
 let system_name = function `Lfs -> "LFS" | `Ffs -> "FFS"
 
-let smallfile ?(files = 6) ?(size = 2048) () =
+let smallfile () =
   let path i = Printf.sprintf "/d%d/f%d" (i mod 2) i in
   let ops = ref [ Mkdir "/d1"; Mkdir "/d0" ] in
   let push o = ops := o :: !ops in
-  for i = 0 to files - 1 do
+  for i = 0 to 5 do
     push (Create (path i));
-    push (Write { path = path i; seed = 1000 + i; len = size + (173 * i) });
+    push (Write { path = path i; seed = 1000 + i; len = 2048 + (173 * i) });
     if i mod 2 = 1 then push Sync
   done;
   push (Delete (path 0));
@@ -294,12 +294,7 @@ let check_recovered inst ~durable ~ever_files ~ever_dirs ~divergence =
 
 (* One crash replay. *)
 
-type point = {
-  boundary : int;
-  crashed : bool;
-  recovery_us : int;
-  recovery_reads : int;
-}
+type point = { boundary : int; crashed : bool }
 
 type outcome = {
   label : string;
@@ -327,21 +322,9 @@ let replay ?volume sys ops ~k ~torn ~seed =
   Faulty.clear_crash f;
   let faults = Faulty.faults_injected f in
   Faulty.detach f;
-  let reads0 = counter io "disk.reads" in
-  let t0 = Io.now_us io in
   match remount io st0 with
   | Error e -> Error (Printf.sprintf "remount failed: %s" e)
-  | Ok (st, divergence) ->
-      Ok
-        ( st,
-          divergence,
-          {
-            boundary = k;
-            crashed;
-            recovery_us = Io.now_us io - t0;
-            recovery_reads = counter io "disk.reads" - reads0;
-          },
-          faults )
+  | Ok (st, divergence) -> Ok (st, divergence, { boundary = k; crashed }, faults)
 
 let choose_boundaries ~total ~cap ~seed =
   if total <= cap then List.init total Fun.id

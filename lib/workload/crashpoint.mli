@@ -30,17 +30,16 @@ type system = [ `Lfs | `Ffs ]
 
 val system_name : system -> string
 
-val smallfile : ?files:int -> ?size:int -> unit -> op list
-(** A small smallfile-style workload: two directories, [files] files
-    created and written across interleaved syncs, one synced delete. *)
+val smallfile : unit -> op list
+(** A small smallfile-style workload: two directories, six files of
+    about 2 KB created and written across interleaved syncs, one synced
+    delete. *)
 
 (** {1 Crash-point sweep} *)
 
 type point = {
   boundary : int;  (** the write request the disk died on *)
   crashed : bool;  (** whether the workload actually reached it *)
-  recovery_us : int;  (** simulated time spent remounting *)
-  recovery_reads : int;  (** disk read requests spent remounting *)
 }
 
 type outcome = {

@@ -77,5 +77,4 @@ val run : ?config:config -> Lfs_vfs.Fs_intf.instance -> result
     @raise Driver.Benchmark_failure on invalid config or failed ops. *)
 
 val to_json : result -> Lfs_obs.Json.t
-(** Bench-entry encoding, shared by the [concurrency] figure and
-    [lfstool concurrency --json]. *)
+(** Bench-entry encoding of the [concurrency] figure. *)

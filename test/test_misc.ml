@@ -108,7 +108,11 @@ let test_exception_printers () =
     (Lfs_vfs.Errors.Error (Lfs_vfs.Errors.Enoent "/missing"));
   shows "Io.Read_failed" "sector 1234, 5 attempts"
     (Io.Read_failed { sector = 1234; attempts = 5 });
-  shows "Faulty.Crash" "power cut" Lfs_disk.Faulty.Crash
+  shows "Faulty.Crash" "power cut" Lfs_disk.Faulty.Crash;
+  shows "Disk.Read_fault transient" "sector 77, transient"
+    (Lfs_disk.Disk.Read_fault { sector = 77; transient = true });
+  shows "Disk.Read_fault sticky" "sector 78, sticky"
+    (Lfs_disk.Disk.Read_fault { sector = 78; transient = false })
 
 let suite =
   [

@@ -60,7 +60,7 @@
                           Bus.with_span (exception-safe) instead.
    The syntactic rules from PR 3-6 (disk-io, nondet, stdout,
    lru-to-list, workload-disk, workload-clock, metric and span naming)
-   plus scenario-entry (test and lib code must reach Crashpoint
+   plus scenario-entry (test, CLI and lib code must reach Crashpoint
    sweeps / Faulty.attach through the Lfs_scenario DSL, whose compiler
    is the allowlisted sole caller) run over the same parse, with
    identifier paths alias-expanded, so `module D = Disk` no longer
@@ -156,7 +156,7 @@ let is_stdout s =
 let is_lru_to_list s =
   s = "Lru.to_list" || String.ends_with ~suffix:".Lru.to_list" s
 
-(* Raw fault/sweep entry points that test and lib code must reach
+(* Raw fault/sweep entry points that test, CLI and lib code must reach
    through Lfs_scenario (Scenario.run / Scenario.with_faults), so every
    fault run is seed-managed and replayable. *)
 let scenario_entries =
@@ -830,7 +830,7 @@ let syntactic_checks program =
                  s)
           else if
             is_scenario_entry s
-            && (test_ctx file || lib_ctx file)
+            && (test_ctx file || bin_ctx file || lib_ctx file)
             && not (workload_ctx file)
           then
             report "scenario-entry" file line

@@ -28,9 +28,9 @@
    so those rules skip it; metric/span registration is collected from
    lib/ only (harnesses read counters back through the same
    get-or-create API).  scenario-entry runs the other way round: it
-   covers test/ and lib/ (the workload tree owns the raw machinery and
-   is exempt), keeping Crashpoint sweeps and Faulty.attach behind the
-   seed-managed Lfs_scenario DSL.
+   covers test/, bin/ and lib/ (the workload tree owns the raw
+   machinery and is exempt), keeping Crashpoint sweeps and
+   Faulty.attach behind the seed-managed Lfs_scenario DSL.
 
    Allowlist: "<rule> <path-suffix>" lines; a violation is suppressed
    when its rule matches and its file path ends with the suffix.  With

@@ -180,6 +180,9 @@ let () =
   let program = A.analyze (entry_source "test/test_faults.ml") in
   check "scenario-entry: test caller flagged"
     (List.mem "scenario-entry" (rules_of program "test/test_faults.ml"));
+  let program = A.analyze (entry_source "bin/faultcli.ml") in
+  check "scenario-entry: bin caller flagged"
+    (List.mem "scenario-entry" (rules_of program "bin/faultcli.ml"));
   let program = A.analyze (entry_source "lib/cache/prober.ml") in
   check "scenario-entry: lib caller flagged"
     (List.mem "scenario-entry" (rules_of program "lib/cache/prober.ml"));
