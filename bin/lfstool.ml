@@ -1,7 +1,8 @@
 (* lfstool: manipulate LFS disk images kept in host files.
 
-   The simulated disk's media is a flat byte array, so an LFS file system
-   can live in an ordinary file:
+   A simulated disk's media image is a flat byte array (chunks never
+   written read as zeros), so an LFS file system can live in an ordinary
+   file:
 
      lfstool format img.lfs --size-mb 64
      lfstool put img.lfs /notes.txt README.md
@@ -19,17 +20,23 @@ module Fs = Lfs_core.Fs
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 
+(* Whole host files move as one [bytes] buffer each way: a disk image is
+   read straight into the buffer [Disk.restore] takes, and written
+   straight from the one [Disk.snapshot] returns. *)
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      let buf = Bytes.create (in_channel_length ic) in
+      really_input ic buf 0 (Bytes.length buf);
+      buf)
 
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+    (fun () -> output_bytes oc contents)
 
 let make_io ~size_bytes =
   let geometry = Geometry.wren_iv ~size_bytes in
@@ -54,7 +61,7 @@ let load_image path =
         in
         fail (String.sub msg skip (String.length msg - skip))
   in
-  let size_bytes = String.length media in
+  let size_bytes = Bytes.length media in
   let whole =
     size_bytes > 0
     && Geometry.size_bytes (Geometry.wren_iv ~size_bytes) = size_bytes
@@ -64,11 +71,10 @@ let load_image path =
       (Printf.sprintf "%d bytes is not a whole disk image (truncated?)"
          size_bytes);
   let io = make_io ~size_bytes in
-  Disk.restore (Io.disk io) (Bytes.of_string media);
+  Disk.restore (Io.disk io) media;
   io
 
-let save_image io path =
-  write_file path (Bytes.to_string (Disk.snapshot (Io.disk io)))
+let save_image io path = write_file path (Disk.snapshot (Io.disk io))
 
 let mount_image path =
   let io = load_image path in
@@ -122,10 +128,10 @@ let cmd_put image path hostfile =
   let data = read_file hostfile in
   if not (Fs.exists fs path) then or_die (Fs.create fs path);
   or_die (Fs.truncate fs path ~size:0);
-  or_die (Fs.write fs path ~off:0 (Bytes.of_string data));
+  or_die (Fs.write fs path ~off:0 data);
   Fs.unmount fs;
   save_image (Fs.io fs) image;
-  Printf.printf "wrote %d bytes to %s:%s\n" (String.length data) image path
+  Printf.printf "wrote %d bytes to %s:%s\n" (Bytes.length data) image path
 
 let cmd_mkdir image path =
   let fs = mount_image image in
@@ -177,7 +183,7 @@ let cmd_get image path hostfile =
   let fs = mount_image image in
   let stat = or_die (Fs.stat fs path) in
   let data = or_die (Fs.read fs path ~off:0 ~len:stat.Lfs_vfs.Fs_intf.size) in
-  write_file hostfile (Bytes.to_string data);
+  write_file hostfile data;
   Printf.printf "copied %d bytes from %s:%s to %s\n" (Bytes.length data) image
     path hostfile
 
@@ -511,7 +517,7 @@ let cmd_profile workload files file_size file_mb tree json =
 (* Regression gate over lfs-bench/1 files. *)
 let cmd_benchdiff base_file cur_file tolerance gate json =
   let load file =
-    match Json.of_string_opt (read_file file) with
+    match Json.of_string_opt (Bytes.to_string (read_file file)) with
     | Some j -> j
     | None ->
         Printf.eprintf "lfstool: benchdiff: %s is not valid JSON\n" file;

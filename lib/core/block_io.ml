@@ -49,17 +49,15 @@ let fetch_file_block st ~inum ~blkno ~addr =
   fetch_at st (key_data ~inum ~blkno) addr
 
 let read_run (st : State.t) ~inum ~first_blkno ~addr ~n =
-  let bs = st.layout.Layout.block_size in
-  let data =
-    Io.sync_read st.io
-      ~sector:(sector_of_block st addr)
-      ~count:(n * st.layout.Layout.block_sectors)
+  let blocks =
+    Array.init n (fun _ -> Bytes.create st.layout.Layout.block_size)
   in
+  Io.sync_read_into st.io ~sector:(sector_of_block st addr) blocks;
   if n > 1 then Io.note_clustered_read st.io ~blocks:n;
-  for i = 0 to n - 1 do
-    Cache.insert st.cache
-      (key_data ~inum ~blkno:(first_blkno + i))
-      ~dirty:false
-      (Bytes.sub data (i * bs) bs)
-  done;
-  data
+  Array.iteri
+    (fun i block ->
+      Cache.insert st.cache
+        (key_data ~inum ~blkno:(first_blkno + i))
+        ~dirty:false block)
+    blocks;
+  blocks

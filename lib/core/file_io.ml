@@ -87,21 +87,19 @@ let read (st : State.t) ~inum ~off ~len =
   let result = Bytes.make len '\000' in
   let clustering = st.config.Config.read_clustering in
   let max_blkno = if len = 0 then -1 else (off + len - 1) / bs in
-  (* Blocks fetched by the most recent clustered run are sliced from its
-     buffer rather than looked up again. *)
+  (* Blocks fetched by the most recent clustered run are taken from it
+     rather than looked up again. *)
   let run_first = ref 0 in
-  let run_n = ref 0 in
-  let run_bytes = ref Bytes.empty in
+  let run_blocks = ref [||] in
   let pos = ref 0 in
   while !pos < len do
     let abs = off + !pos in
     let blkno = abs / bs in
     let in_block = abs mod bs in
     let chunk = min (len - !pos) (bs - in_block) in
-    if !run_n > 0 && blkno >= !run_first && blkno < !run_first + !run_n then
-      Bytes.blit !run_bytes
-        (((blkno - !run_first) * bs) + in_block)
-        result !pos chunk
+    if blkno >= !run_first && blkno < !run_first + Array.length !run_blocks
+    then
+      Bytes.blit !run_blocks.(blkno - !run_first) in_block result !pos chunk
     else begin
       match Cache.find st.cache (Block_io.key_data ~inum ~blkno) with
       | Some block ->
@@ -116,10 +114,9 @@ let read (st : State.t) ~inum ~off ~len =
               then begin
                 let n = probe_run st e ~inum ~blkno ~addr ~max_blkno in
                 run_first := blkno;
-                run_n := n;
-                run_bytes :=
+                run_blocks :=
                   Block_io.read_run st ~inum ~first_blkno:blkno ~addr ~n;
-                Bytes.blit !run_bytes in_block result !pos chunk
+                Bytes.blit !run_blocks.(0) in_block result !pos chunk
               end
               else begin
                 let block = Block_io.fetch_file_block st ~inum ~blkno ~addr in

@@ -32,10 +32,11 @@ let flush_active (st : State.t) =
     let first_block = Layout.segment_first_block layout seg.seg in
     let len = summary_bytes + payload_len in
     (* Io never keeps the caller's buffer past the call without copying
-       it, so a full segment can go out straight from [seg.buf]. *)
-    Io.async_write st.io
+       it, so the segment goes out straight from [seg.buf], full or
+       partial. *)
+    Io.async_write st.io ~len
       ~sector:(Layout.sector_of_block layout first_block)
-      (if len = Bytes.length seg.buf then seg.buf else Bytes.sub seg.buf 0 len);
+      seg.buf;
     Seg_usage.set_state st.usage seg.seg Seg_usage.Dirty;
     st.tail_segment <- seg.seg;
     st.next_seq <- st.next_seq + 1;

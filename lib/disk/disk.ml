@@ -45,9 +45,18 @@ let cell_add c n =
 let cell_value c =
   match c.own with Some o -> Metrics.value o | None -> Metrics.value c.agg
 
+(* The medium is a table of fixed-size chunks, each allocated by the
+   first write that reaches it: a log-structured disk is sparse for most
+   of its life, so the host pays only for what the log has touched.  An
+   absent chunk reads as zeros. *)
+let chunk_bytes = 65536
+
+type slice = { buf : bytes; off : int; len : int }
+
 type t = {
   geometry : Geometry.t;
-  store : Bytes.t;
+  size : int;  (* medium size in bytes *)
+  chunks : Bytes.t option array;
   metrics : Metrics.t;
   c_reads : cell;
   c_writes : cell;
@@ -90,7 +99,11 @@ let create ?metrics ?member geometry =
   in
   {
     geometry;
-    store = Bytes.make (Geometry.size_bytes geometry) '\000';
+    size = Geometry.size_bytes geometry;
+    chunks =
+      Array.make
+        ((Geometry.size_bytes geometry + chunk_bytes - 1) / chunk_bytes)
+        None;
     metrics;
     c_reads = { agg = Metrics.counter metrics "disk.reads"; own = own_reads };
     c_writes = { agg = Metrics.counter metrics "disk.writes"; own = own_writes };
@@ -193,7 +206,57 @@ let service ?start_us t ~sector ~count =
     (match start_us with Some s -> s | None -> t.last_end_us) + total;
   total
 
-let read ?start_us t ~sector ~count =
+(* ---- the chunk store ---- *)
+
+let chunk_len t i = min chunk_bytes (t.size - (i * chunk_bytes))
+
+(* Copy [len] bytes of the medium at byte [pos] into [dst] at [off]. *)
+let rec load t ~pos dst ~off ~len =
+  if len > 0 then begin
+    let i = pos / chunk_bytes and o = pos mod chunk_bytes in
+    let n = min len (chunk_bytes - o) in
+    (match t.chunks.(i) with
+    | Some c -> Bytes.blit c o dst off n
+    | None -> Bytes.fill dst off n '\000');
+    load t ~pos:(pos + n) dst ~off:(off + n) ~len:(len - n)
+  end
+
+(* Copy [len] bytes of [src] at [off] onto the medium at byte [pos]. *)
+let rec store t ~pos src ~off ~len =
+  if len > 0 then begin
+    let i = pos / chunk_bytes and o = pos mod chunk_bytes in
+    let n = min len (chunk_bytes - o) in
+    let c =
+      match t.chunks.(i) with
+      | Some c -> c
+      | None ->
+          let c = Bytes.make (chunk_len t i) '\000' in
+          t.chunks.(i) <- Some c;
+          c
+    in
+    Bytes.blit src off c o n;
+    store t ~pos:(pos + n) src ~off:(off + n) ~len:(len - n)
+  end
+
+let resident_bytes t =
+  Array.fold_left
+    (fun acc -> function Some c -> acc + Bytes.length c | None -> acc)
+    0 t.chunks
+
+let read_into ?start_us t ~sector dst =
+  let bytes =
+    List.fold_left
+      (fun acc s ->
+        if s.off < 0 || s.len < 0 || s.off + s.len > Bytes.length s.buf then
+          invalid_arg "Disk.read_into: slice outside its buffer";
+        acc + s.len)
+      0 dst
+  in
+  let ss = t.geometry.Geometry.sector_size in
+  if bytes = 0 || bytes mod ss <> 0 then
+    invalid_arg "Disk.read_into: slices must total a positive multiple of \
+                 sector size";
+  let count = bytes / ss in
   check_range t sector count;
   (match t.fault_hook with
   | Some h -> h.on_read ~sector ~count
@@ -202,15 +265,24 @@ let read ?start_us t ~sector ~count =
   cell_incr t.c_reads;
   cell_add t.c_sectors_read count;
   cell_add t.c_busy_us us;
-  let ss = t.geometry.Geometry.sector_size in
-  (Bytes.sub t.store (sector * ss) (count * ss), us)
+  let rec fill pos = function
+    | [] -> ()
+    | s :: rest ->
+        load t ~pos s.buf ~off:s.off ~len:s.len;
+        fill (pos + s.len) rest
+  in
+  fill (sector * ss) dst;
+  us
 
-let write ?start_us t ~sector data =
+let write ?start_us ?len t ~sector data =
   if t.crashed then raise Crash;
   let ss = t.geometry.Geometry.sector_size in
-  if Bytes.length data = 0 || Bytes.length data mod ss <> 0 then
-    invalid_arg "Disk.write: data must be a positive multiple of sector size";
-  let count = Bytes.length data / ss in
+  let len = match len with Some l -> l | None -> Bytes.length data in
+  if len <= 0 || len mod ss <> 0 || len > Bytes.length data then
+    invalid_arg
+      "Disk.write: length must be a positive multiple of sector size, \
+       within the buffer";
+  let count = len / ss in
   check_range t sector count;
   (match t.fault_hook with
   | Some h -> (
@@ -219,7 +291,7 @@ let write ?start_us t ~sector data =
           (* Scenario-driven torn write: a prefix of the request reaches
              the platter, then power is cut. *)
           let p = max 0 (min persisted count) in
-          Bytes.blit data 0 t.store (sector * ss) (p * ss);
+          store t ~pos:(sector * ss) data ~off:0 ~len:(p * ss);
           t.crashed <- true;
           raise Crash
       | None -> ())
@@ -233,7 +305,7 @@ let write ?start_us t ~sector data =
         if remaining <= count then t.crashed <- true;
         p
   in
-  Bytes.blit data 0 t.store (sector * ss) (persisted * ss);
+  store t ~pos:(sector * ss) data ~off:0 ~len:(persisted * ss);
   if t.crashed then raise Crash;
   let us = service ?start_us t ~sector ~count in
   cell_incr t.c_writes;
@@ -251,13 +323,47 @@ let clear_crash t =
 
 let crashed t = t.crashed
 
-let snapshot t = Bytes.copy t.store
+let snapshot_into t out ~off =
+  if off < 0 || off + t.size > Bytes.length out then
+    invalid_arg "Disk.snapshot_into: image does not fit";
+  load t ~pos:0 out ~off ~len:t.size
 
-let restore t media =
-  if Bytes.length media <> Bytes.length t.store then
+let snapshot t =
+  let out = Bytes.create t.size in
+  snapshot_into t out ~off:0;
+  out
+
+let is_zero b ~off ~len =
+  let rec words i =
+    if i + 8 <= len then Bytes.get_int64_ne b (off + i) = 0L && words (i + 8)
+    else tail i
+  and tail i =
+    i >= len || (Bytes.get b (off + i) = '\000' && tail (i + 1))
+  in
+  words 0
+
+(* All-zero chunks of the image stay (or become) unallocated, so a
+   restored image costs only what it holds. *)
+let restore_from t media ~off =
+  if off < 0 || off + t.size > Bytes.length media then
     invalid_arg "Disk.restore: snapshot size mismatch";
-  Bytes.blit media 0 t.store 0 (Bytes.length media);
+  Array.iteri
+    (fun i prev ->
+      let src = off + (i * chunk_bytes) and n = chunk_len t i in
+      t.chunks.(i) <-
+        (if is_zero media ~off:src ~len:n then None
+         else begin
+           let c = match prev with Some c -> c | None -> Bytes.create n in
+           Bytes.blit media src c 0 n;
+           Some c
+         end))
+    t.chunks;
   t.head_cyl <- 0;
   t.next_sector <- 0;
   t.last_end_us <- 0;
   t.last_streamed <- false
+
+let restore t media =
+  if Bytes.length media <> t.size then
+    invalid_arg "Disk.restore: snapshot size mismatch";
+  restore_from t media ~off:0

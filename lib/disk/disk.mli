@@ -1,7 +1,11 @@
 (** A simulated sector-addressable disk.
 
     Stores data in memory and computes a service time for every request
-    from the {!Geometry} model.  The disk itself never advances the clock;
+    from the {!Geometry} model.  The medium is a table of fixed-size
+    chunks ({!chunk_bytes}), each allocated by the first write that
+    reaches it; sectors never written read as zeros.  A log-structured
+    disk is sparse for most of its life, so the host pays only for the
+    segments the log has reached.  The disk itself never advances the clock;
     the {!Io} scheduler decides whether the caller waits (synchronous I/O)
     or the time is absorbed by the device queue (asynchronous I/O).
 
@@ -96,9 +100,16 @@ val last_was_streamed : t -> bool
 val reset_stats : t -> unit
 (** Zero the [disk.*] counters (other registry entries are untouched). *)
 
-val read : ?start_us:int -> t -> sector:int -> count:int -> bytes * int
-(** [read t ~sector ~count] returns the data of [count] sectors and the
-    service time in microseconds.
+type slice = { buf : bytes; off : int; len : int }
+(** A destination range: [len] bytes of [buf] starting at [off]. *)
+
+val read_into : ?start_us:int -> t -> sector:int -> slice list -> int
+(** [read_into t ~sector dst] fills the slices [dst], in order, with
+    consecutive sectors starting at [sector], and returns the service
+    time in microseconds.  The slices must total a positive multiple of
+    the sector size; that total fixes the request's sector count.  This
+    is the device's one read path: the caller owns the destination, so
+    a block read lands in the buffer that will hold the block.
 
     [start_us] is the simulated time the request reaches the device.
     With it, a request that continues the previous transfer but arrives
@@ -106,12 +117,13 @@ val read : ?start_us:int -> t -> sector:int -> count:int -> bytes * int
     kept spinning, so the head waits out the remainder of the current
     rotation.  Without it the request is treated as issued back to back
     (zero positioning on exact continuation — the historical model).
-    @raise Invalid_argument if out of range. *)
+    @raise Invalid_argument if out of range or a slice lies outside its
+    buffer. *)
 
-val write : ?start_us:int -> t -> sector:int -> bytes -> int
-(** [write t ~sector data] writes [data] (whose length must be a multiple
-    of the sector size) and returns the service time.  [start_us] as in
-    {!read}.
+val write : ?start_us:int -> ?len:int -> t -> sector:int -> bytes -> int
+(** [write t ~sector data] writes the first [len] bytes of [data]
+    (default: all of it; a positive multiple of the sector size) and
+    returns the service time.  [start_us] as in {!read_into}.
     @raise Crash if a crash point is reached (the write may be torn).
     @raise Invalid_argument if out of range or misaligned. *)
 
@@ -124,8 +136,28 @@ val clear_crash : t -> unit
 
 val crashed : t -> bool
 
+val chunk_bytes : int
+(** Size of one media chunk (64 KB), the unit the medium is allocated
+    in.  An internal constant, exposed so tests can aim at chunk edges. *)
+
+val resident_bytes : t -> int
+(** Bytes of medium currently allocated: the sum of materialised
+    chunks.  Unwritten ranges cost nothing. *)
+
 val snapshot : t -> bytes
-(** Copy of the entire media, for test assertions. *)
+(** Copy of the entire media, for test assertions and image files. *)
+
+val snapshot_into : t -> bytes -> off:int -> unit
+(** [snapshot_into t out ~off] writes the {!snapshot} image into [out]
+    at [off], without an intermediate copy.
+    @raise Invalid_argument if it does not fit. *)
 
 val restore : t -> bytes -> unit
-(** Overwrite the media from a snapshot.  Head position is reset. *)
+(** Overwrite the media from a snapshot.  Head position is reset.
+    All-zero chunks of the image are left unallocated.
+    @raise Invalid_argument on size mismatch. *)
+
+val restore_from : t -> bytes -> off:int -> unit
+(** {!restore} from the image starting at [off] in a larger buffer
+    (one member's part of a volume image).
+    @raise Invalid_argument if the buffer is too short. *)

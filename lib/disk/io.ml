@@ -167,15 +167,15 @@ let lane_disk t lane =
 (* The member data path: a single disk is addressed directly, volume
    members only through [Volume] (whose wrappers are the one sanctioned
    raw-device surface besides this module). *)
-let dev_read t lane ~start_us ~sector ~count =
+let dev_read_into t lane ~start_us ~sector dst =
   match t.device with
-  | Single d -> Disk.read ~start_us d ~sector ~count
-  | Vol v -> Volume.read ~start_us v ~member:lane.l_member ~sector ~count
+  | Single d -> Disk.read_into ~start_us d ~sector dst
+  | Vol v -> Volume.read_into ~start_us v ~member:lane.l_member ~sector dst
 
-let dev_write t lane ~start_us ~sector data =
+let dev_write ?len t lane ~start_us ~sector data =
   match t.device with
-  | Single d -> Disk.write ~start_us d ~sector data
-  | Vol v -> Volume.write ~start_us v ~member:lane.l_member ~sector data
+  | Single d -> Disk.write ~start_us ?len d ~sector data
+  | Vol v -> Volume.write ~start_us ?len v ~member:lane.l_member ~sector data
 
 (* Without a scheduler the lane serves requests in issue order; a request
    begins when both the caller and the member device are ready. *)
@@ -201,20 +201,19 @@ let emit_volume_op t ~op ~sector ~sectors ~runs =
   if Bus.enabled t.bus then
     Bus.emit t.bus (Event.Volume_op { op; sector; sectors; runs })
 
-(* Retry loop shared by the immediate and queued read paths.  A failed
-   attempt costs only the retry backoff: the fault hook rejects the
-   request before the device computes a service time, so the head never
-   moves and the clock advances by the (exponentially growing) wait
-   between attempts. *)
-let read_with_retries t lane ~start ~sector ~count ~sync =
+(* The one retry loop, shared by the immediate and queued read paths;
+   the data lands in the caller's slices [dst].  A failed attempt costs
+   only the retry backoff: the fault hook rejects the request before the
+   device computes a service time, so the head never moves and the clock
+   advances by the (exponentially growing) wait between attempts. *)
+let read_with_retries t lane ~start ~sector ~count ~dst ~sync =
   let rec attempt n =
-    match dev_read t lane ~start_us:(start ()) ~sector ~count with
-    | data, service_us ->
+    match dev_read_into t lane ~start_us:(start ()) ~sector dst with
+    | service_us ->
         let sequential = Disk.last_was_streamed (lane_disk t lane) in
         record t ~kind:`Read ~sync ~sector ~sectors:count ~service_us
           ~sequential;
-        lane.l_busy_until_us <- start () + service_us;
-        data
+        lane.l_busy_until_us <- start () + service_us
     | exception Disk.Read_fault _ ->
         if n >= t.read_attempts then raise (Read_failed { sector; attempts = n })
         else begin
@@ -231,39 +230,39 @@ let read_with_retries t lane ~start ~sector ~count ~sync =
    the background: the request starts when the member is free and the
    request has arrived — time that may already lie in the past by the
    moment the dispatch order is decided (lazy dispatch still charges the
-   device as if it ran continuously).  Returns the payload for reads. *)
-let dispatch_entry t lane q (e : Sched.entry) =
+   device as if it ran continuously).  A read lands in [dst]: a queued
+   read is only ever dispatched by its own synchronous caller
+   ({!dispatch_until}), which supplies its destination. *)
+let dispatch_entry ?dst t lane q (e : Sched.entry) =
   let start () = max lane.l_busy_until_us e.Sched.arrival_us in
   let wait_us = start () - e.Sched.arrival_us in
   let depth = Sched.length q in
-  let payload =
-    match e.Sched.kind with
-    | `Write ->
-        let data = Option.get e.Sched.data in
-        let service_us =
-          dev_write t lane ~start_us:(start ()) ~sector:e.Sched.sector data
-        in
-        record t ~kind:`Write ~sync:e.Sched.sync ~sector:e.Sched.sector
-          ~sectors:e.Sched.count ~service_us
-          ~sequential:(Disk.last_was_streamed (lane_disk t lane));
-        lane.l_busy_until_us <- start () + service_us;
-        None
-    | `Read ->
-        Some
-          (read_with_retries t lane ~start ~sector:e.Sched.sector
-             ~count:e.Sched.count ~sync:e.Sched.sync)
-  in
+  (match e.Sched.kind with
+  | `Write ->
+      let data = Option.get e.Sched.data in
+      let service_us =
+        dev_write t lane ~start_us:(start ()) ~sector:e.Sched.sector
+          ~len:(e.Sched.count * sector_size t) data
+      in
+      record t ~kind:`Write ~sync:e.Sched.sync ~sector:e.Sched.sector
+        ~sectors:e.Sched.count ~service_us
+        ~sequential:(Disk.last_was_streamed (lane_disk t lane));
+      lane.l_busy_until_us <- start () + service_us
+  | `Read ->
+      read_with_retries t lane ~start ~sector:e.Sched.sector
+        ~count:e.Sched.count ~dst:(Option.get dst) ~sync:e.Sched.sync);
   Metrics.observe t.h_queue_wait wait_us;
   emit_queue t ~action:`Dispatch ~kind:e.Sched.kind ~sector:e.Sched.sector
-    ~sectors:e.Sched.count ~depth ~wait_us;
-  payload
+    ~sectors:e.Sched.count ~depth ~wait_us
 
 (* The oldest entry is always eligible, so a non-empty queue always
-   dispatches: no livelock. *)
-let dispatch_next t lane q =
+   dispatches: no livelock.  Returns the serviced entry. *)
+let dispatch_next ?dst t lane q =
   match Sched.select q ~head:(Disk.head_sector (lane_disk t lane)) with
   | None -> None
-  | Some e -> Some (e, dispatch_entry t lane q e)
+  | Some e ->
+      dispatch_entry ?dst t lane q e;
+      Some e
 
 let dispatch_lane t lane =
   match lane.l_sched with
@@ -274,15 +273,15 @@ let dispatch_lane t lane =
 
 let dispatch_all t = Array.iter (dispatch_lane t) t.lanes
 
-(* Dispatch in discipline order until the entry [id] has been serviced;
-   returns its read payload.  Requests the discipline ranks ahead of the
+(* Dispatch in discipline order until the entry [id] has been serviced
+   (a read into [dst]).  Requests the discipline ranks ahead of the
    target are serviced first — this is the convoy a synchronous caller
    pays behind a deep queue. *)
-let dispatch_until t lane q ~id =
+let dispatch_until ?dst t lane q ~id =
   let rec go () =
-    match dispatch_next t lane q with
-    | None -> None
-    | Some (e, payload) -> if e.Sched.id = id then payload else go ()
+    match dispatch_next ?dst t lane q with
+    | None -> ()
+    | Some e -> if e.Sched.id <> id then go ()
   in
   go ()
 
@@ -299,12 +298,14 @@ let enqueue t lane q ~kind ~sync ~sector ~count ~data =
 (* ---- scatter/gather over a volume run's piece map ---- *)
 
 (* Assemble the member-contiguous payload of one write run from the
-   logical request buffer.  When the run covers the whole request in
-   order (single disk, mirror replica) the original buffer is returned
-   as-is — callers that enqueue must copy it then. *)
-let gather ~ss data run =
+   logical request, the first [len] bytes of [data].  When the run covers
+   the whole request in order (single disk, mirror replica) the original
+   buffer is returned as-is — callers that enqueue must copy it then.
+   Either way the payload is the first [run.count] sectors of the
+   result. *)
+let gather ~ss ~len data run =
   match run.Volume.pieces with
-  | [ (0, len) ] when len * ss = Bytes.length data -> data
+  | [ (0, n) ] when n * ss = len -> data
   | pieces ->
       let out = Bytes.create (run.Volume.count * ss) in
       let pos = ref 0 in
@@ -315,66 +316,67 @@ let gather ~ss data run =
         pieces;
       out
 
-(* Spread one read run's member-contiguous data back into the logical
-   result buffer. *)
-let scatter ~ss data run out =
-  let pos = ref 0 in
-  List.iter
-    (fun (off, len) ->
-      Bytes.blit data (!pos * ss) out (off * ss) (len * ss);
-      pos := !pos + len)
-    run.Volume.pieces
+(* The destination slices covering bytes [pos, pos + len) of a logical
+   request whose consecutive buffers all have length [blen]. *)
+let slices bufs ~blen ~pos ~len =
+  let rec go pos len acc =
+    if len = 0 then List.rev acc
+    else
+      let i = pos / blen and off = pos mod blen in
+      let n = min len (blen - off) in
+      go (pos + n) (len - n) ({ Disk.buf = bufs.(i); off; len = n } :: acc)
+  in
+  go pos len []
 
 (* ---- per-run service, shared by every request path ---- *)
 
-(* One read run on one lane, honouring that lane's queue if present. *)
-let lane_read_run t lane ~sector ~count ~sync =
+(* One read run on one lane into [dst], honouring that lane's queue if
+   present. *)
+let lane_read_run t lane ~sector ~count ~dst ~sync =
   match lane.l_sched with
   | None ->
       read_with_retries t lane ~start:(fun () -> start_time t lane) ~sector
-        ~count ~sync
+        ~count ~dst ~sync
   | Some q ->
       let e = enqueue t lane q ~kind:`Read ~sync ~sector ~count ~data:None in
-      (match dispatch_until t lane q ~id:e.Sched.id with
-      | Some d -> d
-      | None -> assert false)
+      dispatch_until ~dst t lane q ~id:e.Sched.id
 
-(* One synchronous write run on one lane (payload already gathered and
-   owned by the caller). *)
-let lane_sync_write_run t lane ~sector data =
+(* One synchronous write run on one lane: the first [len] bytes of
+   [data], already gathered and owned by the caller. *)
+let lane_sync_write_run t lane ~sector ~len data =
+  let count = len / sector_size t in
   match lane.l_sched with
   | None ->
       let start = start_time t lane in
-      let service_us = dev_write t lane ~start_us:start ~sector data in
-      let sectors = Bytes.length data / sector_size t in
+      let service_us = dev_write ~len t lane ~start_us:start ~sector data in
       let sequential = Disk.last_was_streamed (lane_disk t lane) in
-      record t ~kind:`Write ~sync:true ~sector ~sectors ~service_us ~sequential;
+      record t ~kind:`Write ~sync:true ~sector ~sectors:count ~service_us
+        ~sequential;
       lane.l_busy_until_us <- start + service_us
   | Some q ->
-      let count = Bytes.length data / sector_size t in
       let e =
         enqueue t lane q ~kind:`Write ~sync:true ~sector ~count
           ~data:(Some data)
       in
-      ignore (dispatch_until t lane q ~id:e.Sched.id : bytes option)
+      dispatch_until t lane q ~id:e.Sched.id
 
-(* One asynchronous write run on one lane.  [owned] says whether [data]
-   may be handed to the queue without copying. *)
-let lane_async_write_run t lane ~sector ~owned data =
+(* One asynchronous write run on one lane: the first [len] bytes of
+   [data].  [owned] says whether [data] may be handed to the queue
+   without copying. *)
+let lane_async_write_run t lane ~sector ~len ~owned data =
+  let count = len / sector_size t in
   match lane.l_sched with
   | None ->
       let start = start_time t lane in
-      let service_us = dev_write t lane ~start_us:start ~sector data in
-      let sectors = Bytes.length data / sector_size t in
+      let service_us = dev_write ~len t lane ~start_us:start ~sector data in
       let sequential = Disk.last_was_streamed (lane_disk t lane) in
-      record t ~kind:`Write ~sync:false ~sector ~sectors ~service_us
+      record t ~kind:`Write ~sync:false ~sector ~sectors:count ~service_us
         ~sequential;
       lane.l_busy_until_us <- start + service_us
   | Some q ->
-      let count = Bytes.length data / sector_size t in
       (* The queue owns the payload from here: copy so a caller reusing
          its buffer cannot retroactively change a pending write. *)
-      let payload = if owned then data else Bytes.copy data in
+      let payload = if owned then data else Bytes.sub data 0 len in
       let (_ : Sched.entry) =
         enqueue t lane q ~kind:`Write ~sync:false ~sector ~count
           ~data:(Some payload)
@@ -382,7 +384,7 @@ let lane_async_write_run t lane ~sector ~owned data =
       (* Bounded queue: past [max_queue] pending requests the member must
          make room before the caller may continue. *)
       while Sched.length q > t.max_queue do
-        ignore (dispatch_next t lane q : (Sched.entry * bytes option) option)
+        ignore (dispatch_next t lane q : Sched.entry option)
       done
 
 (* ---- mirror read load balancing ---- *)
@@ -404,13 +406,13 @@ let mirror_order t ~sector =
 (* A failed replica is transparently retried on the next-best member;
    only when every replica exhausts its retry budget does the failure
    surface.  Each fail-over is counted in [io.degraded_reads]. *)
-let mirror_read t ~sector ~count ~sync =
+let mirror_read t ~sector ~count ~dst ~sync =
   let rec go last = function
     | [] -> (
         match last with Some e -> raise e | None -> assert false)
     | lane :: rest -> (
-        match lane_read_run t lane ~sector ~count ~sync with
-        | data -> (data, lane)
+        match lane_read_run t lane ~sector ~count ~dst ~sync with
+        | () -> lane
         | exception (Read_failed _ as e) ->
             if rest <> [] then Metrics.incr t.c_degraded_reads;
             go (Some e) rest)
@@ -419,88 +421,108 @@ let mirror_read t ~sector ~count ~sync =
 
 (* ---- public request paths ---- *)
 
-let sync_read t ~sector ~count =
+let sync_read_into t ~sector bufs =
+  let ss = sector_size t in
+  let blen = if Array.length bufs = 0 then 0 else Bytes.length bufs.(0) in
+  if
+    blen = 0 || blen mod ss <> 0
+    || Array.exists (fun b -> Bytes.length b <> blen) bufs
+  then
+    invalid_arg
+      "Io.sync_read_into: buffers must share one positive multiple of the \
+       sector size";
+  let count = Array.length bufs * blen / ss in
   let go () =
     match t.device with
     | Single _ ->
         let lane = t.lanes.(0) in
-        let data = lane_read_run t lane ~sector ~count ~sync:true in
-        Clock.advance_to_us t.clock lane.l_busy_until_us;
-        data
+        let dst = slices bufs ~blen ~pos:0 ~len:(count * ss) in
+        lane_read_run t lane ~sector ~count ~dst ~sync:true;
+        Clock.advance_to_us t.clock lane.l_busy_until_us
     | Vol v -> (
         match Volume.policy v with
         | Volume.Mirror ->
             emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
-            let data, lane = mirror_read t ~sector ~count ~sync:true in
-            Clock.advance_to_us t.clock lane.l_busy_until_us;
-            data
+            let dst = slices bufs ~blen ~pos:0 ~len:(count * ss) in
+            let lane = mirror_read t ~sector ~count ~dst ~sync:true in
+            Clock.advance_to_us t.clock lane.l_busy_until_us
         | Volume.Stripe _ | Volume.Log_stripe _ ->
             let runs = Volume.map_read v ~sector ~count in
             emit_volume_op t ~op:"read" ~sector ~sectors:count
               ~runs:(List.length runs);
-            let ss = sector_size t in
-            let out = Bytes.create (count * ss) in
             let finish = ref 0 in
             List.iter
               (fun (r : Volume.run) ->
                 let lane = t.lanes.(r.Volume.member) in
-                let data =
-                  lane_read_run t lane ~sector:r.Volume.sector
-                    ~count:r.Volume.count ~sync:true
+                (* Each member run fills its pieces of the destination
+                   directly: no member-contiguous buffer to scatter. *)
+                let dst =
+                  List.concat_map
+                    (fun (off, n) ->
+                      slices bufs ~blen ~pos:(off * ss) ~len:(n * ss))
+                    r.Volume.pieces
                 in
-                scatter ~ss data r out;
+                lane_read_run t lane ~sector:r.Volume.sector
+                  ~count:r.Volume.count ~dst ~sync:true;
                 finish := max !finish lane.l_busy_until_us)
               runs;
             (* The runs were issued together and serviced in parallel:
                the caller resumes when the slowest member finishes. *)
-            Clock.advance_to_us t.clock !finish;
-            out)
+            Clock.advance_to_us t.clock !finish)
   in
   (* The span covers the retry loop too: backoff waits are disk time. *)
   if Bus.enabled t.bus then Bus.with_span t.bus "io_read" go else go ()
 
-let sync_write t ~sector data =
+let sync_read t ~sector ~count =
+  let buf = Bytes.create (count * sector_size t) in
+  sync_read_into t ~sector [| buf |];
+  buf
+
+let sync_write ?len t ~sector data =
+  let len = Option.value len ~default:(Bytes.length data) in
   let go () =
     match t.device with
     | Single _ ->
         let lane = t.lanes.(0) in
-        lane_sync_write_run t lane ~sector data;
+        lane_sync_write_run t lane ~sector ~len data;
         Clock.advance_to_us t.clock lane.l_busy_until_us
     | Vol v ->
-        let count = Bytes.length data / sector_size t in
+        let ss = sector_size t in
+        let count = len / ss in
         let runs = Volume.map_write v ~sector ~count in
         emit_volume_op t ~op:"write" ~sector ~sectors:count
           ~runs:(List.length runs);
-        let ss = sector_size t in
         let finish = ref 0 in
         List.iter
           (fun (r : Volume.run) ->
             let lane = t.lanes.(r.Volume.member) in
             lane_sync_write_run t lane ~sector:r.Volume.sector
-              (gather ~ss data r);
+              ~len:(r.Volume.count * ss) (gather ~ss ~len data r);
             finish := max !finish lane.l_busy_until_us)
           runs;
         Clock.advance_to_us t.clock !finish
   in
   if Bus.enabled t.bus then Bus.with_span t.bus "io_write" go else go ()
 
-let async_write t ~sector data =
+let async_write ?len t ~sector data =
+  let len = Option.value len ~default:(Bytes.length data) in
   let go () =
     (match t.device with
     | Single _ ->
-        lane_async_write_run t t.lanes.(0) ~sector ~owned:false data
+        lane_async_write_run t t.lanes.(0) ~sector ~len ~owned:false data
     | Vol v ->
-        let count = Bytes.length data / sector_size t in
+        let ss = sector_size t in
+        let count = len / ss in
         let runs = Volume.map_write v ~sector ~count in
         emit_volume_op t ~op:"write_async" ~sector ~sectors:count
           ~runs:(List.length runs);
-        let ss = sector_size t in
         List.iter
           (fun (r : Volume.run) ->
-            let payload = gather ~ss data r in
+            let payload = gather ~ss ~len data r in
             lane_async_write_run t
               t.lanes.(r.Volume.member)
-              ~sector:r.Volume.sector ~owned:(payload != data) payload)
+              ~sector:r.Volume.sector ~len:(r.Volume.count * ss)
+              ~owned:(payload != data) payload)
           runs);
     (* Writer throttling: the application may run ahead of the disk only
        by the write-buffer depth — measured against the slowest member. *)

@@ -145,14 +145,30 @@ val charge_lookup : t -> unit
 
 (** {1 Disk requests} *)
 
+val sync_read_into : t -> sector:int -> bytes array -> unit
+(** [sync_read_into t ~sector bufs] fills [bufs], consecutive buffers of
+    one common length (a positive multiple of the sector size), with the
+    sectors starting at [sector], and waits for the transfer.  This is
+    the one read path: every member request lands straight in the
+    caller's buffers — on a striped volume each member run fills its own
+    pieces of them — so a clustered block read needs no copy after the
+    device's.  A failed attempt is retried ({!create}'s
+    [read_attempts]); the whole request, retries included, is one
+    [io_read] span.
+    @raise Read_failed when the request still fails after the configured
+    number of attempts.
+    @raise Invalid_argument if the buffers are empty or uneven. *)
+
 val sync_read : t -> sector:int -> count:int -> bytes
-(** @raise Read_failed when the request still fails after the configured
-    number of attempts (see {!create}). *)
+(** {!sync_read_into} a fresh buffer of [count] sectors. *)
 
-val sync_write : t -> sector:int -> bytes -> unit
+val sync_write : ?len:int -> t -> sector:int -> bytes -> unit
 
-val async_write : t -> sector:int -> bytes -> unit
-(** Buffer contract, for both writes: Io never keeps the caller's buffer
+val async_write : ?len:int -> t -> sector:int -> bytes -> unit
+(** Both writes send the first [len] bytes of the buffer (default: all
+    of it), so a partly filled buffer goes out without a copy.
+
+    Buffer contract, for both writes: Io never keeps the caller's buffer
     past the call without copying it.  A request that is queued gets a
     copy; one that is not is written to the device before the call
     returns.  The caller may therefore reuse or mutate the buffer as soon

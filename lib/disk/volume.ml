@@ -161,27 +161,25 @@ let logical_of t ~member ~msec =
       let j = msec / c in
       (((j * n) + member) * c) + (msec mod c)
 
-let read ?start_us t ~member ~sector ~count =
-  Disk.read ?start_us (member_disk t member) ~sector ~count
+let read_into ?start_us t ~member ~sector dst =
+  Disk.read_into ?start_us (member_disk t member) ~sector dst
 
-let write ?start_us t ~member ~sector data =
-  Disk.write ?start_us (member_disk t member) ~sector data
+let write ?start_us ?len t ~member ~sector data =
+  Disk.write ?start_us ?len (member_disk t member) ~sector data
 
+(* Members copy their chunks straight into (and out of) their slice of
+   the volume image: no per-member intermediate image. *)
 let snapshot t =
   let msize = Geometry.size_bytes t.member_geometry in
   let out = Bytes.create (t.nmembers * msize) in
-  Array.iteri
-    (fun i d -> Bytes.blit (Disk.snapshot d) 0 out (i * msize) msize)
-    t.disks;
+  Array.iteri (fun i d -> Disk.snapshot_into d out ~off:(i * msize)) t.disks;
   out
 
 let restore t media =
   let msize = Geometry.size_bytes t.member_geometry in
   if Bytes.length media <> t.nmembers * msize then
     invalid_arg "Volume.restore: snapshot size mismatch";
-  Array.iteri
-    (fun i d -> Disk.restore d (Bytes.sub media (i * msize) msize))
-    t.disks
+  Array.iteri (fun i d -> Disk.restore_from d media ~off:(i * msize)) t.disks
 
 let crashed t = Array.exists Disk.crashed t.disks
 let clear_crash t = Array.iter Disk.clear_crash t.disks

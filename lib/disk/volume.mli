@@ -102,10 +102,13 @@ val logical_of : t -> member:int -> msec:int -> int
     The sanctioned data path to the member devices — {!Io} drives these
     with run-level timing; nothing above {!Io} touches them. *)
 
-val read :
-  ?start_us:int -> t -> member:int -> sector:int -> count:int -> bytes * int
+val read_into :
+  ?start_us:int -> t -> member:int -> sector:int -> Disk.slice list -> int
+(** {!Disk.read_into} on member [member]. *)
 
-val write : ?start_us:int -> t -> member:int -> sector:int -> bytes -> int
+val write :
+  ?start_us:int -> ?len:int -> t -> member:int -> sector:int -> bytes -> int
+(** {!Disk.write} on member [member]. *)
 
 (** {1 Whole-volume state} *)
 

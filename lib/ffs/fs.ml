@@ -624,19 +624,18 @@ let read_file_block t ~inum ~blkno ~addr =
 (* Clustered read: [n] physically contiguous blocks in one disk request,
    each cached clean. *)
 let read_run t ~inum ~first_blkno ~addr ~n =
-  let bs = t.layout.Layout.block_size in
-  let data =
-    Io.sync_read t.io ~sector:(sector_of_block t addr)
-      ~count:(n * t.layout.Layout.block_sectors)
+  let blocks =
+    Array.init n (fun _ -> Bytes.create t.layout.Layout.block_size)
   in
+  Io.sync_read_into t.io ~sector:(sector_of_block t addr) blocks;
   if n > 1 then Io.note_clustered_read t.io ~blocks:n;
-  for i = 0 to n - 1 do
-    Cache.insert t.cache
-      (key_data ~inum ~blkno:(first_blkno + i))
-      ~dirty:false
-      (Bytes.sub data (i * bs) bs)
-  done;
-  data
+  Array.iteri
+    (fun i block ->
+      Cache.insert t.cache
+        (key_data ~inum ~blkno:(first_blkno + i))
+        ~dirty:false block)
+    blocks;
+  blocks
 
 (* How many blocks starting at [blkno]/[addr] can go in one request:
    consecutive logical blocks up to [max_blkno] at consecutive addresses,
@@ -713,22 +712,20 @@ let read t path ~off ~len =
       let result = Bytes.make len '\000' in
       let clustering = t.config.Config.read_clustering in
       let max_blkno = if len = 0 then -1 else (off + len - 1) / bs in
-      (* Blocks fetched by the most recent clustered run are sliced from
-         its buffer rather than looked up again. *)
+      (* Blocks fetched by the most recent clustered run are taken from
+         it rather than looked up again. *)
       let run_first = ref 0 in
-      let run_n = ref 0 in
-      let run_bytes = ref Bytes.empty in
+      let run_blocks = ref [||] in
       let pos = ref 0 in
       while !pos < len do
         let abs = off + !pos in
         let blkno = abs / bs in
         let in_block = abs mod bs in
         let chunk = min (len - !pos) (bs - in_block) in
-        if !run_n > 0 && blkno >= !run_first && blkno < !run_first + !run_n
+        if
+          blkno >= !run_first && blkno < !run_first + Array.length !run_blocks
         then
-          Bytes.blit !run_bytes
-            (((blkno - !run_first) * bs) + in_block)
-            result !pos chunk
+          Bytes.blit !run_blocks.(blkno - !run_first) in_block result !pos chunk
         else begin
           match Cache.find t.cache (key_data ~inum ~blkno) with
           | Some block ->
@@ -742,9 +739,8 @@ let read t path ~off ~len =
                   if clustering then begin
                     let n = probe_run t e ~inum ~blkno ~addr ~max_blkno in
                     run_first := blkno;
-                    run_n := n;
-                    run_bytes := read_run t ~inum ~first_blkno:blkno ~addr ~n;
-                    Bytes.blit !run_bytes in_block result !pos chunk
+                    run_blocks := read_run t ~inum ~first_blkno:blkno ~addr ~n;
+                    Bytes.blit !run_blocks.(0) in_block result !pos chunk
                   end
                   else
                     Bytes.blit

@@ -1,5 +1,6 @@
-(* The disk substrate: geometry timing model, crash injection, the I/O
-   scheduler's sync/async accounting, and the CPU model. *)
+(* The disk substrate: geometry timing model, crash injection, the
+   chunked medium against a flat reference, the I/O scheduler's
+   sync/async accounting, and the CPU model. *)
 
 module Clock = Lfs_disk.Clock
 module Cpu_model = Lfs_disk.Cpu_model
@@ -8,6 +9,13 @@ module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 
 let geo () = Geometry.wren_iv ~size_bytes:(8 * 1024 * 1024)
+
+(* [count] sectors from [sector], through the one read path. *)
+let read d ~sector ~count =
+  let len = count * (Disk.geometry d).Geometry.sector_size in
+  let buf = Bytes.create len in
+  ignore (Disk.read_into d ~sector [ { Disk.buf; off = 0; len } ] : int);
+  buf
 
 let test_geometry_derivations () =
   let g = geo () in
@@ -72,17 +80,17 @@ let test_disk_data_roundtrip () =
   let d = Disk.create (geo ()) in
   let data = Bytes.init 1536 (fun i -> Char.chr (i mod 256)) in
   ignore (Disk.write d ~sector:42 data);
-  let got, _ = Disk.read d ~sector:42 ~count:3 in
+  let got = read d ~sector:42 ~count:3 in
   Alcotest.(check bytes) "roundtrip" data got;
   (* Unwritten sectors read as zeros. *)
-  let zeros, _ = Disk.read d ~sector:45 ~count:1 in
+  let zeros = read d ~sector:45 ~count:1 in
   Alcotest.(check bytes) "zeros" (Bytes.make 512 '\000') zeros
 
 let test_disk_bounds () =
   let d = Disk.create (geo ()) in
   Alcotest.(check bool) "read oob" true
     (try
-       ignore (Disk.read d ~sector:(-1) ~count:1);
+       ignore (read d ~sector:(-1) ~count:1);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "write misaligned" true
@@ -103,7 +111,7 @@ let test_crash_injection () =
      with Disk.Crash -> true);
   Alcotest.(check bool) "crashed" true (Disk.crashed d);
   Disk.clear_crash d;
-  let got, _ = Disk.read d ~sector:0 ~count:4 in
+  let got = read d ~sector:0 ~count:4 in
   Alcotest.(check bytes) "torn prefix" (Bytes.make 1024 'A') (Bytes.sub got 0 1024);
   Alcotest.(check bytes) "torn tail" (Bytes.make 1024 '\000') (Bytes.sub got 1024 1024);
   (* Writes work again after clear. *)
@@ -125,8 +133,219 @@ let test_snapshot_restore () =
   let snap = Disk.snapshot d in
   ignore (Disk.write d ~sector:0 (Bytes.make 512 'B'));
   Disk.restore d snap;
-  let got, _ = Disk.read d ~sector:0 ~count:1 in
+  let got = read d ~sector:0 ~count:1 in
   Alcotest.(check char) "restored" 'A' (Bytes.get got 0)
+
+(* ------------------------------------------------------------------ *)
+(* The chunked medium against a flat reference                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A 1 MB request rounds up to 6 cylinders: 17 whole chunks and a short
+   last one. *)
+let chunk_geo () = Geometry.wren_iv ~size_bytes:(1024 * 1024)
+
+type op =
+  | Write of { sector : int; count : int; fill : int }
+  | Read of { sector : int; count : int; cuts : int list }
+  | Torn_countdown of { sector : int; count : int; allow : int }
+  | Torn_hook of { sector : int; count : int; persisted : int }
+  | Snapshot_restore
+
+let pp_op = function
+  | Write { sector; count; fill } ->
+      Printf.sprintf "write %d+%d fill=%d" sector count fill
+  | Read { sector; count; cuts } ->
+      Printf.sprintf "read %d+%d cuts=[%s]" sector count
+        (String.concat ";" (List.map string_of_int cuts))
+  | Torn_countdown { sector; count; allow } ->
+      Printf.sprintf "countdown %d+%d allow=%d" sector count allow
+  | Torn_hook { sector; count; persisted } ->
+      Printf.sprintf "hook %d+%d persisted=%d" sector count persisted
+  | Snapshot_restore -> "snapshot/restore"
+
+(* Spans start within a few sectors of a chunk edge and run up to three
+   chunks long, so most of them straddle one. *)
+let span_gen sectors =
+  let spc = Disk.chunk_bytes / 512 in
+  QCheck.Gen.(
+    let* edge = int_bound (sectors / spc) in
+    let* delta = int_range (-6) 6 in
+    let sector = max 0 (min (sectors - 1) ((edge * spc) + delta)) in
+    let* count = oneof [ int_range 1 12; int_range 1 (3 * spc) ] in
+    return (sector, min count (sectors - sector)))
+
+let op_gen sectors =
+  QCheck.Gen.(
+    let* sector, count = span_gen sectors in
+    frequency
+      [
+        ( 4,
+          let* fill = int_bound 3 in
+          return (Write { sector; count; fill }) );
+        ( 4,
+          let* cuts = list_size (int_bound 4) (int_bound (count * 512)) in
+          return (Read { sector; count; cuts }) );
+        ( 1,
+          let* allow = int_bound count in
+          return (Torn_countdown { sector; count; allow }) );
+        ( 1,
+          let* persisted = int_bound count in
+          return (Torn_hook { sector; count; persisted }) );
+        (1, return Snapshot_restore);
+      ])
+
+(* Fill 0 writes zeros (a chunk holding only zeros is still resident
+   until a restore drops it); fill 1 writes zeros but for one byte, which
+   a restore must not mistake for an empty chunk; others write a window
+   of seeded noise that depends on the op, so a misplaced byte shows. *)
+let noise = lazy (Common.pattern ~seed:64 (4 * Disk.chunk_bytes))
+
+let payload ~fill ~sector ~count =
+  let len = count * 512 in
+  match fill with
+  | 0 -> Bytes.make len '\000'
+  | 1 ->
+      let b = Bytes.make len '\000' in
+      Bytes.set b ((sector * 13) mod len) '\001';
+      b
+  | _ ->
+      let noise = Lazy.force noise in
+      let room = Bytes.length noise - len in
+      Bytes.sub noise (((sector * 7) + (fill * 1031)) mod room) len
+
+let differential =
+  let g = chunk_geo () in
+  let size = Geometry.size_bytes g in
+  let nchunks = (size + Disk.chunk_bytes - 1) / Disk.chunk_bytes in
+  let chunk_len i = min Disk.chunk_bytes (size - (i * Disk.chunk_bytes)) in
+  QCheck.Test.make ~name:"chunked medium matches a flat reference" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) (op_gen g.Geometry.sectors)))
+    (fun ops ->
+      let d = Disk.create g in
+      let model = Bytes.make size '\000' in
+      (* Which chunks the lazy medium should hold right now. *)
+      let resident = Array.make nchunks false in
+      let persist ~sector data ~sectors =
+        let pos = sector * 512 and len = sectors * 512 in
+        Bytes.blit data 0 model pos len;
+        let cb = Disk.chunk_bytes in
+        if len > 0 then
+          for i = pos / cb to (pos + len - 1) / cb do
+            resident.(i) <- true
+          done
+      in
+      let check_resident what =
+        let expect = ref 0 in
+        Array.iteri
+          (fun i r -> if r then expect := !expect + chunk_len i)
+          resident;
+        if Disk.resident_bytes d <> !expect then
+          QCheck.Test.fail_reportf "%s: %d bytes resident, model says %d" what
+            (Disk.resident_bytes d) !expect
+      in
+      let torn what ~sector ~count ~persisted arm =
+        let data = payload ~fill:2 ~sector ~count in
+        arm ();
+        (match Disk.write d ~sector data with
+        | _ -> QCheck.Test.fail_reportf "%s: write did not crash" what
+        | exception Disk.Crash -> ());
+        if not (Disk.crashed d) then
+          QCheck.Test.fail_reportf "%s: disk not down" what;
+        Disk.set_fault_hook d None;
+        Disk.clear_crash d;
+        persist ~sector data ~sectors:persisted
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Write { sector; count; fill } ->
+              let data = payload ~fill ~sector ~count in
+              ignore (Disk.write d ~sector data : int);
+              persist ~sector data ~sectors:count
+          | Read { sector; count; cuts } ->
+              (* Each slice lands at an offset inside its own larger
+                 buffer; the cut points need not be sector-aligned. *)
+              let len = count * 512 in
+              let bounds = List.sort_uniq compare ((0 :: cuts) @ [ len ]) in
+              let rec pieces = function
+                | a :: (b :: _ as rest) -> (a, b - a) :: pieces rest
+                | _ -> []
+              in
+              let dst =
+                List.map
+                  (fun (start, n) ->
+                    let buf = Bytes.make (n + 7) '#' in
+                    (start, { Disk.buf; off = 3; len = n }))
+                  (pieces bounds)
+              in
+              ignore (Disk.read_into d ~sector (List.map snd dst) : int);
+              List.iter
+                (fun (start, (s : Disk.slice)) ->
+                  let want = Bytes.sub model ((sector * 512) + start) s.len in
+                  if Bytes.sub s.buf s.off s.len <> want then
+                    QCheck.Test.fail_reportf "read %d+%d: slice at %d differs"
+                      sector count start;
+                  if
+                    Bytes.sub s.buf 0 3 <> Bytes.make 3 '#'
+                    || Bytes.sub s.buf (s.off + s.len) 4 <> Bytes.make 4 '#'
+                  then
+                    QCheck.Test.fail_reportf
+                      "read %d+%d: wrote outside a slice" sector count)
+                dst
+          | Torn_countdown { sector; count; allow } ->
+              torn "countdown" ~sector ~count ~persisted:(min allow count)
+                (fun () -> Disk.set_crash_after d ~sectors:allow)
+          | Torn_hook { sector; count; persisted } ->
+              torn "hook" ~sector ~count ~persisted (fun () ->
+                  Disk.set_fault_hook d
+                    (Some
+                       {
+                         Disk.on_read = (fun ~sector:_ ~count:_ -> ());
+                         on_write = (fun ~sector:_ ~count:_ -> Some persisted);
+                       }))
+          | Snapshot_restore ->
+              let snap = Disk.snapshot d in
+              if snap <> model then
+                QCheck.Test.fail_reportf "snapshot differs from the model";
+              (* Scribble, then restore: the image wins, and only its
+                 non-zero chunks stay resident. *)
+              ignore (Disk.write d ~sector:0 (Bytes.make 512 'x') : int);
+              Disk.restore d snap;
+              Array.iteri
+                (fun i _ ->
+                  let n = chunk_len i in
+                  resident.(i) <-
+                    Bytes.sub model (i * Disk.chunk_bytes) n
+                    <> Bytes.make n '\000')
+                resident);
+          check_resident (pp_op op))
+        ops;
+      Disk.snapshot d = model)
+
+(* Unwritten ranges cost nothing: a formatted LFS on a 300 MB disk
+   touches a few segments' worth of chunks, one sector touches one
+   chunk, and an all-zero image restores to an empty table. *)
+let test_resident_media () =
+  let io = Common.make_io ~size_bytes:(300 * 1024 * 1024) () in
+  (match Lfs_core.Fs.format io Lfs_core.Config.default with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "format: %s" e);
+  let formatted = Disk.resident_bytes (Io.disk io) in
+  if formatted >= 8 * 1024 * 1024 then
+    Alcotest.failf "format materialised %d bytes of a 300 MB disk" formatted;
+  let d = Disk.create (geo ()) in
+  Alcotest.(check int) "fresh disk holds nothing" 0 (Disk.resident_bytes d);
+  let sector = 3 * Disk.chunk_bytes / 512 in
+  ignore (Disk.write d ~sector (Bytes.make 512 'x'));
+  Alcotest.(check int) "one sector, one chunk" Disk.chunk_bytes
+    (Disk.resident_bytes d);
+  Disk.restore d (Bytes.make (Geometry.size_bytes (geo ())) '\000');
+  Alcotest.(check int) "all-zero image restores to nothing" 0
+    (Disk.resident_bytes d);
+  Alcotest.(check bytes) "and reads as zeros" (Bytes.make 512 '\000')
+    (read d ~sector ~count:1)
 
 let make_io () =
   let d = Disk.create (geo ()) in
@@ -214,6 +433,9 @@ let suite =
     Alcotest.test_case "crash injection (torn write)" `Quick test_crash_injection;
     Alcotest.test_case "crash keeps device down" `Quick test_crash_while_down;
     Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
+    Common.qcheck differential;
+    Alcotest.test_case "media cost only what is written" `Quick
+      test_resident_media;
     Alcotest.test_case "sync advances clock" `Quick test_io_sync_advances_clock;
     Alcotest.test_case "async overlaps" `Quick test_io_async_overlaps;
     Alcotest.test_case "writer throttling" `Quick test_io_throttling;

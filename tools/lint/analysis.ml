@@ -9,7 +9,7 @@
    rules hold interprocedurally.
 
    Effects tracked (bitmask):
-     DiskIO         a raw Disk.read/Disk.write is reachable
+     DiskIO         a raw Disk.read_into/Disk.write is reachable
      ClockAdvance   Clock.advance_us/advance_to_us is reachable
      AmbientNondet  Unix.*, Sys.time or the ambient Random.* is reachable
      Stdout         a direct stdout print is reachable
@@ -128,10 +128,14 @@ let is_clock_advance s =
     (fun tail -> s = tail || String.ends_with ~suffix:("." ^ tail) s)
     tails
 
+(* The device's raw data path: every read fills caller buffers through
+   [Disk.read_into]. *)
+let disk_io_primitives = [ "Disk.read_into"; "Disk.write" ]
+
 let is_disk_io s =
-  s = "Disk.read" || s = "Disk.write"
-  || String.ends_with ~suffix:".Disk.read" s
-  || String.ends_with ~suffix:".Disk.write" s
+  List.exists
+    (fun p -> s = p || String.ends_with ~suffix:("." ^ p) s)
+    disk_io_primitives
 
 let is_nondet s =
   String.starts_with ~prefix:"Unix." s

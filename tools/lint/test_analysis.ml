@@ -108,7 +108,7 @@ let () =
     A.analyze
       [
         ( "lib/disk/io.ml",
-          "let sync_read d blkno = Disk.read d blkno\n" );
+          "let sync_read d blkno dst = Disk.read_into d blkno dst\n" );
         ( "lib/cache/user.ml",
           "module Io = Lfs_disk.Io\n\nlet load d b = Io.sync_read d b\n" );
       ]
@@ -121,6 +121,25 @@ let () =
   check "absorption: exposure masked, work recorded"
     (A.expose_effects (def program "Lfs_disk.Io.sync_read") = []
     && has program "Lfs_disk.Io.sync_read" "DiskIO")
+
+(* --- the read-into primitive is raw device access too --- *)
+
+let () =
+  let program =
+    A.analyze
+      [
+        ( "lib/disk/io.ml",
+          "let sync_read_into d s dst = Disk.read_into d ~sector:s dst\n" );
+        ( "lib/core/rawpeek.ml",
+          "module Disk = Lfs_disk.Disk\n\n\
+           let peek d dst = Disk.read_into d ~sector:0 dst\n" );
+      ]
+  in
+  check "read_into: caller outside Io flagged"
+    (List.mem "disk-io" (rules_of program "lib/core/rawpeek.ml")
+    && has program "Lfs_core.Rawpeek.peek" "DiskIO");
+  check "read_into: Io absorbs it for its callers"
+    (A.expose_effects (def program "Lfs_disk.Io.sync_read_into") = [])
 
 (* --- unknown callee fails closed to every effect --- *)
 
