@@ -290,6 +290,7 @@ let flush_caches (st : t) =
   sync st;
   Cache.drop_clean st.cache;
   Lfs_cache.Readahead.reset st.readahead;
+  Lfs_vfs.Dir.clear st.dirs;
   if Cache.dirty_count st.cache = 0 then Inode_store.clear_clean st
 
 let checkpoint_now (st : t) = checkpoint_user st

@@ -244,5 +244,6 @@ let delete (st : State.t) inum =
   | Some (addr, _slot) -> release_block st addr ~bytes:Layout.inode_bytes
   | None -> ());
   Lfs_cache.Readahead.forget st.readahead ~owner:inum;
+  Lfs_vfs.Dir.forget st.dirs inum;
   Hashtbl.remove st.itable inum;
   Imap.free st.imap inum

@@ -1,7 +1,6 @@
-module Dir_block = Lfs_vfs.Dir_block
+module Dir = Lfs_vfs.Dir
 module Errors = Lfs_vfs.Errors
 module Io = Lfs_disk.Io
-module Path = Lfs_vfs.Path
 
 let dir_entry (st : State.t) inum =
   let e = Inode_store.find st inum in
@@ -9,87 +8,42 @@ let dir_entry (st : State.t) inum =
     Errors.raise_ (Errors.Enotdir (Printf.sprintf "inum %d" inum));
   e
 
-let nblocks (st : State.t) (e : State.itable_entry) =
-  Inode.nblocks ~block_size:st.layout.Layout.block_size e.ino
-
-let parse_block block = Dir_block.parse block
-
-let encode_block (st : State.t) entries =
-  Dir_block.encode ~block_size:st.layout.Layout.block_size entries
-
-let read_block (st : State.t) (e : State.itable_entry) blkidx =
+let read (st : State.t) (e : State.itable_entry) blkidx =
   let inum = e.ino.Inode.inum in
   match Lfs_cache.Block_cache.find st.cache (Block_io.key_data ~inum ~blkno:blkidx) with
-  | Some block -> parse_block block
+  | Some _ as block -> block
   | None ->
       let addr = Inode_store.bmap_read st e blkidx in
-      if addr = Layout.null_addr then []
-      else parse_block (Block_io.read_file_block st ~inum ~blkno:blkidx ~addr)
+      if addr = Layout.null_addr then None
+      else Some (Block_io.read_file_block st ~inum ~blkno:blkidx ~addr)
 
-let write_block (st : State.t) (e : State.itable_entry) blkidx entries =
-  let inum = e.ino.Inode.inum in
+(* A dirty cache insert: directory updates reach the disk inside segment
+   writes. *)
+let write (st : State.t) (e : State.itable_entry) blkidx block =
   let bs = st.layout.Layout.block_size in
   Lfs_cache.Block_cache.insert st.cache
-    (Block_io.key_data ~inum ~blkno:blkidx)
-    ~dirty:true (encode_block st entries);
+    (Block_io.key_data ~inum:e.ino.Inode.inum ~blkno:blkidx)
+    ~dirty:true block;
   if (blkidx + 1) * bs > e.ino.Inode.size then
     e.ino.Inode.size <- (blkidx + 1) * bs;
   e.ino.Inode.mtime_us <- Io.now_us st.io;
   Inode_store.mark_dirty e
 
-let lookup (st : State.t) ~dir name =
-  let e = dir_entry st dir in
-  let n = nblocks st e in
-  let rec scan blk =
-    if blk >= n then None
-    else begin
-      Io.charge_lookup st.io;
-      match List.assoc_opt name (read_block st e blk) with
-      | Some inum -> Some inum
-      | None -> scan (blk + 1)
-    end
-  in
-  scan 0
+let backing : (State.t, State.itable_entry) Dir.backing =
+  {
+    views = (fun (st : State.t) -> st.dirs);
+    inum = (fun (e : State.itable_entry) -> e.ino.Inode.inum);
+    nblocks =
+      (fun (st : State.t) (e : State.itable_entry) ->
+        Inode.nblocks ~block_size:st.layout.Layout.block_size e.ino);
+    read;
+    write;
+  }
 
-let add (st : State.t) ~dir name inum =
-  if not (Path.valid_name name) then
-    Errors.raise_ (Errors.Einval (Printf.sprintf "bad name %S" name));
-  let e = dir_entry st dir in
-  let n = nblocks st e in
-  let bs = st.layout.Layout.block_size in
-  let rec place blk =
-    if blk >= n then write_block st e n [ (name, inum) ]
-    else begin
-      Io.charge_lookup st.io;
-      let entries = read_block st e blk in
-      if Dir_block.fits ~block_size:bs entries name then
-        write_block st e blk ((name, inum) :: entries)
-      else place (blk + 1)
-    end
-  in
-  place 0
-
-let remove (st : State.t) ~dir name =
-  let e = dir_entry st dir in
-  let n = nblocks st e in
-  let rec hunt blk =
-    if blk >= n then Errors.raise_ (Errors.Enoent name)
-    else begin
-      Io.charge_lookup st.io;
-      let entries = read_block st e blk in
-      if List.mem_assoc name entries then
-        write_block st e blk (List.remove_assoc name entries)
-      else hunt (blk + 1)
-    end
-  in
-  hunt 0
-
-let entries (st : State.t) ~dir =
-  let e = dir_entry st dir in
-  let n = nblocks st e in
-  List.concat (List.init n (fun blk ->
-      Io.charge_lookup st.io;
-      read_block st e blk))
+let lookup st ~dir name = Dir.lookup backing st (dir_entry st dir) name
+let add st ~dir name inum = Dir.add backing st (dir_entry st dir) name inum
+let remove st ~dir name = Dir.remove backing st (dir_entry st dir) name
+let entries st ~dir = Dir.entries backing st (dir_entry st dir)
 
 let is_empty st ~dir = entries st ~dir = []
 

@@ -5,8 +5,9 @@
     are ordinary cached file writes — in LFS they reach the disk inside
     segment writes, never synchronously (§4.1).
 
-    Each block examined during lookup charges one CPU lookup cost,
-    modelling the namei scan. *)
+    The scans are {!Lfs_vfs.Dir}'s, over decoded views of the cached
+    blocks; each block examined charges one CPU lookup cost, modelling
+    the namei scan. *)
 
 val lookup : State.t -> dir:int -> string -> int option
 (** Find [name] in directory [dir].

@@ -79,6 +79,7 @@ type t = {
   imap : Imap.t;
   usage : Seg_usage.t;
   itable : (int, itable_entry) Hashtbl.t;
+  dirs : Lfs_vfs.Dir.t;
   seg : segbuf;
   mutable next_seq : int;  (** sequence number for the next segment write *)
   mutable tail_segment : int;  (** last segment written; -1 if none *)
@@ -140,6 +141,7 @@ let create io config layout =
     imap = Imap.create layout;
     usage;
     itable = Hashtbl.create 256;
+    dirs = Lfs_vfs.Dir.create ~io ~block_size:layout.Layout.block_size;
     seg =
       {
         seg = -1;

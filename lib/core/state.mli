@@ -74,6 +74,7 @@ type t = {
   imap : Imap.t;
   usage : Seg_usage.t;
   itable : (int, itable_entry) Hashtbl.t;
+  dirs : Lfs_vfs.Dir.t;  (** decoded directory blocks ({!Namespace}) *)
   seg : segbuf;
   mutable next_seq : int;
   mutable tail_segment : int;

@@ -1,5 +1,6 @@
 module Cache = Lfs_cache.Block_cache
 module Readahead = Lfs_cache.Readahead
+module Dir = Lfs_vfs.Dir
 module Dir_block = Lfs_vfs.Dir_block
 module Errors = Lfs_vfs.Errors
 module Fs_intf = Lfs_vfs.Fs_intf
@@ -28,6 +29,7 @@ type t = {
   readahead : Readahead.t;
   alloc : Alloc.t;
   itable : (int, entry) Hashtbl.t;
+  dirs : Dir.t;
   root : int;
 }
 
@@ -360,24 +362,23 @@ let dir_nblocks t (e : entry) =
 let read_dir_block t (e : entry) blk =
   let inum = e.ino.Inode.inum in
   match Cache.find t.cache (key_data ~inum ~blkno:blk) with
-  | Some block -> Dir_block.parse block
+  | Some _ as block -> block
   | None ->
       let addr = bmap_read t e blk in
-      if addr = Layout.null_addr then []
+      if addr = Layout.null_addr then None
       else begin
         let block =
           Io.sync_read t.io ~sector:(sector_of_block t addr)
             ~count:t.layout.Layout.block_sectors
         in
         Cache.insert t.cache (key_data ~inum ~blkno:blk) ~dirty:false block;
-        Dir_block.parse block
+        Some block
       end
 
 (* Writing a directory block on the create/delete path is synchronous —
    the behaviour the paper blames for coupling FFS to disk latency. *)
-let write_dir_block t (e : entry) blk entries ~sync_write =
+let write_dir_block t (e : entry) blk block ~sync_write =
   let inum = e.ino.Inode.inum in
-  let block = Dir_block.encode ~block_size:t.layout.Layout.block_size entries in
   let addr = bmap_alloc t e blk in
   if sync_write then begin
     trace_sync_write t.io ~what:"directory" ~sector:(sector_of_block t addr)
@@ -393,59 +394,19 @@ let write_dir_block t (e : entry) blk entries ~sync_write =
   e.ino.Inode.mtime_us <- Io.now_us t.io;
   e.dirty <- true
 
-let dir_lookup t ~dir fname =
-  let e = dir_entry_of t dir in
-  let n = dir_nblocks t e in
-  let rec scan blk =
-    if blk >= n then None
-    else begin
-      Io.charge_lookup t.io;
-      match List.assoc_opt fname (read_dir_block t e blk) with
-      | Some inum -> Some inum
-      | None -> scan (blk + 1)
-    end
-  in
-  scan 0
+let dir_backing : (t, entry) Dir.backing =
+  {
+    views = (fun t -> t.dirs);
+    inum = (fun (e : entry) -> e.ino.Inode.inum);
+    nblocks = dir_nblocks;
+    read = read_dir_block;
+    write = (fun t e blk block -> write_dir_block t e blk block ~sync_write:true);
+  }
 
-let dir_add t ~dir fname inum ~sync_write =
-  if not (Path.valid_name fname) then
-    Errors.raise_ (Errors.Einval (Printf.sprintf "bad name %S" fname));
-  let e = dir_entry_of t dir in
-  let n = dir_nblocks t e in
-  let bs = t.layout.Layout.block_size in
-  let rec place blk =
-    if blk >= n then write_dir_block t e n [ (fname, inum) ] ~sync_write
-    else begin
-      Io.charge_lookup t.io;
-      let entries = read_dir_block t e blk in
-      if Dir_block.fits ~block_size:bs entries fname then
-        write_dir_block t e blk ((fname, inum) :: entries) ~sync_write
-      else place (blk + 1)
-    end
-  in
-  place 0
-
-let dir_remove t ~dir fname ~sync_write =
-  let e = dir_entry_of t dir in
-  let n = dir_nblocks t e in
-  let rec hunt blk =
-    if blk >= n then Errors.raise_ (Errors.Enoent fname)
-    else begin
-      Io.charge_lookup t.io;
-      let entries = read_dir_block t e blk in
-      if List.mem_assoc fname entries then
-        write_dir_block t e blk (List.remove_assoc fname entries) ~sync_write
-      else hunt (blk + 1)
-    end
-  in
-  hunt 0
-
-let dir_entries t ~dir =
-  let e = dir_entry_of t dir in
-  List.concat
-    (List.init (dir_nblocks t e) (fun blk ->
-         Io.charge_lookup t.io;
-         read_dir_block t e blk))
+let dir_lookup t ~dir fname = Dir.lookup dir_backing t (dir_entry_of t dir) fname
+let dir_add t ~dir fname inum = Dir.add dir_backing t (dir_entry_of t dir) fname inum
+let dir_remove t ~dir fname = Dir.remove dir_backing t (dir_entry_of t dir) fname
+let dir_entries t ~dir = Dir.entries dir_backing t (dir_entry_of t dir)
 
 let resolve t components =
   List.fold_left
@@ -490,7 +451,7 @@ let make_node t path kind op =
       (* The two synchronous writes of Figure 1: the new inode's table
          block, then the directory data block. *)
       store_inode t (Some ino) ~inum ~mode:`Sync;
-      dir_add t ~dir fname inum ~sync_write:true;
+      dir_add t ~dir fname inum;
       housekeep t)
 
 let create t path = make_node t path Fs_intf.Regular `Create
@@ -536,7 +497,7 @@ let delete t path =
       let e = get_entry t inum in
       if e.ino.Inode.kind = Fs_intf.Directory && dir_entries t ~dir:inum <> []
       then Errors.raise_ (Errors.Enotempty path);
-      dir_remove t ~dir fname ~sync_write:true;
+      dir_remove t ~dir fname;
       if e.ino.Inode.nlink > 1 then begin
         e.ino.Inode.nlink <- e.ino.Inode.nlink - 1;
         e.ino.Inode.mtime_us <- Io.now_us t.io;
@@ -548,6 +509,7 @@ let delete t path =
         Readahead.forget t.readahead ~owner:inum;
         store_inode t None ~inum ~mode:`Sync;
         Hashtbl.remove t.itable inum;
+        Dir.forget t.dirs inum;
         Alloc.free_inode t.alloc inum
       end;
       housekeep t)
@@ -576,8 +538,8 @@ let rename t src dst =
       (match dir_lookup t ~dir:dst_dir dst_name with
       | Some _ -> Errors.raise_ (Errors.Eexist dst)
       | None -> ());
-      dir_remove t ~dir:src_dir src_name ~sync_write:true;
-      dir_add t ~dir:dst_dir dst_name inum ~sync_write:true;
+      dir_remove t ~dir:src_dir src_name;
+      dir_add t ~dir:dst_dir dst_name inum;
       housekeep t)
 
 let link t src dst =
@@ -599,7 +561,7 @@ let link t src dst =
       e.ino.Inode.mtime_us <- Io.now_us t.io;
       store_inode t (Some e.ino) ~inum:src_inum ~mode:`Sync;
       e.dirty <- false;
-      dir_add t ~dir:dst_dir dst_name src_inum ~sync_write:true;
+      dir_add t ~dir:dst_dir dst_name src_inum;
       housekeep t)
 
 (* Data operations *)
@@ -914,6 +876,7 @@ let flush_caches t =
   do_sync t;
   Cache.drop_clean t.cache;
   Readahead.reset t.readahead;
+  Dir.clear t.dirs;
   let clean =
     Hashtbl.fold
       (fun inum (e : entry) acc -> if e.dirty then acc else inum :: acc)
@@ -946,6 +909,7 @@ let format io config =
               (Io.metrics io);
           alloc = Alloc.create layout;
           itable = Hashtbl.create 256;
+          dirs = Dir.create ~io ~block_size:layout.Layout.block_size;
           root = root_inum;
         }
       in
@@ -1001,6 +965,7 @@ let mount ?(config = Config.default) io =
               (Io.metrics io);
           alloc = Alloc.create layout;
           itable = Hashtbl.create 256;
+          dirs = Dir.create ~io ~block_size:layout.Layout.block_size;
           root = root_inum;
         }
       in
@@ -1222,12 +1187,17 @@ let repair t =
     if not (Hashtbl.mem visited dir) then begin
       Hashtbl.replace visited dir ();
       let e = get_entry t dir in
+      let rewrite blk entries =
+        write_dir_block t e blk
+          (Dir_block.encode ~block_size:l.Layout.block_size entries)
+          ~sync_write:false
+      in
       for blk = 0 to dir_nblocks t e - 1 do
         let entries =
-          try read_dir_block t e blk
-          with Lfs_util.Codec.Error _ | Io.Read_failed _ ->
+          try Dir.block_entries dir_backing t e blk
+          with Errors.Error (Errors.Ecorrupt _) | Io.Read_failed _ ->
             note "inum %d: salvaged torn directory block %d" dir blk;
-            write_dir_block t e blk [] ~sync_write:false;
+            rewrite blk [];
             []
         in
         let keep, drop =
@@ -1241,7 +1211,7 @@ let repair t =
             (fun (name, inum) ->
               note "inum %d: pruned dangling entry %S -> inum %d" dir name inum)
             drop;
-          write_dir_block t e blk keep ~sync_write:false
+          rewrite blk keep
         end;
         List.iter
           (fun (_, inum) ->
@@ -1261,6 +1231,7 @@ let repair t =
       valid.(inum) <- false;
       Alloc.free_inode t.alloc inum;
       Hashtbl.remove t.itable inum;
+      Dir.forget t.dirs inum;
       store_inode t None ~inum ~mode:`Async
     end
   done;
@@ -1369,3 +1340,4 @@ let repair t =
 
 let alloc t = t.alloc
 let inode_of t inum = (get_entry t inum).ino
+let dir_views t = t.dirs

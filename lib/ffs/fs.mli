@@ -105,3 +105,6 @@ val alloc : t -> Alloc.t
 val inode_of : t -> int -> Inode.t
 (** The in-memory inode for [inum] (loading it if needed); raises
     [Lfs_vfs.Errors.Error Enoent] if unallocated.  Test support. *)
+
+val dir_views : t -> Lfs_vfs.Dir.t
+(** The mount's decoded directory blocks.  Test support. *)

@@ -5,9 +5,6 @@ let entry_bytes name = 4 + 2 + String.length name
 let used_bytes entries =
   List.fold_left (fun acc (name, _) -> acc + entry_bytes name) 2 entries
 
-let fits ~block_size entries name =
-  used_bytes entries + entry_bytes name <= block_size
-
 let parse block =
   let d = Codec.decoder block in
   let n = Codec.read_u16 d in

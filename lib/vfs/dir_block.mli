@@ -1,4 +1,5 @@
-(** Directory block format shared by both file systems.
+(** Directory block format shared by both file systems (decoded for
+    the namespace by {!Dir}).
 
     A directory file is a sequence of self-contained blocks (an entry
     never spans blocks, as in BSD): each block holds a u16 entry count
@@ -16,6 +17,3 @@ val entry_bytes : string -> int
 
 val used_bytes : (string * int) list -> int
 (** Bytes a block with these entries occupies (including the header). *)
-
-val fits : block_size:int -> (string * int) list -> string -> bool
-(** Whether one more entry named [name] fits. *)

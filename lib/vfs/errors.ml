@@ -7,6 +7,7 @@ type t =
   | Enospc
   | Efbig
   | Einval of string
+  | Ecorrupt of string
 
 let pp ppf = function
   | Enoent p -> Format.fprintf ppf "no such file or directory: %s" p
@@ -17,6 +18,7 @@ let pp ppf = function
   | Enospc -> Format.fprintf ppf "no space left on device"
   | Efbig -> Format.fprintf ppf "file too large"
   | Einval m -> Format.fprintf ppf "invalid argument: %s" m
+  | Ecorrupt m -> Format.fprintf ppf "corrupt file system: %s" m
 
 let to_string e = Format.asprintf "%a" pp e
 

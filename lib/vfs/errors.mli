@@ -9,6 +9,8 @@ type t =
   | Enospc  (** device full *)
   | Efbig  (** file exceeds maximum representable size *)
   | Einval of string  (** malformed argument (bad name, bad offset...) *)
+  | Ecorrupt of string
+      (** on-disk structure does not decode (names what and where) *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

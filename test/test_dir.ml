@@ -1,0 +1,192 @@
+(* The shared directory layer seen through both file systems: a corrupt
+   directory block is an error, not an exception; namei charges one
+   lookup per block examined (the paper's linear scan); and a lookup in
+   a cached directory no longer re-decodes its blocks. *)
+
+module Cpu_model = Lfs_disk.Cpu_model
+module E = Lfs_vfs.Errors
+module Fs_intf = Lfs_vfs.Fs_intf
+module Io = Lfs_disk.Io
+module Profile = Lfs_obs.Profile
+
+(* Distinct, nonzero costs so every charge shows in the clock. *)
+let cpu = { Cpu_model.syscall_us = 1000; per_kb_us = 0; lookup_us = 7 }
+
+(* Names of one length (entry 10 bytes): a 1 KB block holds
+   (1024 - 2) / 10 = 102 of them, filled in creation order. *)
+let name i = Printf.sprintf "f%03d" i
+
+module Cases
+    (F : Fs_intf.S) (Env : sig
+      val label : string
+
+      val make : size_bytes:int -> cpu:Cpu_model.t -> block_size:int -> F.t
+      (** Formatted and mounted, with a cache of 1024 blocks. *)
+
+      val dir_block0_sector : F.t -> string -> int
+      val inodes_in_use : F.t -> int
+    end) =
+struct
+  let ok what = Common.check_ok (Env.label ^ " " ^ what)
+
+  let make_dir ?(block_size = 1024) ~name n =
+    let fs = Env.make ~size_bytes:(8 * 1024 * 1024) ~cpu ~block_size in
+    ok "mkdir" (F.mkdir fs "/d");
+    for i = 0 to n - 1 do
+      ok "create" (F.create fs ("/d/" ^ name i))
+    done;
+    fs
+
+  let clock_delta fs f =
+    let t0 = Io.now_us (F.io fs) in
+    f ();
+    Io.now_us (F.io fs) - t0
+
+  (* Entry count 5000 in the first sector of /a's block 0: the block
+     claims far more entries than it holds. *)
+  let test_corrupt_block () =
+    let fs =
+      Env.make ~size_bytes:(16 * 1024 * 1024) ~cpu:Cpu_model.free ~block_size:1024
+    in
+    ok "mkdir" (F.mkdir fs "/a");
+    ok "create" (F.create fs "/a/x");
+    F.sync fs;
+    let io = F.io fs in
+    let sector = Env.dir_block0_sector fs "/a" in
+    let first = Io.sync_read io ~sector ~count:1 in
+    Bytes.set_uint16_le first 0 5000;
+    Io.sync_write io ~sector first;
+    F.flush_caches fs;
+    let corrupt what = function
+      | Error (E.Ecorrupt m) ->
+          if not (String.starts_with ~prefix:"directory inum " m) then
+            Alcotest.failf "%s: message %S does not name the block" what m
+      | Error e -> Alcotest.failf "%s: %s, expected Ecorrupt" what (E.to_string e)
+      | Ok _ -> Alcotest.failf "%s: succeeded on a corrupt directory" what
+    in
+    corrupt "stat" (F.stat fs "/a/x");
+    let inodes = Env.inodes_in_use fs in
+    corrupt "create" (F.create fs "/a/y");
+    Alcotest.(check int) "failed create allocated nothing" inodes
+      (Env.inodes_in_use fs);
+    corrupt "delete" (F.delete fs "/a/x");
+    corrupt "readdir" (Result.map ignore (F.readdir fs "/a"));
+    Alcotest.(check (list string)) "root untouched" [ "a" ]
+      (ok "readdir /" (F.readdir fs "/"))
+
+  (* Three cached blocks; the root holds one, so "/d" costs one lookup. *)
+  let test_charge_model () =
+    let fs = make_dir ~name 250 in
+    let stat path = ignore (F.stat fs path) in
+    let lookup = cpu.Cpu_model.lookup_us in
+    let base = clock_delta fs (fun () -> stat "/d") in
+    Alcotest.(check int) "stat /d" (cpu.Cpu_model.syscall_us + lookup) base;
+    List.iter
+      (fun (i, k) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s in block %d" (name i) k)
+          (base + ((k + 1) * lookup))
+          (clock_delta fs (fun () -> stat ("/d/" ^ name i))))
+      [ (0, 0); (101, 0); (102, 1); (150, 1); (204, 2); (249, 2) ];
+    Alcotest.(check int) "missing name scans all 3 blocks"
+      (base + (3 * lookup))
+      (clock_delta fs (fun () -> stat "/d/nope"));
+    (* Room in block 1 only: create misses all 3 blocks, then stops
+       at block 1.  FFS writes synchronously, so count the op's CPU
+       time (its time outside disk spans), not the clock. *)
+    ok "delete" (F.delete fs ("/d/" ^ name 150));
+    let profile = Profile.attach (Io.bus (F.io fs)) in
+    ok "create" (F.create fs "/d/g150");
+    Profile.detach profile;
+    let create =
+      List.find (fun s -> s.Profile.op = "create") (Profile.report profile).Profile.ops
+    in
+    Alcotest.(check int) "create: 3 misses + blocks up to the first with room"
+      (base + ((3 + 2) * lookup))
+      create.Profile.cache_us
+
+  (* 1,000 stats over the 1,000 names of a cached 4-block directory
+     (4 KB blocks of 16-byte entries, 255 a block: the paper's small-file
+     directories).  When each visit re-decoded every block scanned this
+     cost 5,804 words a call on both file systems; with the decoded views
+     it is 149. *)
+  let words_bound = 600
+
+  let test_stat_allocation () =
+    let name i = Printf.sprintf "file%06d" i in
+    let fs = make_dir ~block_size:4096 ~name 1000 in
+    let paths = Array.init 1000 (fun i -> "/d/" ^ name i) in
+    Array.iter (fun p -> ok "warm" (F.stat fs p) |> ignore) paths;
+    let before = Gc.minor_words () in
+    for i = 0 to 999 do
+      match F.stat fs paths.(i) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "stat: %s" (E.to_string e)
+    done;
+    let per_call = (Gc.minor_words () -. before) /. 1000. in
+    if per_call > float_of_int words_bound then
+      Alcotest.failf "%s stat allocates %.0f words per call (bound %d)"
+        Env.label per_call words_bound
+
+  let cases =
+    [
+      Alcotest.test_case (Env.label ^ " corrupt block is Ecorrupt") `Quick
+        test_corrupt_block;
+      Alcotest.test_case (Env.label ^ " lookup charge per block") `Quick
+        test_charge_model;
+      Alcotest.test_case (Env.label ^ " stat allocation bound") `Quick
+        test_stat_allocation;
+    ]
+end
+
+module Lfs = Cases (Lfs_core.Fs) (struct
+  let label = "lfs"
+
+  let make ~size_bytes ~cpu ~block_size =
+    let io = Common.make_io ~size_bytes ~cpu () in
+    let config =
+      {
+        Common.small_config with
+        Lfs_core.Config.block_size;
+        segment_size = 16 * block_size;
+        max_files = 2048;
+        cache_blocks = 1024;
+      }
+    in
+    (match Lfs_core.Fs.format io config with
+    | Ok () -> ()
+    | Error e -> failwith e);
+    match Lfs_core.Fs.mount ~config io with Ok fs -> fs | Error e -> failwith e
+
+  let dir_block0_sector fs path =
+    let inum = (Common.check_ok "stat" (Lfs_core.Fs.stat fs path)).Fs_intf.inum in
+    let e = Lfs_core.Inode_store.find fs inum in
+    Lfs_core.Layout.sector_of_block (Lfs_core.Fs.layout fs)
+      (Lfs_core.Inode_store.bmap_read fs e 0)
+
+  let inodes_in_use (fs : Lfs_core.Fs.t) = Lfs_core.Imap.count_allocated fs.imap
+end)
+
+module Ffs = Cases (Lfs_ffs.Fs) (struct
+  let label = "ffs"
+
+  let make ~size_bytes ~cpu ~block_size =
+    let io = Common.make_io ~size_bytes ~cpu () in
+    let config = { Lfs_ffs.Config.small with block_size; cache_blocks = 1024 } in
+    (match Lfs_ffs.Fs.format io config with
+    | Ok () -> ()
+    | Error e -> failwith e);
+    match Lfs_ffs.Fs.mount ~config io with Ok fs -> fs | Error e -> failwith e
+
+  let dir_block0_sector fs path =
+    let inum = (Common.check_ok "stat" (Lfs_ffs.Fs.stat fs path)).Fs_intf.inum in
+    Lfs_ffs.Layout.sector_of_block (Lfs_ffs.Fs.layout fs)
+      (Lfs_ffs.Fs.inode_of fs inum).Lfs_ffs.Inode.direct.(0)
+
+  let inodes_in_use fs =
+    let l = Lfs_ffs.Fs.layout fs in
+    (l.Lfs_ffs.Layout.ngroups * l.Lfs_ffs.Layout.inodes_per_group)
+    - Lfs_ffs.Alloc.free_inode_count (Lfs_ffs.Fs.alloc fs)
+end)
+
+let suite = Lfs.cases @ Ffs.cases

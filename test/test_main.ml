@@ -4,6 +4,7 @@ let () =
       ("util", Test_util.suite);
       ("cache", Test_cache.suite);
       ("vfs", Test_vfs.suite);
+      ("dir", Test_dir.suite);
       ("codecs", Test_codecs.suite);
       ("disk", Test_disk.suite);
       ("sched", Test_sched.suite);

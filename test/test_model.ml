@@ -18,8 +18,9 @@ let count default =
   | Some s -> (try int_of_string s with _ -> default)
   | None -> default
 
-(* Operations over a tiny namespace so that collisions, nesting and
-   errors all get exercised. *)
+(* Operations over a namespace: either a tiny one, so that collisions,
+   nesting and errors all get exercised, or a wide one whose directories
+   span several blocks. *)
 
 type op =
   | Create of string list
@@ -36,15 +37,45 @@ type op =
 
 let path_to_string components = "/" ^ String.concat "/" components
 
-let op_gen =
+type namespace = {
+  path : string list QCheck.Gen.t;
+  dir_path : string list QCheck.Gen.t;  (* for mkdir and some deletes *)
+  creates : int;  (* weights of Create and Delete *)
+  deletes : int;
+}
+
+let narrow =
   let open QCheck.Gen in
-  let name = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
-  let path = list_size (int_range 1 3) name in
+  let path = list_size (int_range 1 3) (oneofl [ "a"; "b"; "c"; "d"; "e" ]) in
+  { path; dir_path = path; creates = 4; deletes = 3 }
+
+(* 120 names of 21-40 bytes: on 1 KB blocks about 25 entries fill a
+   block, so the root spans two or more.  Three of them double as
+   subdirectories holding a few names each, so directories empty out,
+   get deleted and their inums come back. *)
+let wide =
+  let open QCheck.Gen in
+  let names =
+    List.init 120 (fun i ->
+        Printf.sprintf "%03d-%s" i (String.make (17 + (i * 7 mod 20)) 'n'))
+  in
+  let subdir = oneofl (List.filteri (fun i _ -> i < 3) names) in
+  let child = oneofl (List.filteri (fun i _ -> i >= 3 && i < 5) names) in
+  let path =
+    frequency
+      [ (3, map (fun n -> [ n ]) (oneofl names)); (2, map2 (fun d c -> [ d; c ]) subdir child) ]
+  in
+  let dir_path = frequency [ (2, map (fun d -> [ d ]) subdir); (1, path) ] in
+  { path; dir_path; creates = 10; deletes = 8 }
+
+let op_gen ns =
+  let open QCheck.Gen in
+  let path = ns.path in
   frequency
     [
-      (4, map (fun p -> Create p) path);
-      (2, map (fun p -> Mkdir p) path);
-      (3, map (fun p -> Delete p) path);
+      (ns.creates, map (fun p -> Create p) path);
+      (2, map (fun p -> Mkdir p) ns.dir_path);
+      (ns.deletes, map (fun p -> Delete p) (frequency [ (3, path); (1, ns.dir_path) ]));
       (6, map3 (fun p off len -> Write (p, off, len)) path (int_bound 6000) (int_bound 4000));
       (4, map3 (fun p off len -> Read (p, off, len)) path (int_bound 8000) (int_bound 4000));
       (2, map2 (fun p s -> Truncate (p, s)) path (int_bound 6000));
@@ -79,15 +110,28 @@ module Run (F : Fs_intf.S) = struct
     | Ok () -> Model_fs.Done
     | Error _ -> Model_fs.Failed
 
-  let apply fs model step op =
+  (* Inodes in use: every directory (the root included) and every file,
+     counted once however many names it has. *)
+  let inodes model =
+    List.length (Model_fs.all_dirs model)
+    + List.length
+        (List.sort_uniq compare
+           (List.filter_map
+              (fun (p, _) -> Model_fs.file_id model p)
+              (Model_fs.all_files model)))
+
+  (* With [capacity] inodes in use a create fails whatever else holds
+     (ENOSPC at the latest) and leaves the model alone. *)
+  let apply ?(capacity = max_int) fs model step op =
     let expect = ref Model_fs.Failed in
     let got = ref Model_fs.Failed in
+    let unless_full f = if inodes model >= capacity then Model_fs.Failed else f () in
     (match op with
     | Create p ->
-        expect := Model_fs.create_file model p;
+        expect := unless_full (fun () -> Model_fs.create_file model p);
         got := outcome_of_result (F.create fs (path_to_string p))
     | Mkdir p ->
-        expect := Model_fs.mkdir model p;
+        expect := unless_full (fun () -> Model_fs.mkdir model p);
         got := outcome_of_result (F.mkdir fs (path_to_string p))
     | Delete p ->
         expect := Model_fs.delete model p;
@@ -202,10 +246,32 @@ module Run (F : Fs_intf.S) = struct
         | Ok _, _ -> QCheck.Test.fail_reportf "model lost a directory")
       (Model_fs.all_dirs model)
 
-  let run ?(extra_check = fun _ -> ()) make ops =
+  (* Views of a deleted directory must die with its inode. *)
+  let views_only_of_live_dirs views fs model =
+    let live =
+      List.filter_map
+        (fun p ->
+          match F.stat fs (path_to_string p) with
+          | Ok st -> Some st.Fs_intf.inum
+          | Error _ -> None)
+        (Model_fs.all_dirs model)
+    in
+    List.iter
+      (fun inum ->
+        if not (List.mem inum live) then
+          QCheck.Test.fail_reportf "views held for inum %d, not a live directory" inum)
+      (Lfs_vfs.Dir.held (views fs))
+
+  let run ?(extra_check = fun _ -> ()) ?capacity ~views make ops =
     let fs = make () in
     let model = Model_fs.create () in
-    List.iteri (fun step op -> apply fs model step op) ops;
+    List.iteri
+      (fun step op ->
+        apply ?capacity fs model step op;
+        match op with
+        | Delete _ -> views_only_of_live_dirs views fs model
+        | _ -> ())
+      ops;
     final_check fs model;
     (* Once more after pushing everything to disk and dropping caches. *)
     F.flush_caches fs;
@@ -217,11 +283,26 @@ end
 module Lfs_run = Run (Lfs_core.Fs)
 module Ffs_run = Run (Lfs_ffs.Fs)
 
+(* Half the cases run the tiny namespace on the stock small stacks; the
+   other half run the wide one on stacks with an 8-block cache (so
+   directory blocks are evicted and re-read) and 48 inodes (so freed
+   inums, directories' included, are handed out again). *)
+let model_arb =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (w, ops) ->
+      String.concat "; " ((if w then "wide" else "narrow") :: List.map pp_op ops))
+    (bool >>= fun w ->
+     map
+       (fun ops -> (w, ops))
+       (if w then list_size (int_range 150 400) (op_gen wide)
+        else list_size (int_range 20 120) (op_gen narrow)))
+
+let wide_inodes = 48
+
 let prop_lfs_model =
-  QCheck.Test.make ~name:"LFS matches reference model" ~count:(count 60)
-    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-       QCheck.Gen.(list_size (int_range 20 120) op_gen))
-    (fun ops ->
+  QCheck.Test.make ~name:"LFS matches reference model" ~count:(count 60) model_arb
+    (fun (w, ops) ->
       let structurally_sound fs =
         (match Lfs_core.Check.fsck fs with
         | [] -> ()
@@ -244,15 +325,38 @@ let prop_lfs_model =
                 truth)
           (Lfs_core.Check.usage_drift fs)
       in
+      let config =
+        if w then
+          { Common.small_config with Lfs_core.Config.max_files = wide_inodes; cache_blocks = 8 }
+        else Common.small_config
+      in
+      (* inum 0 is the null inum. *)
       Lfs_run.run ~extra_check:structurally_sound
-        (fun () -> Common.make_lfs ())
+        ~views:(fun fs -> fs.Lfs_core.State.dirs)
+        ~capacity:(config.Lfs_core.Config.max_files - 1)
+        (fun () -> Common.make_lfs ~config ())
         ops)
 
 let prop_ffs_model =
-  QCheck.Test.make ~name:"FFS matches reference model" ~count:(count 60)
-    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-       QCheck.Gen.(list_size (int_range 20 120) op_gen))
-    (fun ops -> Ffs_run.run (fun () -> Generic_suite.Ffs_env.make ()) ops)
+  QCheck.Test.make ~name:"FFS matches reference model" ~count:(count 60) model_arb
+    (fun (w, ops) ->
+      let config =
+        if w then
+          (* Three groups of the 16-inode minimum. *)
+          { Lfs_ffs.Config.small with ngroups = 3; inode_bytes_per_inode = 1 lsl 30; cache_blocks = 8 }
+        else Lfs_ffs.Config.small
+      in
+      let make () =
+        let io = Common.make_io () in
+        (match Lfs_ffs.Fs.format io config with
+        | Ok () -> ()
+        | Error e -> failwith ("ffs format: " ^ e));
+        match Lfs_ffs.Fs.mount ~config io with
+        | Ok fs -> fs
+        | Error e -> failwith ("ffs mount: " ^ e)
+      in
+      let capacity = if w then wide_inodes - 1 else max_int in
+      Ffs_run.run ~capacity ~views:Lfs_ffs.Fs.dir_views make ops)
 
 (* Crash-recovery property: run operations with periodic checkpoints,
    arm a crash at a random write countdown, keep operating until the
@@ -268,7 +372,7 @@ let prop_lfs_crash_recovery =
          Printf.sprintf "crash_after=%d; %s" crash_after
            (String.concat "; " (List.map pp_op ops)))
        QCheck.Gen.(
-         pair (list_size (int_range 30 100) op_gen) (int_range 1 2000)))
+         pair (list_size (int_range 30 100) (op_gen narrow)) (int_range 1 2000)))
     (fun (ops, crash_after) ->
       let fs = Common.make_lfs () in
       let io = Lfs_core.Fs.io fs in

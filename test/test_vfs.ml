@@ -1,5 +1,7 @@
-(* Path handling, shared error type, and the directory-block codec. *)
+(* Path handling, shared error type, the directory-block codec and the
+   directory layer over it. *)
 
+module Dir = Lfs_vfs.Dir
 module Dir_block = Lfs_vfs.Dir_block
 module E = Lfs_vfs.Errors
 module Path = Lfs_vfs.Path
@@ -48,7 +50,7 @@ let test_errors_printable () =
     (fun e -> Alcotest.(check bool) "nonempty" true (String.length (E.to_string e) > 0))
     [
       E.Enoent "x"; E.Eexist "x"; E.Enotdir "x"; E.Eisdir "x";
-      E.Enotempty "x"; E.Enospc; E.Efbig; E.Einval "x";
+      E.Enotempty "x"; E.Enospc; E.Efbig; E.Einval "x"; E.Ecorrupt "x";
     ]
 
 let test_dir_block_roundtrip () =
@@ -58,12 +60,64 @@ let test_dir_block_roundtrip () =
   Alcotest.(check (list (pair string int))) "roundtrip" entries
     (Dir_block.parse block)
 
-let test_dir_block_fits () =
-  let bs = 64 in
-  let entries = [ ("aaaaaaaaaa", 1) ] in
-  Alcotest.(check bool) "fits" true (Dir_block.fits ~block_size:bs entries "bb");
-  Alcotest.(check bool) "overflow" false
-    (Dir_block.fits ~block_size:bs entries (String.make 50 'b'))
+(* One directory (inum 2) of 64-byte blocks kept in a table, driven
+   through the shared directory layer. *)
+type toy = { views : Dir.t; blocks : (int, bytes) Hashtbl.t }
+
+let toy () =
+  { views = Dir.create ~io:(Common.make_io ()) ~block_size:64; blocks = Hashtbl.create 4 }
+
+let toy_backing : (toy, int) Dir.backing =
+  {
+    views = (fun t -> t.views);
+    inum = Fun.id;
+    nblocks = (fun t _ -> Hashtbl.length t.blocks);
+    read = (fun t _ blk -> Hashtbl.find_opt t.blocks blk);
+    write = (fun t _ blk block -> Hashtbl.replace t.blocks blk block);
+  }
+
+let test_dir_view_room () =
+  let t = toy () in
+  let block blk = Dir_block.parse (Hashtbl.find t.blocks blk) in
+  let entries = Alcotest.(list (pair string int)) in
+  let b50 = String.make 50 'b' and c32 = String.make 32 'c' in
+  (* header 2 + (6 + 10) = 18 bytes used; "bb" needs 8 more. *)
+  Dir.add toy_backing t 2 "aaaaaaaaaa" 1;
+  Dir.add toy_backing t 2 "bb" 2;
+  Alcotest.check entries "fits: new entry at the head" [ ("bb", 2); ("aaaaaaaaaa", 1) ]
+    (block 0);
+  Dir.add toy_backing t 2 b50 3;
+  Alcotest.check entries "overflow spills to a new block" [ (b50, 3) ] (block 1);
+  (* 26 + 38 = 64: exactly full still fits. *)
+  Dir.add toy_backing t 2 c32 4;
+  Alcotest.(check int) "exact fit stays in block 0" 2 (Hashtbl.length t.blocks);
+  Dir.add toy_backing t 2 "d" 5;
+  Alcotest.check entries "both full: third block" [ ("d", 5) ] (block 2);
+  Alcotest.(check (option int)) "lookup" (Some 3) (Dir.lookup toy_backing t 2 b50);
+  Dir.remove toy_backing t 2 "bb";
+  Alcotest.check entries "remove keeps order" [ (c32, 4); ("aaaaaaaaaa", 1) ] (block 0);
+  Alcotest.(check bytes) "blocks are the codec's encoding"
+    (Dir_block.encode ~block_size:64 [ (c32, 4); ("aaaaaaaaaa", 1) ])
+    (Hashtbl.find t.blocks 0);
+  Dir.add toy_backing t 2 "ee" 6;
+  Alcotest.check entries "freed room is reused first" [ ("ee", 6); (c32, 4); ("aaaaaaaaaa", 1) ]
+    (block 0)
+
+(* A view is reused only while the backing returns the buffer it was
+   decoded from: a block replaced behind the layer's back is re-read. *)
+let test_dir_view_identity () =
+  let t = toy () in
+  Dir.add toy_backing t 2 "x" 7;
+  Alcotest.(check (option int)) "cached view" (Some 7) (Dir.lookup toy_backing t 2 "x");
+  Hashtbl.replace t.blocks 0 (Dir_block.encode ~block_size:64 [ ("y", 8) ]);
+  Alcotest.(check (option int)) "stale view not reused" None (Dir.lookup toy_backing t 2 "x");
+  Alcotest.(check (option int)) "new block decoded" (Some 8) (Dir.lookup toy_backing t 2 "y");
+  Hashtbl.replace t.blocks 0 (Bytes.of_string "\255\255 garbage");
+  match Dir.lookup toy_backing t 2 "y" with
+  | _ -> Alcotest.fail "corrupt block decoded"
+  | exception E.Error (E.Ecorrupt m) ->
+      Alcotest.(check bool) "names directory and block" true
+        (String.starts_with ~prefix:"directory inum 2 block 0" m)
 
 let prop_dir_block =
   let name_gen = QCheck.Gen.(map (fun s -> "n" ^ s) (string_size ~gen:(char_range 'a' 'z') (int_bound 20))) in
@@ -86,6 +140,7 @@ let suite =
     Alcotest.test_case "valid names" `Quick test_valid_name;
     Alcotest.test_case "errors printable" `Quick test_errors_printable;
     Alcotest.test_case "dir block roundtrip" `Quick test_dir_block_roundtrip;
-    Alcotest.test_case "dir block fits" `Quick test_dir_block_fits;
+    Alcotest.test_case "dir view room" `Quick test_dir_view_room;
+    Alcotest.test_case "dir view identity" `Quick test_dir_view_identity;
     qcheck prop_dir_block;
   ]
