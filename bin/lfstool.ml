@@ -20,10 +20,28 @@ module Fs = Lfs_core.Fs
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 
+(* A host file that cannot be read or written (an image, a file to put,
+   a destination for get, a benchdiff input) is a usage error: report it
+   as "lfstool: PATH: reason" and exit 1, not die on the exception. *)
+let host_file_error path reason =
+  Printf.eprintf "lfstool: %s: %s\n" path reason;
+  exit 1
+
+let on_host_file path f =
+  try f ()
+  with Sys_error msg ->
+    (* Open errors already read "PATH: reason"; read errors do not. *)
+    let prefix = path ^ ": " in
+    let skip =
+      if String.starts_with ~prefix msg then String.length prefix else 0
+    in
+    host_file_error path (String.sub msg skip (String.length msg - skip))
+
 (* Whole host files move as one [bytes] buffer each way: a disk image is
    read straight into the buffer [Disk.restore] takes, and written
    straight from the one [Disk.snapshot] returns. *)
 let read_file path =
+  on_host_file path @@ fun () ->
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -33,6 +51,7 @@ let read_file path =
       buf)
 
 let write_file path contents =
+  on_host_file path @@ fun () ->
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
@@ -42,32 +61,17 @@ let make_io ~size_bytes =
   let geometry = Geometry.wren_iv ~size_bytes in
   Io.create (Disk.create geometry) (Clock.create ()) Cpu_model.free
 
-(* A missing or unreadable image, or one whose size is not a whole
-   geometry (a truncated copy, a stray file), is a usage error: report
-   it and exit 1 rather than die on the exception. *)
+(* An image whose size is not a whole geometry (a truncated copy, a
+   stray file) is a usage error too. *)
 let load_image path =
-  let fail reason =
-    Printf.eprintf "lfstool: %s: %s\n" path reason;
-    exit 1
-  in
-  let media =
-    match read_file path with
-    | media -> media
-    | exception Sys_error msg ->
-        (* Open errors already read "PATH: reason"; read errors do not. *)
-        let prefix = path ^ ": " in
-        let skip =
-          if String.starts_with ~prefix msg then String.length prefix else 0
-        in
-        fail (String.sub msg skip (String.length msg - skip))
-  in
+  let media = read_file path in
   let size_bytes = Bytes.length media in
   let whole =
     size_bytes > 0
     && Geometry.size_bytes (Geometry.wren_iv ~size_bytes) = size_bytes
   in
   if not whole then
-    fail
+    host_file_error path
       (Printf.sprintf "%d bytes is not a whole disk image (truncated?)"
          size_bytes);
   let io = make_io ~size_bytes in

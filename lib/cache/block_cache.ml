@@ -6,16 +6,26 @@ module Metrics = Lfs_obs.Metrics
 
 type key = { owner : int; blkno : int }
 
+(* Dirty entries are also threaded, oldest first, on a circular doubly
+   linked list through [older]/[newer] around the sentinel [t.dirty].
+   An entry joins at the newest end when it becomes dirty and leaves
+   when it stops being dirty or leaves the cache.  The simulated clock
+   never runs backwards, so the list is ordered by [dirty_since_us] and
+   the oldest dirty entry is the sentinel's [newer] neighbour.  A clean
+   entry links to itself. *)
 type entry = {
   data : bytes;
   mutable is_dirty : bool;
   mutable dirty_since_us : int;
+  mutable older : entry;
+  mutable newer : entry;
 }
 
 type t = {
   clock : Clock.t;
   bus : Bus.t option;
   entries : (key, entry) Lru.t;
+  dirty : entry;  (** sentinel of the dirty list *)
   capacity : int;
   mutable ndirty : int;
   c_hits : Metrics.counter;
@@ -23,6 +33,26 @@ type t = {
   c_evictions : Metrics.counter;
   c_writebacks : Metrics.counter;
 }
+
+let make_entry data ~is_dirty ~since_us =
+  let rec e =
+    { data; is_dirty; dirty_since_us = since_us; older = e; newer = e }
+  in
+  e
+
+(* Join the dirty list at its newest end. *)
+let link_newest t e =
+  let newest = t.dirty.older in
+  e.older <- newest;
+  e.newer <- t.dirty;
+  newest.newer <- e;
+  t.dirty.older <- e
+
+let unlink e =
+  e.older.newer <- e.newer;
+  e.newer.older <- e.older;
+  e.older <- e;
+  e.newer <- e
 
 let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
   if capacity_blocks <= 0 then invalid_arg "Block_cache.create: capacity";
@@ -34,6 +64,7 @@ let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
       clock;
       bus;
       entries = Lru.create ();
+      dirty = make_entry Bytes.empty ~is_dirty:false ~since_us:0;
       capacity = capacity_blocks;
       ndirty = 0;
       c_hits = Metrics.counter metrics "cache.hits";
@@ -103,10 +134,17 @@ let evict_clean t = evict_clean_keeping None t
 
 let insert t key ~dirty data =
   (match Lru.peek t.entries key with
-  | Some old -> if old.is_dirty then t.ndirty <- t.ndirty - 1
-  | None -> ());
-  let e = { data; is_dirty = dirty; dirty_since_us = Clock.now_us t.clock } in
-  if dirty then t.ndirty <- t.ndirty + 1;
+  | Some old when old.is_dirty ->
+      unlink old;
+      t.ndirty <- t.ndirty - 1
+  | Some _ | None -> ());
+  let e =
+    make_entry data ~is_dirty:dirty ~since_us:(Clock.now_us t.clock)
+  in
+  if dirty then begin
+    link_newest t e;
+    t.ndirty <- t.ndirty + 1
+  end;
   ignore (Lru.add t.entries key e);
   evict_clean_keeping (Some key) t
 
@@ -117,6 +155,7 @@ let mark_dirty t key =
       if not e.is_dirty then begin
         e.is_dirty <- true;
         e.dirty_since_us <- Clock.now_us t.clock;
+        link_newest t e;
         t.ndirty <- t.ndirty + 1
       end
 
@@ -126,6 +165,7 @@ let mark_clean t key =
   | Some e ->
       if e.is_dirty then begin
         e.is_dirty <- false;
+        unlink e;
         t.ndirty <- t.ndirty - 1;
         Metrics.incr t.c_writebacks;
         emit t (fun () ->
@@ -135,7 +175,11 @@ let mark_clean t key =
 let remove t key =
   match Lru.remove t.entries key with
   | None -> ()
-  | Some e -> if e.is_dirty then t.ndirty <- t.ndirty - 1
+  | Some e ->
+      if e.is_dirty then begin
+        unlink e;
+        t.ndirty <- t.ndirty - 1
+      end
 
 let fold_dirty f t init =
   Lru.fold_lru
@@ -145,14 +189,9 @@ let fold_dirty f t init =
 let dirty_keys t = List.rev (fold_dirty (fun k _ acc -> k :: acc) t [])
 
 let oldest_dirty_age_us t =
-  let now = Clock.now_us t.clock in
-  Lru.fold
-    (fun _ e acc ->
-      if e.is_dirty then
-        let age = now - e.dirty_since_us in
-        match acc with Some a when a >= age -> acc | _ -> Some age
-      else acc)
-    t.entries None
+  let oldest = t.dirty.newer in
+  if oldest == t.dirty then -1
+  else Clock.now_us t.clock - oldest.dirty_since_us
 
 let over_capacity t = t.ndirty > t.capacity
 
@@ -163,6 +202,7 @@ let drop_clean t =
 
 let clear t =
   Lru.clear t.entries;
+  unlink t.dirty;
   t.ndirty <- 0
 
 let stats_hits t = Metrics.value t.c_hits

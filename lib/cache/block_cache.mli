@@ -70,9 +70,12 @@ val fold_dirty : (key -> bytes -> 'a -> 'a) -> t -> 'a -> 'a
 val dirty_keys : t -> key list
 (** Dirty keys, least recently used first. *)
 
-val oldest_dirty_age_us : t -> int option
+val oldest_dirty_age_us : t -> int
 (** Age of the longest-dirty entry, for the 30-second write-back
-    trigger. *)
+    trigger; [-1] when nothing is dirty.  O(1) and allocation-free: the
+    dirty entries are kept in the order they became dirty, so this reads
+    only the oldest one.  A dirty re-{!insert} restarts an entry's age;
+    {!mark_dirty} on an already dirty entry keeps it. *)
 
 val over_capacity : t -> bool
 (** True when dirty blocks alone keep the cache above capacity. *)

@@ -144,23 +144,23 @@ let process_entry (st : State.t) ~addr payload ~off entry ~moved =
       let per_block = Layout.inodes_per_block st.layout in
       for slot = 0 to per_block - 1 do
         let ino_off = off + (slot * Layout.inode_bytes) in
-        match Inode.decode_at payload ~off:ino_off with
-        | None -> ()
-        | Some ino -> (
-            let inum = ino.Inode.inum in
-            if
-              inum > 0
-              && inum < Imap.max_files st.imap
-              && Imap.is_allocated st.imap inum
-            then
-              match Imap.location st.imap inum with
-              | Some (a, s) when a = addr && s = slot ->
-                  (* Live inode: pull it into the table (preferring any
-                     newer in-memory copy) and force a rewrite. *)
-                  let e = Inode_store.materialize st ino in
-                  Inode_store.mark_dirty e;
-                  moved := !moved + Layout.inode_bytes
-              | Some _ | None -> ())
+        (* Liveness needs only the slot's inum and the inode map, so a
+           dead slot is never decoded. *)
+        let inum = Inode.inum_at payload ~off:ino_off in
+        if
+          inum > 0
+          && inum < Imap.max_files st.imap
+          && Imap.is_allocated st.imap inum
+          && Imap.located_at st.imap inum ~addr ~slot
+        then
+          match Inode.decode_at payload ~off:ino_off with
+          | None -> ()
+          | Some ino ->
+              (* Live inode: pull it into the table (preferring any
+                 newer in-memory copy) and force a rewrite. *)
+              let e = Inode_store.materialize st ino in
+              Inode_store.mark_dirty e;
+              moved := !moved + Layout.inode_bytes
       done
   | Summary.Imap_block { idx } ->
       if st.imap_block_addr.(idx) = addr then begin
@@ -173,31 +173,38 @@ let process_entry (st : State.t) ~addr payload ~off entry ~moved =
         moved := !moved + bs
       end
 
+(* Every victim is read into the same two buffers: nothing keeps a
+   reference into them past [clean_segment] ([Segwriter.append] copies
+   the blocks it moves, [cache_block] copies what it caches). *)
+let victim_buffers (st : State.t) =
+  let layout = st.layout in
+  let bs = layout.Layout.block_size in
+  if Bytes.length st.victim_payload = 0 then begin
+    st.victim_summary <- Bytes.create (layout.Layout.summary_blocks * bs);
+    st.victim_payload <- Bytes.create (layout.Layout.payload_blocks * bs)
+  end;
+  (st.victim_summary, st.victim_payload)
+
 let clean_segment (st : State.t) seg ~moved ~max_seq =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
   let first = Layout.segment_first_block layout seg in
-  let summary_region =
-    Io.sync_read st.io
-      ~sector:(Layout.sector_of_block layout first)
-      ~count:(layout.Layout.summary_blocks * layout.Layout.block_sectors)
-  in
+  let summary_region, payload = victim_buffers st in
+  Io.sync_read_into st.io
+    ~sector:(Layout.sector_of_block layout first)
+    [| summary_region |];
   Metrics.add st.counters.State.c_cleaner_bytes_read
     (layout.Layout.summary_blocks * bs);
   match Summary.decode summary_region with
-  | None ->
-      (* No valid summary: nothing live can be in this segment (it was
-         torn by a crash before any checkpoint referenced it). *)
-      ()
-  | Some (header, entries) ->
+  | Some (header, entries)
+    when 0 < header.Summary.nblocks
+         && header.Summary.nblocks <= layout.Layout.payload_blocks ->
       max_seq := max !max_seq header.Summary.seq;
-      let payload =
-        Io.sync_read st.io
-          ~sector:
-            (Layout.sector_of_block layout
-               (first + layout.Layout.summary_blocks))
-          ~count:(header.Summary.nblocks * layout.Layout.block_sectors)
-      in
+      Io.sync_read_into st.io
+        ~len:(header.Summary.nblocks * bs)
+        ~sector:
+          (Layout.sector_of_block layout (first + layout.Layout.summary_blocks))
+        [| payload |];
       Metrics.add st.counters.State.c_cleaner_bytes_read
         (header.Summary.nblocks * bs);
       List.iteri
@@ -205,6 +212,10 @@ let clean_segment (st : State.t) seg ~moved ~max_seq =
           let addr = Layout.segment_payload_block layout ~seg ~idx in
           process_entry st ~addr payload ~off:(idx * bs) entry ~moved)
         entries
+  | Some _ | None ->
+      (* No valid summary: nothing live can be in this segment (it was
+         torn by a crash before any checkpoint referenced it). *)
+      ()
 
 (* Evacuate [victims] and mark them clean; the shared machinery behind
    both policy-driven and exact cleaning. *)

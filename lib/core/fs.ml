@@ -51,12 +51,12 @@ let housekeep ?(can_fail = true) (st : t) =
   then attempt (fun () -> ignore (Cleaner.clean_to_target st));
   if Cache.over_capacity st.cache && not st.flushing then
     attempt (fun () -> flush_user st);
-  (match Cache.oldest_dirty_age_us st.cache with
-  | Some age when age >= st.config.Config.writeback_age_us && not st.flushing ->
-      attempt (fun () ->
-          flush_user st;
-          Segwriter.flush_active st)
-  | Some _ | None -> ());
+  let age = Cache.oldest_dirty_age_us st.cache in
+  if age >= 0 && age >= st.config.Config.writeback_age_us && not st.flushing
+  then
+    attempt (fun () ->
+        flush_user st;
+        Segwriter.flush_active st);
   if
     Io.now_us st.io - st.last_checkpoint_us
     >= st.config.Config.checkpoint_interval_us

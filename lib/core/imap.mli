@@ -40,6 +40,9 @@ val location : t -> int -> (int * int) option
 (** [(inode-block address, slot)] of the inode's latest copy, or [None]
     if it has never been written to disk. *)
 
+val located_at : t -> int -> addr:int -> slot:int -> bool
+(** [location t inum = Some (addr, slot)], without allocating. *)
+
 val set_location : t -> int -> addr:int -> slot:int -> unit
 
 val atime_us : t -> int -> int

@@ -41,4 +41,8 @@ val encode_into : t -> bytes -> off:int -> unit
 val decode_at : bytes -> off:int -> t option
 (** [None] for an empty slot. *)
 
+val inum_at : bytes -> off:int -> int
+(** The inum of the slot at [off] (0 for an empty slot), read without
+    decoding the rest of the slot. *)
+
 val copy : t -> t

@@ -91,6 +91,8 @@ type t = {
           checkpoint region; roll-forward starts after it *)
   mutable cp_flip : bool;  (** next checkpoint goes to region B *)
   mutable cleaning : bool;  (** re-entrancy guard for the cleaner *)
+  mutable victim_summary : bytes;
+  mutable victim_payload : bytes;
   mutable flushing : bool;  (** re-entrancy guard for the write path *)
   mutable policy : Config.policy;  (** runtime-adjustable cleaning policy *)
   mutable auto_clean : bool;  (** runtime-adjustable *)
@@ -157,6 +159,8 @@ let create io config layout =
     last_cp_seq = 0;
     cp_flip = false;
     cleaning = false;
+    victim_summary = Bytes.empty;
+    victim_payload = Bytes.empty;
     flushing = false;
     policy = config.Config.policy;
     auto_clean = config.Config.auto_clean;

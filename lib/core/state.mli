@@ -84,6 +84,10 @@ type t = {
   mutable last_cp_seq : int;
   mutable cp_flip : bool;
   mutable cleaning : bool;
+  mutable victim_summary : bytes;
+  mutable victim_payload : bytes;
+      (** the cleaner's read buffers for a victim segment's summary and
+          payload, reused across victims; empty until the first pass *)
   mutable flushing : bool;
   mutable policy : Config.policy;
   mutable auto_clean : bool;

@@ -98,10 +98,12 @@ let encode ~size_bytes header entries =
 
 let decode block =
   match
+    (* Zero the CRC field in place for the digest, then put it back. *)
     let stored = Bytes.get_int32_le block crc_off in
-    let scratch = Bytes.copy block in
-    Bytes.set_int32_le scratch crc_off 0l;
-    if Crc32.digest_bytes scratch <> stored then None
+    Bytes.set_int32_le block crc_off 0l;
+    let crc = Crc32.digest_bytes block in
+    Bytes.set_int32_le block crc_off stored;
+    if crc <> stored then None
     else begin
       let d = Codec.decoder block in
       if Codec.read_u32 d <> magic then None

@@ -421,7 +421,7 @@ let mirror_read t ~sector ~count ~dst ~sync =
 
 (* ---- public request paths ---- *)
 
-let sync_read_into t ~sector bufs =
+let sync_read_into ?len t ~sector bufs =
   let ss = sector_size t in
   let blen = if Array.length bufs = 0 then 0 else Bytes.length bufs.(0) in
   if
@@ -431,7 +431,13 @@ let sync_read_into t ~sector bufs =
     invalid_arg
       "Io.sync_read_into: buffers must share one positive multiple of the \
        sector size";
-  let count = Array.length bufs * blen / ss in
+  let total = Array.length bufs * blen in
+  let len = Option.value len ~default:total in
+  if len <= 0 || len mod ss <> 0 || len > total then
+    invalid_arg
+      "Io.sync_read_into: len must be a positive multiple of the sector \
+       size within the buffers";
+  let count = len / ss in
   let go () =
     match t.device with
     | Single _ ->

@@ -145,19 +145,22 @@ val charge_lookup : t -> unit
 
 (** {1 Disk requests} *)
 
-val sync_read_into : t -> sector:int -> bytes array -> unit
+val sync_read_into : ?len:int -> t -> sector:int -> bytes array -> unit
 (** [sync_read_into t ~sector bufs] fills [bufs], consecutive buffers of
     one common length (a positive multiple of the sector size), with the
-    sectors starting at [sector], and waits for the transfer.  This is
-    the one read path: every member request lands straight in the
-    caller's buffers — on a striped volume each member run fills its own
-    pieces of them — so a clustered block read needs no copy after the
-    device's.  A failed attempt is retried ({!create}'s
-    [read_attempts]); the whole request, retries included, is one
-    [io_read] span.
+    sectors starting at [sector], and waits for the transfer.  With
+    [len] (a positive multiple of the sector size) only the first [len]
+    bytes of the buffers are read, so one buffer can be reused for
+    transfers of different sizes.  This is the one read path: every
+    member request lands straight in the caller's buffers — on a
+    striped volume each member run fills its own pieces of them — so a
+    clustered block read needs no copy after the device's.  A failed
+    attempt is retried ({!create}'s [read_attempts]); the whole request,
+    retries included, is one [io_read] span.
     @raise Read_failed when the request still fails after the configured
     number of attempts.
-    @raise Invalid_argument if the buffers are empty or uneven. *)
+    @raise Invalid_argument if the buffers are empty or uneven, or [len]
+    is out of range. *)
 
 val sync_read : t -> sector:int -> count:int -> bytes
 (** {!sync_read_into} a fresh buffer of [count] sectors. *)

@@ -344,9 +344,8 @@ let do_sync t =
 
 let housekeep t =
   if Cache.over_capacity t.cache then flush t;
-  match Cache.oldest_dirty_age_us t.cache with
-  | Some age when age >= t.config.Config.writeback_age_us -> flush t
-  | Some _ | None -> ()
+  let age = Cache.oldest_dirty_age_us t.cache in
+  if age >= 0 && age >= t.config.Config.writeback_age_us then flush t
 
 (* Directories *)
 

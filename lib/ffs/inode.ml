@@ -46,18 +46,18 @@ let kind_of_tag = function
   | n -> raise (Codec.Error (Printf.sprintf "ffs inode: bad kind tag %d" n))
 
 let encode_into t buf ~off =
-  let e = Codec.encoder ~capacity:Layout.inode_bytes () in
-  Codec.u32 e t.inum;
-  Codec.u8 e (kind_tag t.kind);
-  Codec.u16 e t.nlink;
-  Codec.int_as_i64 e t.size;
-  Codec.int_as_i64 e t.mtime_us;
-  Codec.int_as_i64 e t.atime_us;
-  Array.iter (fun a -> Codec.u32 e a) t.direct;
-  Codec.u32 e t.indirect;
-  Codec.u32 e t.dindirect;
-  Codec.pad_to e Layout.inode_bytes;
-  Bytes.blit (Codec.to_bytes e) 0 buf off Layout.inode_bytes
+  let o = Codec.put_u32 buf off t.inum in
+  let o = Codec.put_u8 buf o (kind_tag t.kind) in
+  let o = Codec.put_u16 buf o t.nlink in
+  let o = Codec.put_int_as_i64 buf o t.size in
+  let o = Codec.put_int_as_i64 buf o t.mtime_us in
+  let o = Codec.put_int_as_i64 buf o t.atime_us in
+  for i = 0 to ndirect - 1 do
+    ignore (Codec.put_u32 buf (o + (4 * i)) t.direct.(i))
+  done;
+  let o = Codec.put_u32 buf (o + (4 * ndirect)) t.indirect in
+  let o = Codec.put_u32 buf o t.dindirect in
+  Bytes.fill buf o (off + Layout.inode_bytes - o) '\000'
 
 let decode_at buf ~off =
   let d = Codec.decoder ~off ~len:Layout.inode_bytes buf in

@@ -2,6 +2,27 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+let put_u8 buf off v =
+  if v < 0 || v > 0xFF then error "Codec.u8: %d out of range" v;
+  Bytes.set_uint8 buf off v;
+  off + 1
+
+let put_u16 buf off v =
+  if v < 0 || v > 0xFFFF then error "Codec.u16: %d out of range" v;
+  Bytes.set_uint16_le buf off v;
+  off + 2
+
+let put_u32 buf off v =
+  if v < 0 || v > 0xFFFFFFFF then error "Codec.u32: %d out of range" v;
+  Bytes.set_int32_le buf off (Int32.of_int v);
+  off + 4
+
+let put_int_as_i64 buf off v =
+  Bytes.set_int64_le buf off (Int64.of_int v);
+  off + 8
+
+let get_u32 buf off = Int32.to_int (Bytes.get_int32_le buf off) land 0xFFFFFFFF
+
 type encoder = { mutable buf : Bytes.t; mutable pos : int }
 
 let encoder ?(capacity = 256) () = { buf = Bytes.create capacity; pos = 0 }
@@ -16,22 +37,16 @@ let ensure e n =
   end
 
 let u8 e v =
-  if v < 0 || v > 0xFF then error "Codec.u8: %d out of range" v;
   ensure e 1;
-  Bytes.set_uint8 e.buf e.pos v;
-  e.pos <- e.pos + 1
+  e.pos <- put_u8 e.buf e.pos v
 
 let u16 e v =
-  if v < 0 || v > 0xFFFF then error "Codec.u16: %d out of range" v;
   ensure e 2;
-  Bytes.set_uint16_le e.buf e.pos v;
-  e.pos <- e.pos + 2
+  e.pos <- put_u16 e.buf e.pos v
 
 let u32 e v =
-  if v < 0 || v > 0xFFFFFFFF then error "Codec.u32: %d out of range" v;
   ensure e 4;
-  Bytes.set_int32_le e.buf e.pos (Int32.of_int v);
-  e.pos <- e.pos + 4
+  e.pos <- put_u32 e.buf e.pos v
 
 let i64 e v =
   ensure e 8;
@@ -85,7 +100,7 @@ let read_u16 d =
 
 let read_u32 d =
   need d 4;
-  let v = Int32.to_int (Bytes.get_int32_le d.data d.dpos) land 0xFFFFFFFF in
+  let v = get_u32 d.data d.dpos in
   d.dpos <- d.dpos + 4;
   v
 

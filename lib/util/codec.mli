@@ -34,6 +34,21 @@ val pad_to : encoder -> int -> unit
 
 val to_bytes : encoder -> bytes
 
+(** {1 Fixed-layout fields in place}
+
+    For records whose layout is fixed, written straight into the block
+    that holds them.  [put_* buf off v] writes [v] at [off], with the
+    same range checks as the encoder, and returns the offset just past
+    it. *)
+
+val put_u8 : bytes -> int -> int -> int
+val put_u16 : bytes -> int -> int -> int
+val put_u32 : bytes -> int -> int -> int
+val put_int_as_i64 : bytes -> int -> int -> int
+
+val get_u32 : bytes -> int -> int
+(** The [u32] at an offset, as {!read_u32} reads it. *)
+
 (** {1 Decoding} *)
 
 type decoder

@@ -12,7 +12,7 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;
   mutable tail : ('k, 'v) node option;
-  mutable capacity : int option;
+  capacity : int option;
 }
 
 let create ?capacity () =
@@ -81,12 +81,6 @@ let add t k v =
       (match t.capacity with
       | Some c when Hashtbl.length t.table > c -> pop_lru t
       | Some _ | None -> None)
-
-let set_capacity t capacity =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Lru.set_capacity"
-  | _ -> ());
-  t.capacity <- capacity
 
 let remove t k =
   match Hashtbl.find_opt t.table k with

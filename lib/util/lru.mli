@@ -12,7 +12,6 @@ val create : ?capacity:int -> unit -> ('k, 'v) t
 
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int option
-val set_capacity : ('k, 'v) t -> int option -> unit
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** [find t k] returns the binding and promotes it to most recently used. *)
@@ -38,15 +37,17 @@ val pop_lru : ('k, 'v) t -> ('k * 'v) option
 
 val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 (** Iterates from most recently used to least recently used.  The table
-    must not be mutated during iteration. *)
+    must not be mutated during iteration.  It visits every entry, so the
+    project lint (rule [lru-to-list]) rejects {!iter} and {!fold} in
+    [lib/]: code that runs per operation keeps its own index instead. *)
 
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 
 val to_list : ('k, 'v) t -> ('k * 'v) list
 (** Most recently used first.  Test/debug only: it materializes the whole
-    table as a list, so production code must use {!iter}, {!fold},
-    {!iter_lru}, {!fold_lru} or {!sweep_lru} instead — the project lint
-    (rule [lru-to-list]) rejects calls from [lib/]. *)
+    table as a list, so production code must use {!iter_lru},
+    {!fold_lru} or {!sweep_lru} instead — the project lint (rule
+    [lru-to-list]) rejects calls outside [test/]. *)
 
 val iter_lru : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 (** Iterates from least recently used to most recently used, without

@@ -67,18 +67,14 @@ let test_fold_dirty_order () =
 
 let test_age_tracking () =
   let t, clock = make () in
-  Alcotest.(check (option int)) "no dirty" None (Cache.oldest_dirty_age_us t);
+  Alcotest.(check int) "no dirty" (-1) (Cache.oldest_dirty_age_us t);
   Cache.insert t (key 1 0) ~dirty:true (block 'a');
   Clock.advance_us clock 1_000;
   Cache.insert t (key 1 1) ~dirty:true (block 'b');
   Clock.advance_us clock 500;
-  (match Cache.oldest_dirty_age_us t with
-  | Some age -> Alcotest.(check int) "oldest age" 1_500 age
-  | None -> Alcotest.fail "no age");
+  Alcotest.(check int) "oldest age" 1_500 (Cache.oldest_dirty_age_us t);
   Cache.mark_clean t (key 1 0);
-  match Cache.oldest_dirty_age_us t with
-  | Some age -> Alcotest.(check int) "second age" 500 age
-  | None -> Alcotest.fail "no age after clean"
+  Alcotest.(check int) "second age" 500 (Cache.oldest_dirty_age_us t)
 
 let test_remove_and_drop_clean () =
   let t, _ = make ~capacity_blocks:10 () in
@@ -119,6 +115,101 @@ let test_insert_replaces_dirty () =
   Alcotest.(check int) "dirty again" 1 (Cache.dirty_count t);
   Alcotest.(check int) "no duplicates" 1 (Cache.length t)
 
+(* The O(1) write-back age against the full scan it replaced.  The model
+   keeps, for each dirty key, the time it became dirty, and computes the
+   age the way the cache used to: a fold over every dirty entry for the
+   largest [now - dirty_since].  Eight keys on a four-block cache, so
+   clean inserts evict under pressure; clock steps include 0, so entries
+   tie. *)
+type op =
+  | Insert of int * bool
+  | Mark_dirty of int
+  | Mark_clean of int
+  | Remove of int
+  | Clear
+  | Advance of int
+
+let pp_op = function
+  | Insert (k, d) -> Printf.sprintf "insert %d dirty=%b" k d
+  | Mark_dirty k -> Printf.sprintf "mark_dirty %d" k
+  | Mark_clean k -> Printf.sprintf "mark_clean %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+  | Advance us -> Printf.sprintf "advance %d" us
+
+let op_gen =
+  QCheck.Gen.(
+    let k = int_bound 7 in
+    frequency
+      [
+        (6, map2 (fun k d -> Insert (k, d)) k bool);
+        (3, map (fun k -> Mark_dirty k) k);
+        (3, map (fun k -> Mark_clean k) k);
+        (2, map (fun k -> Remove k) k);
+        (1, return Clear);
+        (5, map (fun us -> Advance us) (oneofl [ 0; 1; 7; 250 ]));
+      ])
+
+let model_age model now =
+  Hashtbl.fold
+    (fun _ since acc ->
+      let age = now - since in
+      match acc with Some a when a >= age -> acc | _ -> Some age)
+    model None
+
+let age_differential =
+  QCheck.Test.make ~name:"write-back age matches a full scan" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 1 120) op_gen))
+    (fun ops ->
+      let t, clock = make ~capacity_blocks:4 () in
+      let model = Hashtbl.create 8 in
+      List.iteri
+        (fun i op ->
+          let now = Clock.now_us clock in
+          (match op with
+          | Insert (k, dirty) ->
+              Cache.insert t (key k 0) ~dirty (block 'x');
+              if dirty then Hashtbl.replace model k now
+              else Hashtbl.remove model k
+          | Mark_dirty k ->
+              if Cache.mem t (key k 0) then begin
+                Cache.mark_dirty t (key k 0);
+                if not (Hashtbl.mem model k) then Hashtbl.replace model k now
+              end
+          | Mark_clean k ->
+              Cache.mark_clean t (key k 0);
+              Hashtbl.remove model k
+          | Remove k ->
+              Cache.remove t (key k 0);
+              Hashtbl.remove model k
+          | Clear ->
+              Cache.clear t;
+              Hashtbl.reset model
+          | Advance us -> Clock.advance_us clock us);
+          let now = Clock.now_us clock in
+          let expect = Option.value (model_age model now) ~default:(-1) in
+          let got = Cache.oldest_dirty_age_us t in
+          if got <> expect then
+            QCheck.Test.fail_reportf "after op %d (%s): age %d, full scan %d"
+              i (pp_op op) got expect;
+          let dirty =
+            List.sort compare
+              (List.map (fun k -> k.Cache.owner) (Cache.dirty_keys t))
+          in
+          let expect_dirty =
+            List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
+          in
+          if
+            dirty <> expect_dirty
+            || Cache.dirty_count t <> Hashtbl.length model
+          then
+            QCheck.Test.fail_reportf "after op %d (%s): dirty set differs" i
+              (pp_op op))
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "insert/find" `Quick test_insert_find;
@@ -132,4 +223,5 @@ let suite =
       test_insert_replaces_dirty;
     Alcotest.test_case "insert never evicts its own key" `Quick
       test_insert_never_evicts_self;
+    Common.qcheck age_differential;
   ]

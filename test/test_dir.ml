@@ -1,12 +1,15 @@
 (* The shared directory layer seen through both file systems: a corrupt
    directory block is an error, not an exception; namei charges one
    lookup per block examined (the paper's linear scan); and a lookup in
-   a cached directory no longer re-decodes its blocks. *)
+   a cached directory no longer re-decodes its blocks.  The host-cost
+   gates here bound the words an operation allocates, so a per-op walk
+   over the directory or the cache shows up as a failure. *)
 
 module Cpu_model = Lfs_disk.Cpu_model
 module E = Lfs_vfs.Errors
 module Fs_intf = Lfs_vfs.Fs_intf
 module Io = Lfs_disk.Io
+module Metrics = Lfs_obs.Metrics
 module Profile = Lfs_obs.Profile
 
 (* Distinct, nonzero costs so every charge shows in the clock. *)
@@ -20,8 +23,13 @@ module Cases
     (F : Fs_intf.S) (Env : sig
       val label : string
 
-      val make : size_bytes:int -> cpu:Cpu_model.t -> block_size:int -> F.t
-      (** Formatted and mounted, with a cache of 1024 blocks. *)
+      val make :
+        cache_blocks:int ->
+        size_bytes:int ->
+        cpu:Cpu_model.t ->
+        block_size:int ->
+        F.t
+      (** Formatted and mounted. *)
 
       val dir_block0_sector : F.t -> string -> int
       val inodes_in_use : F.t -> int
@@ -30,7 +38,9 @@ struct
   let ok what = Common.check_ok (Env.label ^ " " ^ what)
 
   let make_dir ?(block_size = 1024) ~name n =
-    let fs = Env.make ~size_bytes:(8 * 1024 * 1024) ~cpu ~block_size in
+    let fs =
+      Env.make ~cache_blocks:1024 ~size_bytes:(8 * 1024 * 1024) ~cpu ~block_size
+    in
     ok "mkdir" (F.mkdir fs "/d");
     for i = 0 to n - 1 do
       ok "create" (F.create fs ("/d/" ^ name i))
@@ -46,7 +56,8 @@ struct
      claims far more entries than it holds. *)
   let test_corrupt_block () =
     let fs =
-      Env.make ~size_bytes:(16 * 1024 * 1024) ~cpu:Cpu_model.free ~block_size:1024
+      Env.make ~cache_blocks:1024 ~size_bytes:(16 * 1024 * 1024)
+        ~cpu:Cpu_model.free ~block_size:1024
     in
     ok "mkdir" (F.mkdir fs "/a");
     ok "create" (F.create fs "/a/x");
@@ -128,6 +139,65 @@ struct
       Alcotest.failf "%s stat allocates %.0f words per call (bound %d)"
         Env.label per_call words_bound
 
+  (* Words per cached read, with few and with many dirty blocks resident.
+     Every op checks the write-back age on its way out.  While that check
+     folded over the whole cache, most-recently-used first, it allocated a
+     [Some] each time the running maximum grew.  Here it grows at every
+     dirty block: the bulk file is written and synced whole, so its
+     pointer blocks are clean, and then overwritten one block per call
+     with a 1 ms syscall charge, so each block becomes dirty at its own
+     time and the least recently used is the oldest. *)
+  let test_read_allocation_flat () =
+    let fs =
+      Env.make ~cache_blocks:4096 ~size_bytes:(16 * 1024 * 1024) ~cpu
+        ~block_size:1024
+    in
+    ok "create" (F.create fs "/hot");
+    ok "write" (F.write fs "/hot" ~off:0 (Bytes.make 1024 'h'));
+    F.sync fs;
+    ok "create" (F.create fs "/bulk");
+    ok "write" (F.write fs "/bulk" ~off:0 (Bytes.make (3000 * 1024) 'a'));
+    F.sync fs;
+    let block = Bytes.make 1024 'b' in
+    let written = ref 0 in
+    let dirty_to n =
+      while !written < n do
+        ok "write" (F.write fs "/bulk" ~off:(!written * 1024) block);
+        incr written
+      done
+    in
+    let dirty () =
+      match
+        Metrics.find (Metrics.snapshot (Io.metrics (F.io fs)))
+          "cache.dirty_blocks"
+      with
+      | Some (Metrics.Gauge g) -> int_of_float g
+      | Some _ | None -> Alcotest.fail "no cache.dirty_blocks gauge"
+    in
+    let words_per_read () =
+      ok "warm" (F.read fs "/hot" ~off:0 ~len:1024) |> ignore;
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        match F.read fs "/hot" ~off:0 ~len:1024 with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "read: %s" (E.to_string e)
+      done;
+      (Gc.minor_words () -. before) /. 1000.
+    in
+    dirty_to 16;
+    let few = dirty () in
+    let w_few = words_per_read () in
+    dirty_to 3000;
+    let many = dirty () in
+    let w_many = words_per_read () in
+    if few > 20 || many < 3000 then
+      Alcotest.failf "%s: %d then %d dirty blocks, expected ~16 then >= 3000"
+        Env.label few many;
+    if Float.abs (w_many -. w_few) > 2. then
+      Alcotest.failf
+        "%s cached read allocates %.1f words with %d dirty blocks, %.1f with %d"
+        Env.label w_many many w_few few
+
   let cases =
     [
       Alcotest.test_case (Env.label ^ " corrupt block is Ecorrupt") `Quick
@@ -136,13 +206,16 @@ struct
         test_charge_model;
       Alcotest.test_case (Env.label ^ " stat allocation bound") `Quick
         test_stat_allocation;
+      Alcotest.test_case
+        (Env.label ^ " read allocation flat in dirty blocks")
+        `Quick test_read_allocation_flat;
     ]
 end
 
 module Lfs = Cases (Lfs_core.Fs) (struct
   let label = "lfs"
 
-  let make ~size_bytes ~cpu ~block_size =
+  let make ~cache_blocks ~size_bytes ~cpu ~block_size =
     let io = Common.make_io ~size_bytes ~cpu () in
     let config =
       {
@@ -150,7 +223,7 @@ module Lfs = Cases (Lfs_core.Fs) (struct
         Lfs_core.Config.block_size;
         segment_size = 16 * block_size;
         max_files = 2048;
-        cache_blocks = 1024;
+        cache_blocks;
       }
     in
     (match Lfs_core.Fs.format io config with
@@ -170,9 +243,9 @@ end)
 module Ffs = Cases (Lfs_ffs.Fs) (struct
   let label = "ffs"
 
-  let make ~size_bytes ~cpu ~block_size =
+  let make ~cache_blocks ~size_bytes ~cpu ~block_size =
     let io = Common.make_io ~size_bytes ~cpu () in
-    let config = { Lfs_ffs.Config.small with block_size; cache_blocks = 1024 } in
+    let config = { Lfs_ffs.Config.small with block_size; cache_blocks } in
     (match Lfs_ffs.Fs.format io config with
     | Ok () -> ()
     | Error e -> failwith e);

@@ -360,6 +360,35 @@ let test_io_sync_advances_clock () =
   ignore (Io.sync_read io ~sector:0 ~count:8);
   Alcotest.(check bool) "read waits" true (Clock.now_us clock > t1)
 
+(* [~len] reads a prefix of the buffers, across buffer edges, at the
+   cost of a read of just that many sectors. *)
+let test_io_read_into_len () =
+  let data = Common.pattern ~seed:5 4096 in
+  let setup () =
+    let io, _, clock = make_io () in
+    Io.sync_write io ~sector:0 data;
+    (io, clock, Clock.now_us clock)
+  in
+  let io, clock, t0 = setup () in
+  let bufs = [| Bytes.make 1024 '.'; Bytes.make 1024 '.' |] in
+  Io.sync_read_into io ~len:1536 ~sector:0 bufs;
+  let read_us = Clock.now_us clock - t0 in
+  Alcotest.(check string) "first buffer" (Bytes.sub_string data 0 1024)
+    (Bytes.to_string bufs.(0));
+  Alcotest.(check string) "second buffer: one sector, then untouched"
+    (Bytes.sub_string data 1024 512 ^ String.make 512 '.')
+    (Bytes.to_string bufs.(1));
+  let io', clock', t0' = setup () in
+  ignore (Io.sync_read io' ~sector:0 ~count:3);
+  Alcotest.(check int) "costs a 3-sector read" (Clock.now_us clock' - t0')
+    read_us;
+  List.iter
+    (fun len ->
+      match Io.sync_read_into io ~len ~sector:0 bufs with
+      | () -> Alcotest.failf "len %d accepted" len
+      | exception Invalid_argument _ -> ())
+    [ 0; 100; 2560 ]
+
 let test_io_async_overlaps () =
   let io, _, clock = make_io () in
   Io.async_write io ~sector:0 (Bytes.make 4096 'x');
@@ -437,6 +466,7 @@ let suite =
     Alcotest.test_case "media cost only what is written" `Quick
       test_resident_media;
     Alcotest.test_case "sync advances clock" `Quick test_io_sync_advances_clock;
+    Alcotest.test_case "read-into len" `Quick test_io_read_into_len;
     Alcotest.test_case "async overlaps" `Quick test_io_async_overlaps;
     Alcotest.test_case "writer throttling" `Quick test_io_throttling;
     Alcotest.test_case "request log" `Quick test_io_request_log;

@@ -195,6 +195,84 @@ let test_usage_accounting_exact () =
           seg recorded truth)
     (Lfs_core.Check.usage_drift fs)
 
+(* The cleaner decides an inode slot's liveness from its inum and the
+   inode map alone, so a dead slot whose bytes no longer decode (here a
+   bad kind tag, as a torn write over a reused segment can leave) does
+   not stop the pass.  A torn slot the map still points at is another
+   matter, and still open. *)
+let test_dead_inode_slot_not_decoded () =
+  let module Layout = Lfs_core.Layout in
+  let module Io = Lfs_disk.Io in
+  let fs = make_lfs ~config:no_autoclean () in
+  fill_and_delete fs ~files:40 ~keep_every:4;
+  let layout = Fs.layout fs and io = Fs.io fs in
+  let read_block addr =
+    Io.sync_read io
+      ~sector:(Layout.sector_of_block layout addr)
+      ~count:layout.Layout.block_sectors
+  in
+  let dead_slot seg =
+    let first = Layout.segment_first_block layout seg in
+    let summary =
+      Io.sync_read io
+        ~sector:(Layout.sector_of_block layout first)
+        ~count:(layout.Layout.summary_blocks * layout.Layout.block_sectors)
+    in
+    match Lfs_core.Summary.decode summary with
+    | None -> None
+    | Some (_, entries) ->
+        List.mapi (fun idx e -> (idx, e)) entries
+        |> List.find_map (fun (idx, entry) ->
+               match (entry : Lfs_core.Summary.entry) with
+               | Lfs_core.Summary.Inode_block ->
+                   let addr = Layout.segment_payload_block layout ~seg ~idx in
+                   let block = read_block addr in
+                   List.init (Layout.inodes_per_block layout) Fun.id
+                   |> List.find_map (fun slot ->
+                          let off = slot * Layout.inode_bytes in
+                          let inum = Lfs_core.Inode.inum_at block ~off in
+                          if
+                            inum > 0
+                            && not
+                                 (Lfs_core.Imap.is_allocated fs.imap inum
+                                 && Lfs_core.Imap.located_at fs.imap inum
+                                      ~addr ~slot)
+                          then Some (addr, block, off)
+                          else None)
+               | _ -> None)
+  in
+  let seg, (addr, block, off) =
+    List.init (Seg_usage.nsegments fs.usage) Fun.id
+    |> List.find_map (fun seg ->
+           if Seg_usage.state fs.usage seg = Seg_usage.Dirty then
+             Option.map (fun found -> (seg, found)) (dead_slot seg)
+           else None)
+    |> function
+    | Some found -> found
+    | None -> Alcotest.fail "no dead inode slot in a dirty segment"
+  in
+  Bytes.set_uint8 block (off + 4) 0xEE;
+  (match Lfs_core.Inode.decode_at block ~off with
+  | exception Lfs_util.Codec.Error _ -> ()
+  | _ -> Alcotest.fail "planted kind tag still decodes");
+  Io.sync_write io ~sector:(Layout.sector_of_block layout addr) block;
+  let freed = Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ] in
+  Alcotest.(check int) "victim cleaned" 1 freed;
+  Fs.flush_caches fs;
+  for i = 0 to 39 do
+    if i mod 4 = 0 then
+      check_bytes
+        (Printf.sprintf "f%03d" i)
+        (pattern ~seed:i 1500)
+        (read_all fs (Printf.sprintf "/f%03d" i))
+  done;
+  match Lfs_core.Check.fsck fs with
+  | [] -> ()
+  | issues ->
+      Alcotest.failf "structural issues after cleaning: %s"
+        (String.concat "; "
+           (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues))
+
 let suite =
   [
     Alcotest.test_case "usage accounting matches ground truth" `Quick
@@ -206,6 +284,8 @@ let suite =
     Alcotest.test_case "preserves large file" `Quick
       test_cleaning_preserves_large_file;
     Alcotest.test_case "log wraps" `Quick test_log_wraps;
+    Alcotest.test_case "dead inode slot is not decoded" `Quick
+      test_dead_inode_slot_not_decoded;
     Alcotest.test_case "greedy picks emptiest" `Quick test_greedy_picks_emptiest;
     Alcotest.test_case "all policies preserve data" `Quick test_policies_all_run;
     Alcotest.test_case "full segments not selected" `Quick

@@ -160,6 +160,13 @@ let is_stdout s =
 let is_lru_to_list s =
   s = "Lru.to_list" || String.ends_with ~suffix:".Lru.to_list" s
 
+(* Whole-table walks, most recently used first.  Library code that calls
+   them per operation pays for the whole table each time. *)
+let is_lru_walk s =
+  List.exists
+    (fun f -> s = "Lru." ^ f || String.ends_with ~suffix:(".Lru." ^ f) s)
+    [ "fold"; "iter" ]
+
 (* Raw fault/sweep entry points that test, CLI and lib code must reach
    through Lfs_scenario (Scenario.run / Scenario.with_faults), so every
    fault run is seed-managed and replayable. *)
@@ -864,6 +871,13 @@ let syntactic_checks program =
               (Printf.sprintf
                  "%s: test/debug-only; hot paths use \
                   iter_lru/fold_lru/sweep_lru"
+                 s)
+          else if is_lru_walk s && lib_ctx file then
+            report "lru-to-list" file line
+              (Printf.sprintf
+                 "%s: walks the whole table on every call; keep an index \
+                  of what the operation needs, or use \
+                  iter_lru/fold_lru/sweep_lru and stop early"
                  s))
         d.occs)
     program.p_defs

@@ -25,7 +25,8 @@
 
    Scope notes: bench/bin print reports, so stdout applies only to
    lib/; test/ may exercise Disk, Lru.to_list and raw spans directly,
-   so those rules skip it; metric/span registration is collected from
+   so those rules skip it (Lru.fold/Lru.iter are flagged in lib/
+   only); metric/span registration is collected from
    lib/ only (harnesses read counters back through the same
    get-or-create API).  scenario-entry runs the other way round: it
    covers test/, bin/ and lib/ (the workload tree owns the raw

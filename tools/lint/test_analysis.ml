@@ -214,6 +214,28 @@ let () =
   check "scenario-entry: DSL compiler fires (allowlisted)"
     (List.mem "scenario-entry" (rules_of program "lib/scenario/scenario.ml"))
 
+(* --- lru-to-list: whole-table walks stay out of lib code --- *)
+
+let walk_source path walk =
+  [
+    ( path,
+      "module Lru = Lfs_util.Lru\n\nlet age t =\n  Lru." ^ walk
+      ^ " (fun _ e acc -> max e acc) t.entries 0\n" );
+  ]
+
+let () =
+  let flagged path walk =
+    List.mem "lru-to-list" (rules_of (A.analyze (walk_source path walk)) path)
+  in
+  check "lru-to-list: aliased Lru.fold in lib flagged"
+    (flagged "lib/cache/aged.ml" "fold");
+  check "lru-to-list: Lru.iter in lib flagged"
+    (flagged "lib/cache/aged.ml" "iter");
+  check "lru-to-list: fold_lru in lib allowed"
+    (not (flagged "lib/cache/aged.ml" "fold_lru"));
+  check "lru-to-list: Lru.fold outside lib allowed"
+    (not (flagged "bench/aged.ml" "fold" || flagged "test/aged.ml" "fold"))
+
 (* --- span safety: raw begin flagged, Fun.protect accepted --- *)
 
 let () =
