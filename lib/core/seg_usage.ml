@@ -117,7 +117,6 @@ let dirty_blocks t =
   List.rev !acc
 
 let clear_dirty t = Bitset.clear_all t.dirty
-let mark_all_dirty t = Bitset.fill_all t.dirty
 
 let state_tag = function Clean -> 0 | Dirty -> 1 | Active -> 2
 

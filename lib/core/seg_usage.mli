@@ -66,6 +66,5 @@ val mark_block_dirty : t -> int -> unit
 
 val dirty_blocks : t -> int list
 val clear_dirty : t -> unit
-val mark_all_dirty : t -> unit
 val encode_block : t -> idx:int -> bytes
 val load_block : t -> idx:int -> bytes -> unit

@@ -272,5 +272,4 @@ let to_float_opt = function
   | Float f -> Some f
   | _ -> None
 
-let to_list_opt = function List l -> Some l | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None

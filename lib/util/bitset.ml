@@ -37,20 +37,18 @@ let clear t i =
 
 let cardinal t = t.cardinal
 
-let find_generic ~want t start =
+let find_first_clear ?(start = 0) t =
   if t.length = 0 then None
   else begin
     let start = ((start mod t.length) + t.length) mod t.length in
     let rec scan i remaining =
       if remaining = 0 then None
-      else if mem t i = want then Some i
+      else if not (mem t i) then Some i
       else scan (if i + 1 = t.length then 0 else i + 1) (remaining - 1)
     in
     scan start t.length
   end
 
-let find_first_clear ?(start = 0) t = find_generic ~want:false t start
-let find_first_set ?(start = 0) t = find_generic ~want:true t start
 
 let iter_set f t =
   for i = 0 to t.length - 1 do

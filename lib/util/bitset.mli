@@ -30,9 +30,6 @@ val find_first_clear : ?start:int -> t -> int option
     after [start] (default [0]), wrapping around to the beginning, or
     [None] if every bit is set. *)
 
-val find_first_set : ?start:int -> t -> int option
-(** Like {!find_first_clear} but searches for a set bit. *)
-
 val iter_set : (int -> unit) -> t -> unit
 (** [iter_set f t] applies [f] to the index of every set bit, ascending. *)
 

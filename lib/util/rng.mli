@@ -17,6 +17,11 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 
+val fill_bytes : t -> bytes -> unit
+(** [fill_bytes t b] overwrites [b] with the bytes that
+    [Bytes.length b] calls of [int t 256] would give, in order, and
+    leaves [t] where those calls would leave it.  Allocates nothing. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

@@ -77,5 +77,6 @@ let observed inst f =
 
 (** Deterministic file contents. *)
 let content ~seed len =
-  let rng = Lfs_util.Rng.create seed in
-  Bytes.init len (fun _ -> Char.chr (Lfs_util.Rng.int rng 256))
+  let b = Bytes.create len in
+  Lfs_util.Rng.fill_bytes (Lfs_util.Rng.create seed) b;
+  b

@@ -117,11 +117,43 @@ type client = {
   mutable remaining : int;
 }
 
-(* Shared file population, newest first (Zipf rank 0 = youngest = hot,
-   as in the Berkeley trace study). *)
+(* Paths oldest first in [paths.(0 .. n-1)]: a create appends (the
+   capacity doubles when full) and a delete shifts the younger tail down
+   one slot, so neither copies the population.  Newest-first rank [i]
+   is [paths.(n - 1 - i)]. *)
+module Live = struct
+  type t = { mutable paths : string array; mutable n : int }
+
+  let create () = { paths = [||]; n = 0 }
+  let length t = t.n
+
+  let slot t i =
+    if i < 0 || i >= t.n then invalid_arg "Engine.Live: rank out of range";
+    t.n - 1 - i
+
+  let nth t i = t.paths.(slot t i)
+
+  let push t path =
+    if t.n = Array.length t.paths then begin
+      let grown = Array.make (max 16 (2 * t.n)) "" in
+      Array.blit t.paths 0 grown 0 t.n;
+      t.paths <- grown
+    end;
+    t.paths.(t.n) <- path;
+    t.n <- t.n + 1
+
+  let remove t i =
+    let p = slot t i in
+    Array.blit t.paths (p + 1) t.paths p (t.n - 1 - p);
+    t.n <- t.n - 1;
+    t.paths.(t.n) <- ""
+end
+
+(* Shared file population, ranked newest first (Zipf rank 0 = youngest
+   = hot, as in the Berkeley trace study). *)
 type population = {
   zipf : Zipf.t;
-  mutable live : string array;
+  live : Live.t;
   mutable next_id : int;
   dirs : int;
 }
@@ -131,53 +163,41 @@ let fresh_path pop =
   pop.next_id <- id + 1;
   Printf.sprintf "/eng%03d/f%06d" (id mod pop.dirs) id
 
+(* Only called on a non-empty population. *)
 let pick_live pop rng =
-  let n = Array.length pop.live in
-  if n = 0 then None
-  else Some pop.live.(min (n - 1) (Zipf.sample pop.zipf rng))
-
-let remove_at pop idx =
-  let n = Array.length pop.live in
-  pop.live <-
-    Array.append (Array.sub pop.live 0 idx)
-      (Array.sub pop.live (idx + 1) (n - idx - 1))
+  Live.nth pop.live (min (Live.length pop.live - 1) (Zipf.sample pop.zipf rng))
 
 let do_create inst pop rng =
   let path = fresh_path pop in
   let size = sample_size rng in
   Driver.create inst path;
   Driver.write inst path ~off:0 (Driver.content ~seed:(Rng.int rng 1_000_000) size);
-  pop.live <- Array.append [| path |] pop.live
+  Live.push pop.live path
 
 let do_delete_cold inst pop rng =
-  let n = Array.length pop.live in
+  let n = Live.length pop.live in
   let idx = n - 1 - min (n - 1) (Rng.int rng (max 1 (n / 2))) in
-  Driver.delete inst pop.live.(idx);
-  remove_at pop idx
+  Driver.delete inst (Live.nth pop.live idx);
+  Live.remove pop.live idx
 
 (* One operation of client [c]: name + effect.  The mix degrades to
    [create] while the population is empty, and caps the population at
    twice the working set so the image reaches a steady state. *)
 let run_op cfg inst pop (c : client) =
   let r = Rng.float c.rng 1.0 in
-  let live_n = Array.length pop.live in
+  let live_n = Live.length pop.live in
   if r < cfg.read_fraction && live_n > 0 then begin
-    match pick_live pop c.rng with
-    | Some path ->
-        let stat = Driver.stat inst path in
-        ignore
-          (Driver.read inst path ~off:0 ~len:stat.Lfs_vfs.Fs_intf.size : bytes);
-        "read"
-    | None -> assert false
+    let path = pick_live pop c.rng in
+    let stat = Driver.stat inst path in
+    ignore (Driver.read inst path ~off:0 ~len:stat.Lfs_vfs.Fs_intf.size : bytes);
+    "read"
   end
   else if r < cfg.read_fraction +. cfg.overwrite_fraction && live_n > 0 then begin
-    match pick_live pop c.rng with
-    | Some path ->
-        let size = sample_size c.rng in
-        Driver.write inst path ~off:0
-          (Driver.content ~seed:(Rng.int c.rng 1_000_000) size);
-        "overwrite"
-    | None -> assert false
+    let path = pick_live pop c.rng in
+    let size = sample_size c.rng in
+    Driver.write inst path ~off:0
+      (Driver.content ~seed:(Rng.int c.rng 1_000_000) size);
+    "overwrite"
   end
   else if
     r < cfg.read_fraction +. cfg.overwrite_fraction +. cfg.delete_fraction
@@ -229,7 +249,7 @@ let run ?(config = default) inst =
   let pop =
     {
       zipf = Zipf.create ~n:(max 1 config.working_set) ~theta:config.zipf_theta;
-      live = [||];
+      live = Live.create ();
       next_id = 0;
       dirs = config.dirs;
     }

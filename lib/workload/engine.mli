@@ -66,6 +66,26 @@ type result = {
           discipline minimizes *)
 }
 
+(** The engine's live-file population, ranked newest first (rank 0 is
+    the youngest file, the Zipf-hot end). *)
+module Live : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  val nth : t -> int -> string
+  (** [nth t i] is the path of rank [i].
+      @raise Invalid_argument unless [0 <= i < length t]. *)
+
+  val push : t -> string -> unit
+  (** Add the youngest path (rank 0); amortised O(1). *)
+
+  val remove : t -> int -> unit
+  (** Drop rank [i]; ranks below [i] keep theirs, those above drop by one.
+      @raise Invalid_argument unless [0 <= i < length t]. *)
+end
+
 val run : ?config:config -> Lfs_vfs.Fs_intf.instance -> result
 (** Run the engine: unmeasured setup (directories + half the working
     set, synced), then the measured multi-client window, then a final

@@ -58,10 +58,8 @@ let check_err what expected = function
 
 let bytes_of_string = Bytes.of_string
 
-(* Deterministic pseudo-random file content. *)
-let pattern ~seed len =
-  let rng = Lfs_util.Rng.create seed in
-  Bytes.init len (fun _ -> Char.chr (Lfs_util.Rng.int rng 256))
+(* Deterministic pseudo-random file content: the workloads' generator. *)
+let pattern = Lfs_workload.Driver.content
 
 let read_all fs path =
   let stat = check_ok "stat" (Lfs_core.Fs.stat fs path) in

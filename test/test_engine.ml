@@ -122,6 +122,97 @@ let test_config_validation () =
       { small with Engine.max_queue = 0 };
     ]
 
+(* The population against the one it replaced, kept as the model: a
+   newest-first array that a create copied with [Array.append] and a
+   delete with [Array.sub] twice plus [Array.append].  Picks clamp a
+   rank as the Zipf pick does, and cold deletes draw as the engine does;
+   the two must name the same path at every rank after every step. *)
+type live_op =
+  | Push
+  | Pick of int
+  | Delete_newest
+  | Delete_oldest
+  | Delete_cold of int
+
+let pp_live_op = function
+  | Push -> "push"
+  | Pick k -> Printf.sprintf "pick %d" k
+  | Delete_newest -> "delete newest"
+  | Delete_oldest -> "delete oldest"
+  | Delete_cold r -> Printf.sprintf "delete cold %d" r
+
+let live_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Push);
+        (2, map (fun k -> Pick k) (int_bound 200));
+        (1, return Delete_newest);
+        (1, return Delete_oldest);
+        (2, map (fun r -> Delete_cold r) (int_bound 1000));
+      ])
+
+let model_remove_at live idx =
+  let n = Array.length live in
+  Array.append (Array.sub live 0 idx) (Array.sub live (idx + 1) (n - idx - 1))
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let live_differential =
+  QCheck.Test.make ~name:"live population matches the append-copy array"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map pp_live_op ops))
+       QCheck.Gen.(list_size (int_range 0 300) live_op_gen))
+    (fun ops ->
+      let live = Engine.Live.create () in
+      let model = ref [||] in
+      let next = ref 0 in
+      List.iteri
+        (fun step op ->
+          let n = Array.length !model in
+          let fail fmt =
+            QCheck.Test.fail_reportf ("after op %d (%s): " ^^ fmt) step
+              (pp_live_op op)
+          in
+          let delete idx =
+            if Engine.Live.nth live idx <> !model.(idx) then
+              fail "delete of rank %d names a different path" idx;
+            Engine.Live.remove live idx;
+            model := model_remove_at !model idx
+          in
+          (if n = 0 && op <> Push then begin
+             if
+               not
+                 (raises_invalid (fun () -> Engine.Live.nth live 0)
+                 && raises_invalid (fun () -> Engine.Live.remove live 0))
+             then fail "empty population accepted rank 0"
+           end
+           else
+             match op with
+             | Push ->
+                 let path = Printf.sprintf "/f%06d" !next in
+                 incr next;
+                 Engine.Live.push live path;
+                 model := Array.append [| path |] !model
+             | Pick k ->
+                 let rank = min (n - 1) k in
+                 if Engine.Live.nth live rank <> !model.(rank) then
+                   fail "pick of rank %d differs" rank
+             | Delete_newest -> delete 0
+             | Delete_oldest -> delete (n - 1)
+             | Delete_cold r -> delete (n - 1 - min (n - 1) (r mod max 1 (n / 2))));
+          if Engine.Live.length live <> Array.length !model then
+            fail "length %d, model %d" (Engine.Live.length live)
+              (Array.length !model);
+          Array.iteri
+            (fun i path ->
+              if Engine.Live.nth live i <> path then fail "rank %d differs" i)
+            !model)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "deterministic on lfs" `Quick test_determinism_lfs;
@@ -130,4 +221,5 @@ let suite =
     Alcotest.test_case "accounting invariants" `Quick test_accounting;
     Alcotest.test_case "immediate mode" `Quick test_immediate_mode;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Common.qcheck live_differential;
   ]

@@ -100,11 +100,6 @@ let pp_op op =
   | Sync -> "sync"
   | Flush_caches -> "flush"
 
-(* Deterministic payload so content mismatches are meaningful. *)
-let payload seed len =
-  let rng = Lfs_util.Rng.create seed in
-  Bytes.init len (fun _ -> Char.chr (Lfs_util.Rng.int rng 256))
-
 module Run (F : Fs_intf.S) = struct
   let outcome_of_result = function
     | Ok () -> Model_fs.Done
@@ -137,7 +132,7 @@ module Run (F : Fs_intf.S) = struct
         expect := Model_fs.delete model p;
         got := outcome_of_result (F.delete fs (path_to_string p))
     | Write (p, off, len) ->
-        let data = payload step len in
+        let data = Lfs_workload.Driver.content ~seed:step len in
         expect := Model_fs.write model p ~off data;
         got := outcome_of_result (F.write fs (path_to_string p) ~off data)
     | Read (p, off, len) ->

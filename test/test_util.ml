@@ -240,6 +240,79 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check bool) "is permutation" true (sorted = Array.init 50 Fun.id)
 
+(* The one byte generator.  The model is the per-byte definition
+   [Driver.content] had before [Rng.fill_bytes]:
+   [Bytes.init len (fun _ -> Char.chr (Rng.int rng 256))], written out
+   as the loop [Bytes.init] runs (f applied to indices in increasing
+   order). *)
+let model_content rng len =
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.set b i (Char.chr (Rng.int rng 256))
+  done;
+  b
+
+let special_seeds = [ min_int; max_int; 999_999 ]
+
+(* Every seed in -50..5000 up to 4 KB.  The 64 KB length runs the same
+   loop further, so it takes every 50th seed: on all of them the model
+   alone would make 331 M boxed draws. *)
+let test_content_matches_model () =
+  let check len seeds =
+    List.iter
+      (fun seed ->
+        if
+          not
+            (Bytes.equal
+               (model_content (Rng.create seed) len)
+               (Lfs_workload.Driver.content ~seed len))
+        then Alcotest.failf "content ~seed:%d %d differs from the model" seed len)
+      (seeds @ special_seeds)
+  in
+  let all = List.init 5051 (fun i -> i - 50) in
+  List.iter (fun len -> check len all) [ 0; 1; 7; 4096 ];
+  check 65536 (List.filter (fun s -> s mod 50 = 0) all)
+
+let test_fill_bytes_leaves_state () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun len ->
+          let filled = Rng.create seed and model = Rng.create seed in
+          Rng.fill_bytes filled (Bytes.create len);
+          ignore (model_content model len : bytes);
+          for k = 1 to 100 do
+            let want = Rng.int model 256 and got = Rng.int filled 256 in
+            if got <> want then
+              Alcotest.failf "seed %d len %d: draw %d after fill is %d, model %d"
+                seed len k got want
+          done)
+        [ 0; 1; 7; 4096 ])
+    [ -50; 0; 1; 999_999; min_int; max_int ]
+
+(* A silent change to the byte sequence moves every figure: pin it. *)
+let test_content_golden () =
+  Alcotest.(check int32) "crc32 of content ~seed:1 4096" 0xE493185Cl
+    (Crc32.digest_bytes (Lfs_workload.Driver.content ~seed:1 4096))
+
+(* Words allocated by [f ()], minor + major - promoted, net of the
+   measurement's own boxed floats. *)
+let allocated_words f =
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let empty = let a = words () in words () -. a in
+  let before = words () in
+  let r = f () in
+  (words () -. before -. empty, r)
+
+let test_content_allocation () =
+  let len = 65536 in
+  let words, b = allocated_words (fun () -> Lfs_workload.Driver.content ~seed:3 len) in
+  Alcotest.(check int) "length" len (Bytes.length b);
+  let bound = float_of_int ((len / 8) + 16) in
+  if words > bound then
+    Alcotest.failf "content ~seed:3 %d allocated %.0f words (bound %.0f)" len
+      words bound
+
 (* Zipf *)
 
 let test_zipf_skew () =
@@ -370,6 +443,13 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;
+    Alcotest.test_case "content matches per-byte model" `Quick
+      test_content_matches_model;
+    Alcotest.test_case "fill_bytes leaves the generator in step" `Quick
+      test_fill_bytes_leaves_state;
+    Alcotest.test_case "content golden crc" `Quick test_content_golden;
+    Alcotest.test_case "content allocates only its buffer" `Quick
+      test_content_allocation;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform;
     Alcotest.test_case "codec basic" `Quick test_codec_basic;

@@ -59,7 +59,9 @@
                           the profiler's span tree corrupted; use
                           Bus.with_span (exception-safe) instead.
    The syntactic rules from PR 3-6 (disk-io, nondet, stdout,
-   lru-to-list, workload-disk, workload-clock, metric and span naming)
+   lru-to-list, workload-disk, workload-clock, metric and span naming,
+   and per-byte-rng: a Bytes.init/String.init drawing Rng.int per
+   element, in lib/ or test/)
    plus scenario-entry (test, CLI and lib code must reach Crashpoint
    sweeps / Faulty.attach through the Lfs_scenario DSL, whose compiler
    is the allowlisted sole caller) run over the same parse, with
@@ -180,6 +182,16 @@ let is_scenario_entry s =
   List.exists
     (fun t -> s = t || String.ends_with ~suffix:("." ^ t) s)
     scenario_entries
+
+(* Buffer builders whose per-element function draws [Rng.int] take one
+   boxed generator step per byte; [Rng.fill_bytes] makes the same bytes
+   in one unboxed loop. *)
+let is_byte_init s =
+  List.exists
+    (fun f -> s = f || String.ends_with ~suffix:("." ^ f) s)
+    [ "Bytes.init"; "String.init" ]
+
+let is_rng_int s = s = "Rng.int" || String.ends_with ~suffix:".Rng.int" s
 
 let is_raise s =
   List.mem s [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
@@ -386,9 +398,10 @@ let rec pattern_vars (p : Parsetree.pattern) =
   | Ppat_or (a, b) -> pattern_vars a @ pattern_vars b
   | _ -> []
 
-exception Found_span_end
+exception Found
 
-let contains_span_end expr =
+(* Does [expr] name an identifier whose path satisfies [pred]? *)
+let mentions pred expr =
   let open Ast_iterator in
   let it =
     {
@@ -396,14 +409,23 @@ let contains_span_end expr =
       expr =
         (fun it e ->
           (match e.Parsetree.pexp_desc with
-          | Pexp_ident { txt; _ }
-            when is_span_end (String.concat "." (flatten txt)) ->
-              raise Found_span_end
+          | Pexp_ident { txt; _ } when pred (flatten txt) -> raise Found
           | _ -> ());
           default_iterator.expr it e);
     }
   in
-  match it.expr it expr with () -> false | exception Found_span_end -> true
+  match it.expr it expr with () -> false | exception Found -> true
+
+let contains_span_end =
+  mentions (fun path -> is_span_end (String.concat "." path))
+
+let expand_alias fi path =
+  match path with
+  | head :: tl when tl <> [] -> (
+      match List.assoc_opt head fi.aliases with
+      | Some target -> target @ tl
+      | None -> path)
+  | _ -> path
 
 type collector = {
   mutable c_defs : def list; (* reverse order *)
@@ -547,6 +569,27 @@ let collect_file col file (ast : Parsetree.structure) =
                          Bus.with_span (or Fun.protect whose ~finally runs \
                          span_end) so crash injection cannot corrupt the \
                          span tree"
+                        s;
+                  }
+                  :: col.c_viol;
+              let expand p = String.concat "." (expand_alias fi p) in
+              if
+                is_byte_init (expand (flatten txt))
+                && not (bench_ctx file || bin_ctx file)
+                && List.exists
+                     (fun (_, a) -> mentions (fun p -> is_rng_int (expand p)) a)
+                     args
+              then
+                col.c_viol <-
+                  {
+                    rule = "per-byte-rng";
+                    file;
+                    line = line_of_loc e.pexp_loc;
+                    message =
+                      Printf.sprintf
+                        "%s drawing Rng.int per element: one boxed \
+                         generator step per byte; fill the buffer with \
+                         Rng.fill_bytes"
                         s;
                   }
                   :: col.c_viol;
@@ -696,14 +739,6 @@ let lookup (idx : index) path =
             (fun (key, d) ->
               if ends_with_path ~suffix:path key then Some d else None)
             cands)
-
-let expand_alias fi path =
-  match path with
-  | head :: tl when tl <> [] -> (
-      match List.assoc_opt head fi.aliases with
-      | Some target -> target @ tl
-      | None -> path)
-  | _ -> path
 
 (* include M at path P: register every def reachable through M under P
    as well.  Iterated a few rounds so include-of-include settles. *)

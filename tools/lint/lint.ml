@@ -11,7 +11,7 @@
      syntactic (per raw site, identifier paths alias-expanded):
        disk-io, nondet, stdout, lru-to-list, workload-disk,
        workload-clock, scenario-entry, metric-name, metric-dup,
-       span-name, span-dup
+       span-name, span-dup, per-byte-rng
      span exception-safety:
        span-unsafe   a raw Bus.span_begin whose span_end is not on the
                      raise path (not Bus.with_span / Fun.protect)
@@ -32,6 +32,9 @@
    covers test/, bin/ and lib/ (the workload tree owns the raw
    machinery and is exempt), keeping Crashpoint sweeps and
    Faulty.attach behind the seed-managed Lfs_scenario DSL.
+   per-byte-rng covers lib/ and test/: a Bytes.init/String.init whose
+   element function draws Rng.int is flagged, since Rng.fill_bytes
+   makes the same bytes without a boxed step per byte.
 
    Allowlist: "<rule> <path-suffix>" lines; a violation is suppressed
    when its rule matches and its file path ends with the suffix.  With

@@ -236,6 +236,45 @@ let () =
   check "lru-to-list: Lru.fold outside lib allowed"
     (not (flagged "bench/aged.ml" "fold" || flagged "test/aged.ml" "fold"))
 
+(* --- per-byte-rng: buffers are filled, not drawn byte by byte --- *)
+
+let () =
+  let flagged path body =
+    List.mem "per-byte-rng" (rules_of (A.analyze [ (path, body) ]) path)
+  in
+  let per_byte init =
+    "module R = Lfs_util.Rng\n\nlet content ~seed len =\n\
+    \  let rng = R.create seed in\n\
+    \  " ^ init ^ " len (fun _ -> Char.chr (R.int rng 256))\n"
+  in
+  check "per-byte-rng: aliased Rng in Bytes.init flagged"
+    (flagged "lib/workload/gen.ml" (per_byte "Bytes.init"));
+  check "per-byte-rng: String.init in test flagged"
+    (flagged "test/common.ml" (per_byte "String.init"));
+  check "per-byte-rng: outside lib and test allowed"
+    (not
+       (flagged "bench/gen.ml" (per_byte "Bytes.init")
+       || flagged "bin/gen.ml" (per_byte "Bytes.init")));
+  check "per-byte-rng: Rng.int outside the init allowed"
+    (not
+       (flagged "test/test_crc.ml"
+          "let t rng =\n\
+          \  let b = Bytes.init 64 (fun i -> Char.chr i) in\n\
+          \  Bytes.get b (Lfs_util.Rng.int rng 64)\n"));
+  check "per-byte-rng: Rng.fill_bytes allowed"
+    (not
+       (flagged "lib/workload/driver.ml"
+          "let content ~seed len =\n\
+          \  let b = Bytes.create len in\n\
+          \  Lfs_util.Rng.fill_bytes (Lfs_util.Rng.create seed) b;\n\
+          \  b\n"));
+  (* Driver.content as it was before Rng.fill_bytes. *)
+  check "per-byte-rng: the old Driver.content flagged"
+    (flagged "lib/workload/driver.ml"
+       "let content ~seed len =\n\
+       \  let rng = Lfs_util.Rng.create seed in\n\
+       \  Bytes.init len (fun _ -> Char.chr (Lfs_util.Rng.int rng 256))\n")
+
 (* --- span safety: raw begin flagged, Fun.protect accepted --- *)
 
 let () =
