@@ -536,7 +536,7 @@ let cmd_benchdiff base_file cur_file tolerance gate json =
       if json then print_endline (Json.to_string_pretty (Benchdiff.to_json rep))
       else print_string (Benchdiff.render rep);
       if gate && Benchdiff.gates rep then begin
-        Printf.eprintf "benchdiff: %s regressed against %s\n" cur_file
+        Printf.eprintf "benchdiff: %s fails the gate against %s\n" cur_file
           base_file;
         exit 1
       end

@@ -153,14 +153,18 @@ let process_entry (st : State.t) ~addr payload ~off entry ~moved =
           && Imap.is_allocated st.imap inum
           && Imap.located_at st.imap inum ~addr ~slot
         then
-          match Inode.decode_at payload ~off:ino_off with
-          | None -> ()
-          | Some ino ->
-              (* Live inode: pull it into the table (preferring any
-                 newer in-memory copy) and force a rewrite. *)
-              let e = Inode_store.materialize st ino in
-              Inode_store.mark_dirty e;
+          (* Live inode: force a rewrite.  A loaded entry is newer than
+             the slot, so the slot is decoded only to load it. *)
+          match Inode_store.find_loaded st inum with
+          | Some e ->
+              Inode_store.mark_dirty st e;
               moved := !moved + Layout.inode_bytes
+          | None -> (
+              match Inode.decode_at payload ~off:ino_off with
+              | None -> ()
+              | Some ino ->
+                  Inode_store.mark_dirty st (Inode_store.materialize st ino);
+                  moved := !moved + Layout.inode_bytes)
       done
   | Summary.Imap_block { idx } ->
       if st.imap_block_addr.(idx) = addr then begin

@@ -182,7 +182,7 @@ let write (st : State.t) ~inum ~off data =
   done;
   if off + len > e.ino.Inode.size then e.ino.Inode.size <- off + len;
   e.ino.Inode.mtime_us <- Io.now_us st.io;
-  Inode_store.mark_dirty e;
+  Inode_store.mark_dirty st e;
   Io.charge_copy st.io ~bytes:len
 
 let release (st : State.t) addr ~bytes =
@@ -259,4 +259,4 @@ let truncate (st : State.t) ~inum ~size =
   end;
   e.ino.Inode.size <- size;
   e.ino.Inode.mtime_us <- Io.now_us st.io;
-  Inode_store.mark_dirty e
+  Inode_store.mark_dirty st e

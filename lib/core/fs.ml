@@ -118,7 +118,7 @@ let delete (st : t) path =
       if e.ino.Inode.nlink > 1 then begin
         e.ino.Inode.nlink <- e.ino.Inode.nlink - 1;
         e.ino.Inode.mtime_us <- Io.now_us st.io;
-        Inode_store.mark_dirty e
+        Inode_store.mark_dirty st e
       end
       else Inode_store.delete st inum;
       (* A delete must succeed even on a full disk — it is how space is
@@ -173,7 +173,7 @@ let link (st : t) src dst =
       Namespace.add st ~dir:dst_dir dst_name src_inum;
       e.ino.Inode.nlink <- e.ino.Inode.nlink + 1;
       e.ino.Inode.mtime_us <- Io.now_us st.io;
-      Inode_store.mark_dirty e;
+      Inode_store.mark_dirty st e;
       housekeep st)
 
 let regular_inum (st : t) path =

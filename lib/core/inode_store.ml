@@ -4,10 +4,19 @@ module Errors = Lfs_vfs.Errors
 
 let ptrs_of_bytes block n = Array.init n (fun i -> Bytes.get_int32_le block (i * 4) |> Int32.to_int |> ( land ) 0xFFFFFFFF)
 
+(* Every raise of a dirty flag goes through here, so [dirty_inodes]
+   walks the set instead of the whole table. *)
+let note_dirty (st : State.t) (e : State.itable_entry) =
+  Bitset.set st.dirty_inums e.ino.Inode.inum
+
+let mark_dirty st (e : State.itable_entry) =
+  e.ino_dirty <- true;
+  note_dirty st e
+
 let add_new (st : State.t) ino =
   let e = State.fresh_itable_entry ino in
-  e.ino_dirty <- true;
   Hashtbl.replace st.itable ino.Inode.inum e;
+  mark_dirty st e;
   e
 
 let find_loaded (st : State.t) inum = Hashtbl.find_opt st.itable inum
@@ -40,8 +49,6 @@ let find (st : State.t) inum =
               Errors.raise_
                 (Errors.Enoent
                    (Printf.sprintf "inum %d (stale inode map entry)" inum))))
-
-let mark_dirty (e : State.itable_entry) = e.ino_dirty <- true
 
 let ppb (st : State.t) = Layout.ptrs_per_block st.layout
 
@@ -121,6 +128,7 @@ let ensure_ind_for_write st (e : State.itable_entry) =
       let m = Array.make (ppb st) Layout.null_addr in
       e.ind_map <- Some m;
       e.ind_dirty <- true;
+      note_dirty st e;
       m
 
 let ensure_dind_top_for_write st (e : State.itable_entry) =
@@ -131,6 +139,7 @@ let ensure_dind_top_for_write st (e : State.itable_entry) =
       let m = Array.make (ppb st) Layout.null_addr in
       e.dind_top <- Some m;
       e.dind_top_dirty <- true;
+      note_dirty st e;
       m
 
 let ensure_dind_child_for_write st (e : State.itable_entry) child =
@@ -141,6 +150,7 @@ let ensure_dind_child_for_write st (e : State.itable_entry) child =
       let m = Array.make (ppb st) Layout.null_addr in
       e.dind_children.(child) <- Some m;
       Bitset.set e.dind_child_dirty child;
+      note_dirty st e;
       m
 
 let bmap_write st (e : State.itable_entry) blkno addr =
@@ -149,7 +159,7 @@ let bmap_write st (e : State.itable_entry) blkno addr =
   if blkno < Inode.ndirect then begin
     let old = e.ino.Inode.direct.(blkno) in
     e.ino.Inode.direct.(blkno) <- addr;
-    e.ino_dirty <- true;
+    mark_dirty st e;
     old
   end
   else if blkno < Inode.ndirect + p then begin
@@ -157,6 +167,7 @@ let bmap_write st (e : State.itable_entry) blkno addr =
     let old = m.(blkno - Inode.ndirect) in
     m.(blkno - Inode.ndirect) <- addr;
     e.ind_dirty <- true;
+    note_dirty st e;
     old
   end
   else begin
@@ -167,6 +178,7 @@ let bmap_write st (e : State.itable_entry) blkno addr =
     let old = m.(off) in
     m.(off) <- addr;
     Bitset.set e.dind_child_dirty child;
+    note_dirty st e;
     old
   end
 
@@ -179,26 +191,39 @@ let dind_child_addr st (e : State.itable_entry) child =
 let cleaner_touch_ind st (e : State.itable_entry) =
   match load_ind_for_read st e with
   | None -> ()
-  | Some _ -> e.ind_dirty <- true
+  | Some _ ->
+      e.ind_dirty <- true;
+      note_dirty st e
 
 let cleaner_touch_dind_top st (e : State.itable_entry) =
   match load_dind_top_for_read st e with
   | None -> ()
-  | Some _ -> e.dind_top_dirty <- true
+  | Some _ ->
+      e.dind_top_dirty <- true;
+      note_dirty st e
 
 let cleaner_touch_dind_child st (e : State.itable_entry) child =
   match load_dind_child_for_read st e child with
   | None -> ()
-  | Some _ -> Bitset.set e.dind_child_dirty child
+  | Some _ ->
+      Bitset.set e.dind_child_dirty child;
+      note_dirty st e
 
 let entry_dirty (e : State.itable_entry) =
   e.ino_dirty || e.ind_dirty || e.dind_top_dirty
   || Bitset.cardinal e.dind_child_dirty > 0
 
+(* Ascending bit order is inum order.  A bit whose entry has since been
+   flushed, deleted or dropped is cleared on the way. *)
 let dirty_inodes (st : State.t) =
-  Hashtbl.fold (fun _ e acc -> if entry_dirty e then e :: acc else acc) st.itable []
-  |> List.sort (fun a b ->
-         compare a.State.ino.Inode.inum b.State.ino.Inode.inum)
+  let acc = ref [] in
+  Bitset.iter_set
+    (fun inum ->
+      match find_loaded st inum with
+      | Some e when entry_dirty e -> acc := e :: !acc
+      | Some _ | None -> Bitset.clear st.dirty_inums inum)
+    st.dirty_inums;
+  List.rev !acc
 
 let clear_clean (st : State.t) =
   Hashtbl.iter
@@ -206,7 +231,8 @@ let clear_clean (st : State.t) =
       if entry_dirty e then
         invalid_arg "Inode_store.clear_clean: dirty inodes remain")
     st.itable;
-  Hashtbl.reset st.itable
+  Hashtbl.reset st.itable;
+  Bitset.clear_all st.dirty_inums
 
 let loaded_count (st : State.t) = Hashtbl.length st.itable
 

@@ -21,7 +21,14 @@ val materialize : State.t -> Inode.t -> State.itable_entry
 (** Insert a decoded inode into the table if absent (used by the cleaner
     when it proves liveness from an inode block it is moving). *)
 
-val mark_dirty : State.itable_entry -> unit
+val note_dirty : State.t -> State.itable_entry -> unit
+(** Record that one of [e]'s dirty flags ([ino_dirty], [ind_dirty],
+    [dind_top_dirty] or a [dind_child_dirty] bit) has just been raised.
+    Every site that raises one calls this (or {!mark_dirty}), so
+    {!dirty_inodes} walks [st.dirty_inums] rather than the table. *)
+
+val mark_dirty : State.t -> State.itable_entry -> unit
+(** Raise [ino_dirty] and {!note_dirty}. *)
 
 val bmap_read : State.t -> State.itable_entry -> int -> int
 (** Address of logical block [blkno] ({!Layout.null_addr} for a hole).
@@ -45,7 +52,8 @@ val cleaner_touch_dind_top : State.t -> State.itable_entry -> unit
 val cleaner_touch_dind_child : State.t -> State.itable_entry -> int -> unit
 
 val dirty_inodes : State.t -> State.itable_entry list
-(** Entries whose inode or pointer maps need writing, sorted by inum. *)
+(** Entries whose inode or pointer maps need writing, sorted by inum.
+    Costs the set bits of [st.dirty_inums], not the table size. *)
 
 val clear_clean : State.t -> unit
 (** Drop every entry with no dirty state (benchmark cache flush).

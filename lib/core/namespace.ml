@@ -27,7 +27,7 @@ let write (st : State.t) (e : State.itable_entry) blkidx block =
   if (blkidx + 1) * bs > e.ino.Inode.size then
     e.ino.Inode.size <- (blkidx + 1) * bs;
   e.ino.Inode.mtime_us <- Io.now_us st.io;
-  Inode_store.mark_dirty e
+  Inode_store.mark_dirty st e
 
 let backing : (State.t, State.itable_entry) Dir.backing =
   {

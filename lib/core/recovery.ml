@@ -235,7 +235,7 @@ let repair_namespace (st : State.t) =
             | e ->
                 if e.State.ino.Inode.nlink <> entries then begin
                   e.State.ino.Inode.nlink <- entries;
-                  Inode_store.mark_dirty e
+                  Inode_store.mark_dirty st e
                 end
             | exception Lfs_vfs.Errors.Error _ -> ())
       end

@@ -79,6 +79,7 @@ type t = {
   imap : Imap.t;
   usage : Seg_usage.t;
   itable : (int, itable_entry) Hashtbl.t;
+  dirty_inums : Bitset.t;  (** inums with a dirty flag raised, and stale bits *)
   dirs : Lfs_vfs.Dir.t;
   seg : segbuf;
   mutable next_seq : int;  (** sequence number for the next segment write *)
@@ -143,6 +144,7 @@ let create io config layout =
     imap = Imap.create layout;
     usage;
     itable = Hashtbl.create 256;
+    dirty_inums = Bitset.create layout.Layout.max_files;
     dirs = Lfs_vfs.Dir.create ~io ~block_size:layout.Layout.block_size;
     seg =
       {

@@ -74,6 +74,10 @@ type t = {
   imap : Imap.t;
   usage : Seg_usage.t;
   itable : (int, itable_entry) Hashtbl.t;
+  dirty_inums : Lfs_util.Bitset.t;
+      (** one bit per inum: set whenever a dirty flag of that inum's
+          entry is raised ({!Inode_store.note_dirty}), cleared lazily by
+          {!Inode_store.dirty_inodes} *)
   dirs : Lfs_vfs.Dir.t;  (** decoded directory blocks ({!Namespace}) *)
   seg : segbuf;
   mutable next_seq : int;

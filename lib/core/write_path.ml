@@ -36,7 +36,8 @@ let flush_pointer_blocks (st : State.t) ~privilege (e : State.itable_entry) =
             top.(child) <- addr;
             release st old ~bytes:bs;
             Cache.remove st.cache (Block_io.key_raw old);
-            e.dind_top_dirty <- true)
+            e.dind_top_dirty <- true;
+            Inode_store.note_dirty st e)
       e.dind_child_dirty;
     Bitset.clear_all e.dind_child_dirty
   end;
@@ -53,7 +54,7 @@ let flush_pointer_blocks (st : State.t) ~privilege (e : State.itable_entry) =
         e.ino.Inode.dindirect <- addr;
         release st old ~bytes:bs;
         Cache.remove st.cache (Block_io.key_raw old);
-        e.ino_dirty <- true);
+        Inode_store.mark_dirty st e);
     e.dind_top_dirty <- false
   end;
   if e.ind_dirty then begin
@@ -69,7 +70,7 @@ let flush_pointer_blocks (st : State.t) ~privilege (e : State.itable_entry) =
         e.ino.Inode.indirect <- addr;
         release st old ~bytes:bs;
         Cache.remove st.cache (Block_io.key_raw old);
-        e.ino_dirty <- true);
+        Inode_store.mark_dirty st e);
     e.ind_dirty <- false
   end
 

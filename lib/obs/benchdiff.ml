@@ -18,6 +18,7 @@ type report = {
   tolerance_pct : float;
   deltas : delta list;
   missing : string list;  (* figure/entry/metric in base but not in cur *)
+  unbaselined : string list;  (* figure/entry/metric in cur but not in base *)
 }
 
 (* Direction heuristics by metric name.  Throughputs, ratios and hit
@@ -108,20 +109,35 @@ let numeric_fields entry =
         kvs
   | _ -> []
 
+let entries = function Json.List l -> l | _ -> []
+
+(* Names the current entry has and the baseline entry lacks, nested
+   objects included, as "/"-joined paths.  A name missing from an object
+   is reported once, not once per name beneath it. *)
+let rec new_names prefix base cur acc =
+  match (base, cur) with
+  | Json.Obj bkvs, Json.Obj ckvs ->
+      List.fold_left
+        (fun acc (k, cv) ->
+          let path = if prefix = "" then k else prefix ^ "/" ^ k in
+          match List.assoc_opt k bkvs with
+          | None -> path :: acc
+          | Some bv -> new_names path bv cv acc)
+        acc ckvs
+  | _ -> acc
+
 let compare ?(tolerance_pct = 5.0) ~base ~cur () =
   check_schema "base" base;
   check_schema "current" cur;
   let base_figs = figures base and cur_figs = figures cur in
-  let deltas = ref [] and missing = ref [] in
+  let deltas = ref [] and missing = ref [] and unbaselined = ref [] in
   List.iter
     (fun (fig, base_entries) ->
-      let base_entries =
-        match base_entries with Json.List l -> l | _ -> []
-      in
+      let base_entries = entries base_entries in
       match List.assoc_opt fig cur_figs with
       | None -> missing := Printf.sprintf "figure %s" fig :: !missing
       | Some cur_v ->
-          let cur_entries = match cur_v with Json.List l -> l | _ -> [] in
+          let cur_entries = entries cur_v in
           List.iteri
             (fun i base_entry ->
               let label = entry_label i base_entry in
@@ -130,6 +146,12 @@ let compare ?(tolerance_pct = 5.0) ~base ~cur () =
                   missing :=
                     Printf.sprintf "%s entry %s" fig label :: !missing
               | Some cur_entry ->
+                  List.iter
+                    (fun path ->
+                      unbaselined :=
+                        Printf.sprintf "%s/%s metric %s" fig label path
+                        :: !unbaselined)
+                    (List.rev (new_names "" base_entry cur_entry []));
                   let cur_nums = numeric_fields cur_entry in
                   List.iter
                     (fun (metric, bval) ->
@@ -157,17 +179,34 @@ let compare ?(tolerance_pct = 5.0) ~base ~cur () =
                     (numeric_fields base_entry))
             base_entries)
     base_figs;
+  List.iter
+    (fun (fig, cur_v) ->
+      match List.assoc_opt fig base_figs with
+      | None -> unbaselined := Printf.sprintf "figure %s" fig :: !unbaselined
+      | Some base_v ->
+          let n = List.length (entries base_v) in
+          List.iteri
+            (fun i cur_entry ->
+              if i >= n then
+                unbaselined :=
+                  Printf.sprintf "%s entry %s" fig (entry_label i cur_entry)
+                  :: !unbaselined)
+            (entries cur_v))
+    cur_figs;
   {
     tolerance_pct;
     deltas = List.rev !deltas;
     missing = List.rev !missing;
+    unbaselined = List.rev !unbaselined;
   }
 
-(* Anything in the baseline that got worse — or vanished — gates. *)
+(* Anything in the baseline that got worse or vanished gates, and so
+   does anything the baseline never recorded: the gate cannot check it. *)
 let regressions rep =
   List.filter (fun d -> d.status = Regressed || d.status = Changed) rep.deltas
 
-let gates rep = regressions rep <> [] || rep.missing <> []
+let gates rep =
+  regressions rep <> [] || rep.missing <> [] || rep.unbaselined <> []
 
 let status_name = function
   | Same -> "same"
@@ -183,7 +222,7 @@ let fmt_num f =
 let render rep =
   let interesting = List.filter (fun d -> d.status <> Same) rep.deltas in
   let buf = Buffer.create 256 in
-  if interesting = [] && rep.missing = [] then
+  if interesting = [] && rep.missing = [] && rep.unbaselined = [] then
     Buffer.add_string buf
       (Printf.sprintf "benchdiff: %d metrics compared, all within %.1f%%\n"
          (List.length rep.deltas) rep.tolerance_pct)
@@ -210,15 +249,19 @@ let render rep =
     List.iter
       (fun m -> Buffer.add_string buf (Printf.sprintf "missing in current: %s\n" m))
       rep.missing;
+    List.iter
+      (fun m -> Buffer.add_string buf (Printf.sprintf "unbaselined: %s\n" m))
+      rep.unbaselined;
     let n_reg = List.length (regressions rep) in
     Buffer.add_string buf
       (Printf.sprintf
          "benchdiff: %d metrics compared, %d changed, %d regressed, %d \
-          missing (tolerance %.1f%%)\n"
+          missing, %d unbaselined (tolerance %.1f%%)\n"
          (List.length rep.deltas)
          (List.length interesting)
          n_reg
          (List.length rep.missing)
+         (List.length rep.unbaselined)
          rep.tolerance_pct)
   end;
   Buffer.contents buf
@@ -246,5 +289,7 @@ let to_json rep =
              (fun d -> if d.status = Same then None else Some (json_of_delta d))
              rep.deltas) );
       ("missing", Json.List (List.map (fun m -> Json.String m) rep.missing));
+      ( "unbaselined",
+        Json.List (List.map (fun m -> Json.String m) rep.unbaselined) );
       ("gate", Json.Bool (gates rep));
     ]

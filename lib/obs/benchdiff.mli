@@ -8,7 +8,9 @@
     out-of-tolerance change, since the simulation is deterministic.
     Nested objects (per-phase breakdowns) are not compared.  Figures,
     entries or metrics present in the baseline but missing from the
-    current file also gate. *)
+    current file also gate, and so do ones present in the current file
+    but absent from the baseline (nested names included): the gate
+    cannot check a number the baseline never recorded. *)
 
 type status = Same | Improved | Regressed | Changed
 
@@ -27,6 +29,9 @@ type report = {
   deltas : delta list;
   missing : string list;
       (** figures/entries/metrics in base but not in current *)
+  unbaselined : string list;
+      (** figures/entries/metric paths in current but not in base;
+          nested names are ["/"]-joined *)
 }
 
 val compare :
@@ -39,7 +44,8 @@ val regressions : report -> delta list
 (** The deltas that should fail a gate: [Regressed] plus [Changed]. *)
 
 val gates : report -> bool
-(** True iff there are {!regressions} or [missing] items. *)
+(** True iff there are {!regressions}, [missing] or [unbaselined]
+    items. *)
 
 val render : report -> string
 (** Out-of-tolerance rows as a table plus a one-line summary. *)

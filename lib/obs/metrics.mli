@@ -101,8 +101,6 @@ val mean : hist_snapshot -> float
 
 (** {1 Rendering} *)
 
-val pp_value : value_snapshot -> string
-
 val render : ?prefix:string -> snapshot -> string
 (** Two-column table, optionally restricted to a name prefix. *)
 

@@ -50,9 +50,15 @@ let find_first_clear ?(start = 0) t =
   end
 
 
+(* Whole zero bytes are skipped.  Within a non-zero byte each bit is
+   re-read, so [f] may set or clear bits as it goes and the walk sees
+   exactly what a bit-by-bit scan would. *)
 let iter_set f t =
-  for i = 0 to t.length - 1 do
-    if mem t i then f i
+  for byte = 0 to Bytes.length t.bits - 1 do
+    if Bytes.unsafe_get t.bits byte <> '\000' then
+      for i = byte lsl 3 to min t.length ((byte + 1) lsl 3) - 1 do
+        if mem t i then f i
+      done
   done
 
 let fill_all t =

@@ -60,7 +60,6 @@ val read_u32 : decoder -> int
 val read_i64 : decoder -> int64
 val read_int_as_i64 : decoder -> int
 val read_bool : decoder -> bool
-val read_bytes : decoder -> int -> bytes
 val read_string_u16 : decoder -> string
 val remaining : decoder -> int
 val skip : decoder -> int -> unit

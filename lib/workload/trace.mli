@@ -18,7 +18,6 @@ val pp_event : Format.formatter -> event -> unit
 
 (** {1 Serialization} *)
 
-val to_line : event -> string
 val of_line : string -> event option
 (** [None] on a blank line.  @raise Invalid_argument on garbage. *)
 

@@ -200,18 +200,19 @@ let test_usage_accounting_exact () =
    bad kind tag, as a torn write over a reused segment can leave) does
    not stop the pass.  A torn slot the map still points at is another
    matter, and still open. *)
-let test_dead_inode_slot_not_decoded () =
+(* A victim segment holding an inode-block slot that [pick] accepts
+   (given the slot's inum, block address and slot index): the segment,
+   the slot's block address, the block's bytes and the slot's offset. *)
+let find_inode_slot fs ~pick =
   let module Layout = Lfs_core.Layout in
   let module Io = Lfs_disk.Io in
-  let fs = make_lfs ~config:no_autoclean () in
-  fill_and_delete fs ~files:40 ~keep_every:4;
   let layout = Fs.layout fs and io = Fs.io fs in
   let read_block addr =
     Io.sync_read io
       ~sector:(Layout.sector_of_block layout addr)
       ~count:layout.Layout.block_sectors
   in
-  let dead_slot seg =
+  let slot_in seg =
     let first = Layout.segment_first_block layout seg in
     let summary =
       Io.sync_read io
@@ -231,33 +232,34 @@ let test_dead_inode_slot_not_decoded () =
                    |> List.find_map (fun slot ->
                           let off = slot * Layout.inode_bytes in
                           let inum = Lfs_core.Inode.inum_at block ~off in
-                          if
-                            inum > 0
-                            && not
-                                 (Lfs_core.Imap.is_allocated fs.imap inum
-                                 && Lfs_core.Imap.located_at fs.imap inum
-                                      ~addr ~slot)
-                          then Some (addr, block, off)
+                          if inum > 0 && pick ~inum ~addr ~slot then
+                            Some (addr, block, off)
                           else None)
                | _ -> None)
   in
-  let seg, (addr, block, off) =
-    List.init (Seg_usage.nsegments fs.usage) Fun.id
-    |> List.find_map (fun seg ->
-           if Seg_usage.state fs.usage seg = Seg_usage.Dirty then
-             Option.map (fun found -> (seg, found)) (dead_slot seg)
-           else None)
-    |> function
-    | Some found -> found
-    | None -> Alcotest.fail "no dead inode slot in a dirty segment"
-  in
-  Bytes.set_uint8 block (off + 4) 0xEE;
+  List.init (Seg_usage.nsegments fs.usage) Fun.id
+  |> List.find_map (fun seg ->
+         if Seg_usage.state fs.usage seg = Seg_usage.Dirty then
+           Option.map (fun (addr, block, off) -> (seg, addr, block, off))
+             (slot_in seg)
+         else None)
+
+(* Overwrite a slot's kind tag, and with [~whole] every byte after its
+   inum too, with 0xEE, so that decoding it raises; write it back. *)
+let plant_bad_slot fs ~addr block ~off ~whole =
+  let module Layout = Lfs_core.Layout in
+  let len = if whole then Layout.inode_bytes - 4 else 1 in
+  Bytes.fill block (off + 4) len '\xEE';
   (match Lfs_core.Inode.decode_at block ~off with
   | exception Lfs_util.Codec.Error _ -> ()
   | _ -> Alcotest.fail "planted kind tag still decodes");
-  Io.sync_write io ~sector:(Layout.sector_of_block layout addr) block;
-  let freed = Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ] in
-  Alcotest.(check int) "victim cleaned" 1 freed;
+  Lfs_disk.Io.sync_write (Fs.io fs)
+    ~sector:(Layout.sector_of_block (Fs.layout fs) addr)
+    block
+
+(* After cleaning: every kept file of [fill_and_delete ~files:40
+   ~keep_every:4] reads back cold, and fsck is clean. *)
+let check_kept_files fs =
   Fs.flush_caches fs;
   for i = 0 to 39 do
     if i mod 4 = 0 then
@@ -273,6 +275,49 @@ let test_dead_inode_slot_not_decoded () =
         (String.concat "; "
            (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues))
 
+let test_dead_inode_slot_not_decoded () =
+  let fs = make_lfs ~config:no_autoclean () in
+  fill_and_delete fs ~files:40 ~keep_every:4;
+  let pick ~inum ~addr ~slot =
+    not
+      (Lfs_core.Imap.is_allocated fs.imap inum
+      && Lfs_core.Imap.located_at fs.imap inum ~addr ~slot)
+  in
+  let seg, addr, block, off =
+    match find_inode_slot fs ~pick with
+    | Some found -> found
+    | None -> Alcotest.fail "no dead inode slot in a dirty segment"
+  in
+  plant_bad_slot fs ~addr block ~off ~whole:false;
+  let freed = Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ] in
+  Alcotest.(check int) "victim cleaned" 1 freed;
+  check_kept_files fs
+
+(* A live slot whose inode is loaded: the in-memory inode is the newer
+   copy, so the cleaner rewrites it without decoding the slot.  Every
+   byte after the slot's inum is garbage here. *)
+let test_loaded_live_inode_slot_not_decoded () =
+  let fs = make_lfs ~config:no_autoclean () in
+  fill_and_delete fs ~files:40 ~keep_every:4;
+  let pick ~inum ~addr ~slot =
+    Lfs_core.Imap.is_allocated fs.imap inum
+    && Lfs_core.Imap.located_at fs.imap inum ~addr ~slot
+    && Lfs_core.Inode_store.find_loaded fs inum <> None
+  in
+  let seg, addr, block, off =
+    match find_inode_slot fs ~pick with
+    | Some found -> found
+    | None -> Alcotest.fail "no loaded live inode slot in a dirty segment"
+  in
+  let inum = Lfs_core.Inode.inum_at block ~off in
+  plant_bad_slot fs ~addr block ~off ~whole:true;
+  let freed = Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ] in
+  Alcotest.(check int) "victim cleaned" 1 freed;
+  Alcotest.(check bool) "the slot's inode moved" false
+    (Lfs_core.Imap.located_at fs.imap inum ~addr
+       ~slot:(off / Lfs_core.Layout.inode_bytes));
+  check_kept_files fs
+
 let suite =
   [
     Alcotest.test_case "usage accounting matches ground truth" `Quick
@@ -286,6 +331,8 @@ let suite =
     Alcotest.test_case "log wraps" `Quick test_log_wraps;
     Alcotest.test_case "dead inode slot is not decoded" `Quick
       test_dead_inode_slot_not_decoded;
+    Alcotest.test_case "loaded live inode slot is not decoded" `Quick
+      test_loaded_live_inode_slot_not_decoded;
     Alcotest.test_case "greedy picks emptiest" `Quick test_greedy_picks_emptiest;
     Alcotest.test_case "all policies preserve data" `Quick test_policies_all_run;
     Alcotest.test_case "full segments not selected" `Quick

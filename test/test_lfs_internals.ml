@@ -189,6 +189,148 @@ let test_usage_report_consistency () =
     true
     (live > 30 * 2000 && live < 30 * 2000 * 4)
 
+(* Host cost of the dirty-inode set: words one [Fs.sync] allocates
+   with one dirty inode, among 16 and among ~8,000 loaded clean inodes.
+   A walk of the whole table that allocated per entry shows here.  (The
+   table fold the set replaced allocated only for dirty entries, so it
+   passes this gate too: the gate pins that the set costs no words per
+   clean inode.)  The cache holds 4,096 blocks so that neither case
+   evicts during the measured syncs. *)
+let test_sync_allocation_flat_in_loaded () =
+  let config =
+    { small_config with Config.max_files = 9000; cache_blocks = 4096 }
+  in
+  let with_loaded files =
+    let fs = make_lfs ~size_bytes:(16 * 1024 * 1024) ~config () in
+    let dirs = (files + 99) / 100 in
+    for d = 0 to dirs - 1 do
+      check_ok "mkdir" (Lfs_core.Fs.mkdir fs (Printf.sprintf "/d%02d" d))
+    done;
+    for i = 0 to files - 1 do
+      check_ok "create"
+        (Lfs_core.Fs.create fs (Printf.sprintf "/d%02d/f%04d" (i / 100) i))
+    done;
+    write_file fs "/hot" (Bytes.make 100 'h');
+    Lfs_core.Fs.sync fs;
+    let loaded = Lfs_core.Inode_store.loaded_count fs in
+    (* The median of five: the segment writer's position differs between
+       the two file systems, so one sync may roll to a new segment. *)
+    let words =
+      List.init 5 (fun k ->
+          check_ok "write"
+            (Lfs_core.Fs.write fs "/hot" ~off:k (Bytes.make 1 'x'));
+          let before = Gc.minor_words () in
+          Lfs_core.Fs.sync fs;
+          Gc.minor_words () -. before)
+      |> List.sort compare
+    in
+    (loaded, List.nth words 2)
+  in
+  let few, w_few = with_loaded 12 and many, w_many = with_loaded 8000 in
+  if few > 20 || many < 8000 then
+    Alcotest.failf "%d then %d loaded inodes, expected ~16 then >= 8000" few
+      many;
+  if Float.abs (w_many -. w_few) > 8. then
+    Alcotest.failf
+      "sync allocates %.0f words with %d loaded inodes, %.0f with %d" w_many
+      many w_few few
+
+(* The maintained dirty-inode set against a scan of the whole table,
+   after every op of a seeded random run.  An op that raises a dirty
+   flag without recording it in the set would lose that inode at the
+   next flush; this finds it.  Offsets reach the direct, single- and
+   double-indirect ranges (12 direct pointers, 256 per 1 KB block). *)
+let test_dirty_set_matches_scan () =
+  let module State = Lfs_core.State in
+  let module Fs = Lfs_core.Fs in
+  let fs = make_lfs ~size_bytes:(16 * 1024 * 1024) () in
+  let scan () =
+    Hashtbl.fold
+      (fun inum (e : State.itable_entry) acc ->
+        if
+          e.ino_dirty || e.ind_dirty || e.dind_top_dirty
+          || Lfs_util.Bitset.cardinal e.dind_child_dirty > 0
+        then inum :: acc
+        else acc)
+      fs.State.itable []
+    |> List.sort compare
+  in
+  let rng = Lfs_util.Rng.create 23 in
+  let path () = Printf.sprintf "/f%d" (Lfs_util.Rng.int rng 12) in
+  let offsets = [| 0; 5 * 1024; 20 * 1024; 300 * 1024; 600 * 1024 |] in
+  let ignore_result (_ : (unit, Lfs_vfs.Errors.t) result) = () in
+  for step = 1 to 600 do
+    (match Lfs_util.Rng.int rng 9 with
+    | 0 | 1 -> ignore_result (Fs.create fs (path ()))
+    | 2 | 3 ->
+        let off = offsets.(Lfs_util.Rng.int rng (Array.length offsets)) in
+        ignore_result (Fs.write fs (path ()) ~off (Bytes.make 100 'w'))
+    | 4 ->
+        ignore_result
+          (Fs.truncate fs (path ()) ~size:(Lfs_util.Rng.int rng 3 * 4096))
+    | 5 -> ignore_result (Fs.delete fs (path ()))
+    | 6 -> ignore_result (Fs.link fs (path ()) (path ()))
+    | 7 -> Fs.sync fs
+    | _ -> ignore (Fs.clean_now ~target:max_int fs : int));
+    let want = scan () in
+    let got =
+      List.map
+        (fun (e : State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
+        (Lfs_core.Inode_store.dirty_inodes fs)
+    in
+    if got <> want then
+      Alcotest.failf "step %d: dirty set [%s], table scan [%s]" step
+        (String.concat ";" (List.map string_of_int got))
+        (String.concat ";" (List.map string_of_int want))
+  done
+
+(* Each way a clean, loaded file gets a dirty flag must put it in the
+   dirty-inode set.  The cleaner's touches matter most: they raise a
+   pointer block's flag alone, and a file missing from the set would
+   keep its pointer block in a segment the cleaner then frees.  Block 0
+   is direct, 12 single-indirect and 268 (12 + 256) double-indirect. *)
+let test_every_raise_records_inum () =
+  let module Fs = Lfs_core.Fs in
+  let module Store = Lfs_core.Inode_store in
+  let fs = make_lfs ~size_bytes:(16 * 1024 * 1024) () in
+  write_file fs "/f" (Bytes.make (270 * 1024) 'f');
+  Fs.sync fs;
+  let inum = (check_ok "stat" (Fs.stat fs "/f")).Lfs_vfs.Fs_intf.inum in
+  let e =
+    match Store.find_loaded fs inum with
+    | Some e -> e
+    | None -> Alcotest.fail "/f not loaded after its write"
+  in
+  let dirty () =
+    List.map
+      (fun (e : Lfs_core.State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
+      (Store.dirty_inodes fs)
+  in
+  Alcotest.(check (list int)) "clean after sync" [] (dirty ());
+  let rewrite blkno =
+    ignore (Store.bmap_write fs e blkno (Store.bmap_read fs e blkno) : int)
+  in
+  List.iter
+    (fun (what, raise_flag) ->
+      raise_flag ();
+      Alcotest.(check (list int)) what [ inum ] (dirty ());
+      Fs.sync fs;
+      Alcotest.(check (list int)) (what ^ ", then sync") [] (dirty ()))
+    [
+      ("direct pointer", fun () -> rewrite 0);
+      ("single-indirect pointer", fun () -> rewrite 12);
+      ("double-indirect pointer", fun () -> rewrite 268);
+      ("cleaner touches the indirect block", fun () ->
+        Store.cleaner_touch_ind fs e);
+      ("cleaner touches the double-indirect top", fun () ->
+        Store.cleaner_touch_dind_top fs e);
+      ("cleaner touches a double-indirect child", fun () ->
+        Store.cleaner_touch_dind_child fs e 0);
+    ];
+  check_bytes "/f reads back" (Bytes.make (270 * 1024) 'f')
+    (Fs.flush_caches fs;
+     read_all fs "/f")
+
 let suite =
   [
     qcheck prop_layout_invariants;
@@ -205,4 +347,10 @@ let suite =
       test_inum_exhaustion_and_reuse;
     Alcotest.test_case "usage report consistency" `Quick
       test_usage_report_consistency;
+    Alcotest.test_case "sync allocation flat in loaded inodes" `Quick
+      test_sync_allocation_flat_in_loaded;
+    Alcotest.test_case "dirty-inode set matches a table scan" `Quick
+      test_dirty_set_matches_scan;
+    Alcotest.test_case "every dirty-flag raise records the inum" `Quick
+      test_every_raise_records_inum;
   ]

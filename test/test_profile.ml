@@ -161,6 +161,50 @@ let test_benchdiff_missing_gates () =
   Alcotest.(check bool) "missing figure gates" true (B.gates rep);
   Alcotest.(check bool) "reported as missing" true (rep.B.missing <> [])
 
+(* A name the baseline never recorded gates, at the top level of an
+   entry and inside a nested snapshot, and so do a new entry and a new
+   figure. *)
+let test_benchdiff_unbaselined_gates () =
+  let doc ?(fields = []) ?(phase = []) ?(more = []) ?(figs = []) () =
+    let entry =
+      Json.Obj
+        ([
+           ("label", Json.String "LFS");
+           ("create_per_sec", Json.Float 400.0);
+           ( "phases",
+             Json.Obj
+               [ ("create", Json.Obj (("disk.reads", Json.Int 3) :: phase)) ]
+           );
+         ]
+        @ fields)
+    in
+    Json.Obj
+      [
+        ("schema", Json.String "lfs-bench/1");
+        ("quick", Json.Bool true);
+        ("figures", Json.Obj (("fig3", Json.List (entry :: more)) :: figs));
+      ]
+  in
+  let base = doc () in
+  let check what cur expected =
+    let rep = B.compare ~base ~cur () in
+    Alcotest.(check (list string)) what expected rep.B.unbaselined;
+    Alcotest.(check bool) (what ^ " gates") (expected <> []) (B.gates rep)
+  in
+  check "identical" base [];
+  check "new top-level metric"
+    (doc ~fields:[ ("read_per_sec", Json.Float 1.0) ] ())
+    [ "fig3/LFS metric read_per_sec" ];
+  check "new nested metric, reported once"
+    (doc ~phase:[ ("io.queue.depth", Json.Obj [ ("count", Json.Int 0) ]) ] ())
+    [ "fig3/LFS metric phases/create/io.queue.depth" ];
+  check "new entry and figure"
+    (doc
+       ~more:[ Json.Obj [ ("label", Json.String "FFS") ] ]
+       ~figs:[ ("fig9", Json.List []) ]
+       ())
+    [ "fig3 entry FFS"; "figure fig9" ]
+
 let test_benchdiff_bad_schema () =
   let doc = bench_doc ~create_per_sec:1.0 ~write_cost:1.0 in
   let bad = Json.Obj [ ("schema", Json.String "something-else") ] in
@@ -182,5 +226,7 @@ let suite =
       test_benchdiff_tolerance;
     Alcotest.test_case "benchdiff missing gates" `Quick
       test_benchdiff_missing_gates;
+    Alcotest.test_case "benchdiff unbaselined gates" `Quick
+      test_benchdiff_unbaselined_gates;
     Alcotest.test_case "benchdiff bad schema" `Quick test_benchdiff_bad_schema;
   ]

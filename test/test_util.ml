@@ -13,6 +13,33 @@ let qcheck = Common.qcheck
 
 (* Bitset *)
 
+(* [iter_set] skips zero bytes; the model tests every bit.  Lengths up
+   to 200 give partial last bytes; empty and full sets are forced in a
+   third of the cases each.  Clearing each bit as it is visited (what
+   [Inode_store.dirty_inodes] does) must not change the walk. *)
+let prop_bitset_iter_set =
+  QCheck.Test.make ~name:"bitset iter_set matches a per-bit scan" ~count:300
+    QCheck.(triple (int_bound 200) (int_bound 2) (list (int_bound 199)))
+    (fun (len, shape, sets) ->
+      let b = Bitset.create len in
+      (match shape with
+      | 0 -> ()
+      | 1 -> Bitset.fill_all b
+      | _ -> List.iter (fun i -> if i < len then Bitset.set b i) sets);
+      let model = List.filter (Bitset.mem b) (List.init len Fun.id) in
+      let walk ~clear =
+        let acc = ref [] in
+        Bitset.iter_set
+          (fun i ->
+            acc := i :: !acc;
+            if clear then Bitset.clear b i)
+          b;
+        List.rev !acc
+      in
+      walk ~clear:false = model
+      && walk ~clear:true = model
+      && Bitset.cardinal b = 0)
+
 let test_bitset_basic () =
   let b = Bitset.create 100 in
   Alcotest.(check int) "empty" 0 (Bitset.cardinal b);
@@ -187,8 +214,8 @@ let test_crc32_differential () =
       (crc32_reference b ~off ~len)
       (Crc32.digest_bytes ~off ~len b)
   in
-  (* Every alignment and every tail length around the 8-byte stride. *)
-  for off = 0 to 7 do
+  (* Every alignment and every tail length around the 16-byte stride. *)
+  for off = 0 to 15 do
     for len = 0 to 64 do
       check off len
     done
@@ -213,7 +240,87 @@ let test_crc32_differential () =
   rejects "negative off" (fun () -> Crc32.digest_bytes ~off:(-1) small);
   rejects "off past end" (fun () -> Crc32.digest_bytes ~off:17 small);
   rejects "negative len" (fun () -> Crc32.digest_bytes ~len:(-1) small);
-  rejects "len past end" (fun () -> Crc32.digest_bytes ~off:8 ~len:9 small)
+  rejects "len past end" (fun () -> Crc32.digest_bytes ~off:8 ~len:9 small);
+  rejects "off + len overflows" (fun () ->
+      Crc32.digest_bytes ~off:1 ~len:max_int small);
+  rejects "off past end, no len" (fun () ->
+      Crc32.digest_bytes ~off:max_int small)
+
+(* The slicing-by-8 loop the library ran in OCaml before the C kernel,
+   kept as the model the kernel is checked against: eight 256-entry
+   tables, table [k] advancing a byte through [k] further zero bytes. *)
+let crc32_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
+
+let crc32_model b ~off ~len =
+  let t i = crc32_tables.(i) in
+  let byte i = Char.code (Bytes.get b i) in
+  let crc = ref 0xFFFFFFFF in
+  let i = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !i < stop8 do
+    let p = !i and c = !crc in
+    crc :=
+      t (0x700 + ((c lxor byte p) land 0xFF))
+      lxor t (0x600 + (((c lsr 8) lxor byte (p + 1)) land 0xFF))
+      lxor t (0x500 + (((c lsr 16) lxor byte (p + 2)) land 0xFF))
+      lxor t (0x400 + ((c lsr 24) lxor byte (p + 3)))
+      lxor t (0x300 + byte (p + 4))
+      lxor t (0x200 + byte (p + 5))
+      lxor t (0x100 + byte (p + 6))
+      lxor t (byte (p + 7));
+    i := p + 8
+  done;
+  for p = stop8 to off + len - 1 do
+    crc := t ((!crc lxor byte p) land 0xFF) lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let test_crc32_model () =
+  let check what b ~off ~len =
+    let want = crc32_model b ~off ~len in
+    let got = Crc32.digest_bytes ~off ~len b in
+    if got <> want then
+      Alcotest.failf "%s off %d len %d: kernel %lx, model %lx" what off len got
+        want
+  in
+  let random n seed =
+    let b = Bytes.create n in
+    Rng.fill_bytes (Rng.create seed) b;
+    b
+  in
+  let small = random 128 1 in
+  for off = 0 to 15 do
+    for len = 0 to 64 do
+      check "every alignment" small ~off ~len;
+      if crc32_model small ~off ~len <> crc32_reference small ~off ~len then
+        Alcotest.failf "model off %d len %d disagrees with the definition" off
+          len
+    done
+  done;
+  List.iter
+    (fun seed ->
+      let page = random 4096 seed in
+      check "4 KB" page ~off:0 ~len:4096;
+      check "4 KB, odd slice" page ~off:(seed land 15) ~len:(4096 - 31))
+    [ 2; 3; 4; 5 ];
+  let mb = random (1 lsl 20) 6 in
+  check "1 MB" mb ~off:0 ~len:(1 lsl 20);
+  check "1 MB, odd slice" mb ~off:7 ~len:((1 lsl 20) - 20)
 
 (* RNG *)
 
@@ -430,6 +537,7 @@ let suite =
     Alcotest.test_case "bitset wrap search" `Quick test_bitset_wrap_search;
     Alcotest.test_case "bitset fill/clear all" `Quick test_bitset_fill_all;
     qcheck prop_bitset_roundtrip;
+    qcheck prop_bitset_iter_set;
     Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
     Alcotest.test_case "lru replace" `Quick test_lru_replace;
     Alcotest.test_case "lru order" `Quick test_lru_order;
@@ -440,6 +548,8 @@ let suite =
     Alcotest.test_case "crc32 slice" `Quick test_crc32_slice;
     Alcotest.test_case "crc32 matches bitwise reference" `Quick
       test_crc32_differential;
+    Alcotest.test_case "crc32 matches the slicing-by-8 model" `Quick
+      test_crc32_model;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;

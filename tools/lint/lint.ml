@@ -71,9 +71,13 @@ module A = Analysis
 
 (* --- file discovery ------------------------------------------------- *)
 
+(* Hidden entries are skipped: under _build they are dune's object
+   directories, which a concurrent compile may be rewriting. *)
 let rec ml_files path =
   if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
+    Sys.readdir path |> Array.to_list
+    |> List.filter (fun name -> name.[0] <> '.')
+    |> List.sort String.compare
     |> List.concat_map (fun name -> ml_files (Filename.concat path name))
   else if Filename.check_suffix path ".ml" then [ path ]
   else []
