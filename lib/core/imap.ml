@@ -132,23 +132,22 @@ let dirty_blocks t =
 
 let clear_dirty t = Bitset.clear_all t.dirty
 
+(* Each entry is written in place into one zeroed block: the gaps up to
+   [imap_entry_bytes] and the tail past the last entry stay zero. *)
 let encode_block t ~idx =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Imap.encode_block";
-  let bs = t.layout.Layout.block_size in
-  let e = Codec.encoder ~capacity:bs () in
+  let block = Bytes.make t.layout.Layout.block_size '\000' in
   let base = idx * t.entries_per_block in
-  for i = base to base + t.entries_per_block - 1 do
-    if i < max_files t then begin
-      Codec.u32 e t.addr.(i);
-      Codec.u16 e t.slot.(i);
-      Codec.u32 e t.version.(i);
-      Codec.int_as_i64 e t.atime.(i);
-      Codec.u8 e (if Bitset.mem t.allocated i then 1 else 0);
-      Codec.pad_to e ((i - base + 1) * Layout.imap_entry_bytes)
-    end
+  for i = base to min (base + t.entries_per_block) (max_files t) - 1 do
+    let off = (i - base) * Layout.imap_entry_bytes in
+    let off = Codec.put_u32 block off t.addr.(i) in
+    let off = Codec.put_u16 block off t.slot.(i) in
+    let off = Codec.put_u32 block off t.version.(i) in
+    let off = Codec.put_int_as_i64 block off t.atime.(i) in
+    let alloc = if Bitset.mem t.allocated i then 1 else 0 in
+    ignore (Codec.put_u8 block off alloc : int)
   done;
-  Codec.pad_to e bs;
-  Codec.to_bytes e
+  block
 
 let load_block t ~idx block =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Imap.load_block";

@@ -13,21 +13,38 @@ let mark_dirty st (e : State.itable_entry) =
   e.ino_dirty <- true;
   note_dirty st e
 
-let add_new (st : State.t) ino =
+(* The table is indexed by inum; a slot's [Some] is allocated here, once,
+   so lookups return it as it is. *)
+let insert (st : State.t) ino =
   let e = State.fresh_itable_entry ino in
-  Hashtbl.replace st.itable ino.Inode.inum e;
+  let inum = ino.Inode.inum in
+  (match st.itable.(inum) with
+  | None -> st.itable_loaded <- st.itable_loaded + 1
+  | Some _ -> ());
+  st.itable.(inum) <- Some e;
+  e
+
+let remove (st : State.t) inum =
+  match st.itable.(inum) with
+  | Some _ ->
+      st.itable.(inum) <- None;
+      st.itable_loaded <- st.itable_loaded - 1
+  | None -> ()
+
+let add_new st ino =
+  let e = insert st ino in
   mark_dirty st e;
   e
 
-let find_loaded (st : State.t) inum = Hashtbl.find_opt st.itable inum
+let find_loaded (st : State.t) inum =
+  if inum >= 0 && inum < Array.length st.itable then
+    st.itable.(inum)
+  else None
 
-let materialize (st : State.t) ino =
+let materialize st ino =
   match find_loaded st ino.Inode.inum with
   | Some e -> e
-  | None ->
-      let e = State.fresh_itable_entry ino in
-      Hashtbl.replace st.itable ino.Inode.inum e;
-      e
+  | None -> insert st ino
 
 let find (st : State.t) inum =
   match find_loaded st inum with
@@ -226,15 +243,17 @@ let dirty_inodes (st : State.t) =
   List.rev !acc
 
 let clear_clean (st : State.t) =
-  Hashtbl.iter
-    (fun _ e ->
-      if entry_dirty e then
-        invalid_arg "Inode_store.clear_clean: dirty inodes remain")
+  Array.iter
+    (function
+      | Some e when entry_dirty e ->
+          invalid_arg "Inode_store.clear_clean: dirty inodes remain"
+      | Some _ | None -> ())
     st.itable;
-  Hashtbl.reset st.itable;
+  Array.fill st.itable 0 (Array.length st.itable) None;
+  st.itable_loaded <- 0;
   Bitset.clear_all st.dirty_inums
 
-let loaded_count (st : State.t) = Hashtbl.length st.itable
+let loaded_count (st : State.t) = st.itable_loaded
 
 let release_block (st : State.t) addr ~bytes =
   if addr <> Layout.null_addr && addr >= st.layout.Layout.first_segment_block
@@ -271,5 +290,5 @@ let delete (st : State.t) inum =
   | None -> ());
   Lfs_cache.Readahead.forget st.readahead ~owner:inum;
   Lfs_vfs.Dir.forget st.dirs inum;
-  Hashtbl.remove st.itable inum;
+  remove st inum;
   Imap.free st.imap inum

@@ -15,7 +15,8 @@ val find : State.t -> int -> State.itable_entry
     @raise Errors.Error [Enoent] if the inum is not allocated. *)
 
 val find_loaded : State.t -> int -> State.itable_entry option
-(** Only consult the in-memory table. *)
+(** Only consult the in-memory table: one array load, no allocation;
+    [None] for an inum outside [0, max_files). *)
 
 val materialize : State.t -> Inode.t -> State.itable_entry
 (** Insert a decoded inode into the table if absent (used by the cleaner

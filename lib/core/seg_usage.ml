@@ -126,23 +126,22 @@ let state_of_tag = function
   | 2 -> Active
   | n -> raise (Codec.Error (Printf.sprintf "seg_usage: bad state tag %d" n))
 
+(* Each entry is written in place into one zeroed block, as in
+   [Imap.encode_block]. *)
 let encode_block t ~idx =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Seg_usage.encode_block";
-  let bs = t.layout.Layout.block_size in
-  let e = Codec.encoder ~capacity:bs () in
+  let block = Bytes.make t.layout.Layout.block_size '\000' in
   let base = idx * t.entries_per_block in
-  for i = base to base + t.entries_per_block - 1 do
-    if i < nsegments t then begin
-      Codec.u32 e t.live.(i);
-      Codec.int_as_i64 e t.mtime.(i);
-      (* An in-memory Active segment is persisted as Dirty: after a crash
-         the partially-filled segment is just a fragmented segment. *)
-      Codec.u8 e (state_tag (if t.states.(i) = Active then Dirty else t.states.(i)));
-      Codec.pad_to e ((i - base + 1) * Layout.usage_entry_bytes)
-    end
+  for i = base to min (base + t.entries_per_block) (nsegments t) - 1 do
+    let off = (i - base) * Layout.usage_entry_bytes in
+    let off = Codec.put_u32 block off t.live.(i) in
+    let off = Codec.put_int_as_i64 block off t.mtime.(i) in
+    (* An in-memory Active segment is persisted as Dirty: after a crash
+       the partially-filled segment is just a fragmented segment. *)
+    let s = match t.states.(i) with Active -> Dirty | s -> s in
+    ignore (Codec.put_u8 block off (state_tag s) : int)
   done;
-  Codec.pad_to e bs;
-  Codec.to_bytes e
+  block
 
 let load_block t ~idx block =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Seg_usage.load_block";

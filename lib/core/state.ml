@@ -78,7 +78,9 @@ type t = {
   readahead : Lfs_cache.Readahead.t;
   imap : Imap.t;
   usage : Seg_usage.t;
-  itable : (int, itable_entry) Hashtbl.t;
+  itable : itable_entry option array;
+      (** indexed by inum, [max_files] slots, [None] where not loaded *)
+  mutable itable_loaded : int;  (** filled slots of [itable] *)
   dirty_inums : Bitset.t;  (** inums with a dirty flag raised, and stale bits *)
   dirs : Lfs_vfs.Dir.t;
   seg : segbuf;
@@ -143,7 +145,8 @@ let create io config layout =
         metrics;
     imap = Imap.create layout;
     usage;
-    itable = Hashtbl.create 256;
+    itable = Array.make layout.Layout.max_files None;
+    itable_loaded = 0;
     dirty_inums = Bitset.create layout.Layout.max_files;
     dirs = Lfs_vfs.Dir.create ~io ~block_size:layout.Layout.block_size;
     seg =

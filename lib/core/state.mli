@@ -73,7 +73,11 @@ type t = {
   readahead : Lfs_cache.Readahead.t;
   imap : Imap.t;
   usage : Seg_usage.t;
-  itable : (int, itable_entry) Hashtbl.t;
+  itable : itable_entry option array;
+      (** the loaded inodes, indexed by inum: [max_files] slots, [None]
+          where not loaded; each [Some] is built once, when its entry is
+          inserted ({!Inode_store}) *)
+  mutable itable_loaded : int;  (** the filled slots of [itable] *)
   dirty_inums : Lfs_util.Bitset.t;
       (** one bit per inum: set whenever a dirty flag of that inum's
           entry is raised ({!Inode_store.note_dirty}), cleared lazily by

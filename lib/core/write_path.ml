@@ -101,9 +101,10 @@ let flush_file_data (st : State.t) ~privilege inum blknos =
         (List.sort compare blknos);
       flush_pointer_blocks st ~privilege e
 
-(* Pack all dirty inodes into shared inode blocks and point the inode map
-   at them. *)
-let flush_inodes (st : State.t) ~privilege =
+(* Pack the dirty inodes [dirty] (the list [Inode_store.dirty_inodes]
+   gave, their pointer blocks since flushed) into shared inode blocks and
+   point the inode map at them. *)
+let flush_inodes (st : State.t) ~privilege dirty =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
   let per_block = Layout.inodes_per_block layout in
@@ -142,7 +143,22 @@ let flush_inodes (st : State.t) ~privilege =
         e.ino_dirty <- false)
       group
   in
-  List.iter flush_group (chunks (Inode_store.dirty_inodes st))
+  List.iter flush_group (chunks dirty)
+
+(* Pointer blocks and inodes only — the part of the backlog that is
+   small and bounded (no file data).  Used by the cleaner to persist its
+   evacuations, and by [flush_data] after the data: files whose metadata
+   is dirty without dirty data (deletes that touched the directory inode,
+   cleaner-marked pointer blocks...).  One walk of the dirty set serves
+   both steps: flushing a listed file's pointer blocks leaves it
+   [ino_dirty] and dirties no other file, so a second walk would return
+   the same list. *)
+let flush_metadata (st : State.t) ~privilege =
+  let dirty = Inode_store.dirty_inodes st in
+  List.iter
+    (fun (e : State.itable_entry) -> flush_pointer_blocks st ~privilege e)
+    dirty;
+  flush_inodes st ~privilege dirty
 
 let flush_data (st : State.t) ~privilege =
   if not st.flushing then begin
@@ -169,12 +185,7 @@ let flush_data (st : State.t) ~privilege =
           (fun owner ->
             flush_file_data st ~privilege owner (Hashtbl.find by_owner owner))
           (List.rev !order);
-        (* Files whose metadata is dirty without dirty data (deletes that
-           touched the directory inode, cleaner-marked pointer blocks...) *)
-        List.iter
-          (fun (e : State.itable_entry) -> flush_pointer_blocks st ~privilege e)
-          (Inode_store.dirty_inodes st);
-        flush_inodes st ~privilege)
+        flush_metadata st ~privilege)
   end
 
 (* fsync: push exactly one file — its dirty data blocks, pointer blocks
@@ -208,15 +219,6 @@ let flush_file (st : State.t) ~privilege inum =
       Imap.set_location st.imap inum ~addr ~slot:0;
       e.State.ino_dirty <- false
   | Some _ | None -> ()
-
-(* Pointer blocks and inodes only — the part of the backlog that is
-   small and bounded (no file data).  Used by the cleaner to persist its
-   evacuations. *)
-let flush_metadata (st : State.t) ~privilege =
-  List.iter
-    (fun (e : State.itable_entry) -> flush_pointer_blocks st ~privilege e)
-    (Inode_store.dirty_inodes st);
-  flush_inodes st ~privilege
 
 let sync (st : State.t) ~privilege =
   flush_data st ~privilege;

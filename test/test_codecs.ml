@@ -233,6 +233,98 @@ let test_usage_block_roundtrip () =
   Alcotest.(check bool) "active persisted as dirty" true
     (Seg_usage.state u' 1 = Seg_usage.Dirty)
 
+(* The map-block encoders write each entry in place.  Their model is the
+   growable [Codec] encoder they used before: entry by entry, padded to
+   the entry size, then to the block.  A block of random entries is
+   loaded (every field in range, so [load_block] keeps it as it is:
+   null or in-log addresses, slots within an inode block, and state tag
+   2, Active, which persists as Dirty), re-encoded, and compared
+   byte for byte with the model built from the same entries. *)
+let model_block ~block_size ~entry_bytes entries put =
+  let e = Lfs_util.Codec.encoder ~capacity:block_size () in
+  List.iteri
+    (fun k entry ->
+      put e entry;
+      Lfs_util.Codec.pad_to e ((k + 1) * entry_bytes))
+    entries;
+  Lfs_util.Codec.pad_to e block_size;
+  Lfs_util.Codec.to_bytes e
+
+let map_block_gen = QCheck.(pair small_nat int)
+
+let prop_imap_block_model =
+  QCheck.Test.make ~name:"imap block encodes as the codec model" ~count:100
+    map_block_gen
+    (fun (idx, seed) ->
+      let module Codec = Lfs_util.Codec in
+      let l = layout () in
+      let m = Imap.create l in
+      let idx = idx mod Imap.n_blocks m in
+      let rng = Lfs_util.Rng.create seed in
+      let per = Layout.imap_entries_per_block l in
+      let base = idx * per in
+      let n = min per (Imap.max_files m - base) in
+      let u32 () = Int64.to_int (Lfs_util.Rng.next_int64 rng) land 0xFFFFFFFF in
+      let entries =
+        List.init n (fun _ ->
+            let addr =
+              if Lfs_util.Rng.bool rng then Layout.null_addr
+              else
+                l.Layout.first_segment_block
+                + Lfs_util.Rng.int rng
+                    (l.Layout.total_blocks - l.Layout.first_segment_block)
+            in
+            ( addr,
+              Lfs_util.Rng.int rng (Layout.inodes_per_block l),
+              u32 (),
+              Int64.to_int (Lfs_util.Rng.next_int64 rng),
+              Lfs_util.Rng.bool rng ))
+      in
+      let want =
+        model_block ~block_size:l.Layout.block_size
+          ~entry_bytes:Layout.imap_entry_bytes entries
+          (fun e (addr, slot, version, atime, alloc) ->
+            Codec.u32 e addr;
+            Codec.u16 e slot;
+            Codec.u32 e version;
+            Codec.int_as_i64 e atime;
+            Codec.u8 e (if alloc then 1 else 0))
+      in
+      Imap.load_block m ~idx want;
+      Bytes.equal want (Imap.encode_block m ~idx))
+
+let prop_usage_block_model =
+  QCheck.Test.make ~name:"usage block encodes as the codec model" ~count:100
+    map_block_gen
+    (fun (idx, seed) ->
+      let module Codec = Lfs_util.Codec in
+      let l = layout () in
+      let u = Seg_usage.create l in
+      let idx = idx mod Seg_usage.n_blocks u in
+      let rng = Lfs_util.Rng.create seed in
+      let per = Layout.usage_entries_per_block l in
+      let base = idx * per in
+      let n = min per (Seg_usage.nsegments u - base) in
+      let entries =
+        List.init n (fun _ ->
+            ( Int64.to_int (Lfs_util.Rng.next_int64 rng) land 0xFFFFFFFF,
+              Int64.to_int (Lfs_util.Rng.next_int64 rng),
+              Lfs_util.Rng.int rng 3 ))
+      in
+      let encode tag_of e (live, mtime, tag) =
+        Codec.u32 e live;
+        Codec.int_as_i64 e mtime;
+        Codec.u8 e (tag_of tag)
+      in
+      let model tag_of =
+        model_block ~block_size:l.Layout.block_size
+          ~entry_bytes:Layout.usage_entry_bytes entries (encode tag_of)
+      in
+      Seg_usage.load_block u ~idx (model Fun.id);
+      Bytes.equal
+        (model (fun tag -> if tag = 2 then 1 else tag))
+        (Seg_usage.encode_block u ~idx))
+
 let suite =
   [
     qcheck prop_inode_roundtrip;
@@ -246,4 +338,6 @@ let suite =
     Alcotest.test_case "superblock roundtrip" `Quick test_superblock_roundtrip;
     Alcotest.test_case "imap block roundtrip" `Quick test_imap_block_roundtrip;
     Alcotest.test_case "usage block roundtrip" `Quick test_usage_block_roundtrip;
+    qcheck prop_imap_block_model;
+    qcheck prop_usage_block_model;
   ]

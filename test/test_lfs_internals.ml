@@ -245,14 +245,14 @@ let test_dirty_set_matches_scan () =
   let module Fs = Lfs_core.Fs in
   let fs = make_lfs ~size_bytes:(16 * 1024 * 1024) () in
   let scan () =
-    Hashtbl.fold
-      (fun inum (e : State.itable_entry) acc ->
-        if
-          e.ino_dirty || e.ind_dirty || e.dind_top_dirty
-          || Lfs_util.Bitset.cardinal e.dind_child_dirty > 0
-        then inum :: acc
-        else acc)
-      fs.State.itable []
+    Array.fold_left
+      (fun acc -> function
+        | Some (e : State.itable_entry)
+          when e.ino_dirty || e.ind_dirty || e.dind_top_dirty
+               || Lfs_util.Bitset.cardinal e.dind_child_dirty > 0 ->
+            e.ino.Lfs_core.Inode.inum :: acc
+        | Some _ | None -> acc)
+      [] fs.State.itable
     |> List.sort compare
   in
   let rng = Lfs_util.Rng.create 23 in
@@ -331,6 +331,98 @@ let test_every_raise_records_inum () =
     (Fs.flush_caches fs;
      read_all fs "/f")
 
+(* The inode table is indexed by inum, so a lookup of a loaded inode is
+   a bounds check and one load: 1,000 [Inode_store.find] calls allocate
+   nothing (a [Hashtbl.find_opt] allocates a [Some] per call).  Measured
+   against the same loop without the calls, so the harness's own words
+   cancel. *)
+let test_find_allocates_nothing () =
+  let module Store = Lfs_core.Inode_store in
+  let fs = make_lfs () in
+  let inums =
+    Array.init 10 (fun i ->
+        let path = Printf.sprintf "/f%d" i in
+        check_ok "create" (Lfs_core.Fs.create fs path);
+        (check_ok "stat" (Lfs_core.Fs.stat fs path)).Lfs_vfs.Fs_intf.inum)
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to 1000 do
+      f inums.(i mod Array.length inums)
+    done;
+    Gc.minor_words () -. before
+  in
+  let find inum = ignore (Sys.opaque_identity (Store.find fs inum)) in
+  let none (_ : int) = () in
+  ignore (words find : float);
+  let w_find = words find and w_none = words none in
+  if w_find <> w_none then
+    Alcotest.failf "1000 finds allocate %.0f words (the empty loop %.0f)"
+      w_find w_none;
+  Alcotest.(check bool) "out of range is not loaded" true
+    (Store.find_loaded fs (-1) = None
+    && Store.find_loaded fs fs.Lfs_core.State.layout.Layout.max_files = None)
+
+(* The loaded count against the filled slots, through a seeded churn of
+   creates, deletes, syncs, remounts and cache flushes ([clear_clean]);
+   a deleted inum is never found again. *)
+let test_itable_churn () =
+  let module Fs = Lfs_core.Fs in
+  let module Store = Lfs_core.Inode_store in
+  let module State = Lfs_core.State in
+  let fs = ref (make_lfs ~size_bytes:(16 * 1024 * 1024) ()) in
+  let rng = Lfs_util.Rng.create 29 in
+  let live = Hashtbl.create 64 and deleted = ref [] in
+  let check step =
+    let st = !fs in
+    let filled =
+      Array.fold_left
+        (fun n -> function Some _ -> n + 1 | None -> n)
+        0 st.State.itable
+    in
+    if Store.loaded_count st <> filled then
+      Alcotest.failf "step %d: loaded_count %d, %d filled slots" step
+        (Store.loaded_count st) filled;
+    List.iter
+      (fun inum ->
+        if Store.find_loaded st inum <> None then
+          Alcotest.failf "step %d: deleted inum %d still loaded" step inum;
+        match Store.find st inum with
+        | _ -> Alcotest.failf "step %d: deleted inum %d found" step inum
+        | exception Lfs_vfs.Errors.Error (Lfs_vfs.Errors.Enoent _) -> ())
+      !deleted
+  in
+  for step = 1 to 400 do
+    (match Lfs_util.Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+        let path = Printf.sprintf "/f%d" step in
+        write_file !fs path (Bytes.make (Lfs_util.Rng.int rng 3000) 'c');
+        let inum = (check_ok "stat" (Fs.stat !fs path)).Lfs_vfs.Fs_intf.inum in
+        deleted := List.filter (( <> ) inum) !deleted;
+        Hashtbl.replace live path inum
+    | 4 | 5 | 6 -> (
+        match Hashtbl.fold (fun p i acc -> (p, i) :: acc) live [] with
+        | [] -> ()
+        | files ->
+            let files = List.sort compare files in
+            let path, inum =
+              List.nth files (Lfs_util.Rng.int rng (List.length files))
+            in
+            check_ok "delete" (Fs.delete !fs path);
+            Hashtbl.remove live path;
+            deleted := inum :: !deleted)
+    | 7 -> Fs.sync !fs
+    | 8 -> Fs.flush_caches !fs
+    | _ -> (
+        Fs.unmount !fs;
+        match Fs.mount ~config:small_config (Fs.io !fs) with
+        | Ok m -> fs := m
+        | Error e -> Alcotest.failf "remount: %s" e));
+    check step
+  done;
+  Alcotest.(check bool) "churn loaded and dropped inodes" true
+    (Hashtbl.length live > 0 && !deleted <> [])
+
 let suite =
   [
     qcheck prop_layout_invariants;
@@ -351,6 +443,10 @@ let suite =
       test_sync_allocation_flat_in_loaded;
     Alcotest.test_case "dirty-inode set matches a table scan" `Quick
       test_dirty_set_matches_scan;
+    Alcotest.test_case "inode lookups allocate nothing" `Quick
+      test_find_allocates_nothing;
+    Alcotest.test_case "inode table count through churn" `Quick
+      test_itable_churn;
     Alcotest.test_case "every dirty-flag raise records the inum" `Quick
       test_every_raise_records_inum;
   ]

@@ -290,23 +290,36 @@ let crc32_model b ~off ~len =
   done;
   Int32.of_int (!crc lxor 0xFFFFFFFF)
 
+(* Both kernels against the model: every alignment 0..15 with every
+   length 0..300 covers calls under 64 bytes, exactly 64, and 64 + k*16
+   with every tail; then whole and oddly sliced 4 KB pages and a 1 MB
+   buffer.  [digest_portable] runs slicing-by-16 alone, so the fallback
+   stays covered on a CPU where [digest_bytes] folds. *)
 let test_crc32_model () =
   let check what b ~off ~len =
     let want = crc32_model b ~off ~len in
-    let got = Crc32.digest_bytes ~off ~len b in
-    if got <> want then
-      Alcotest.failf "%s off %d len %d: kernel %lx, model %lx" what off len got
-        want
+    List.iter
+      (fun (kernel, digest) ->
+        let got = digest ?off:(Some off) ?len:(Some len) b in
+        if got <> want then
+          Alcotest.failf "%s, %s, off %d len %d: kernel %lx, model %lx" kernel
+            what off len got want)
+      [
+        (Crc32.kernel (), Crc32.digest_bytes);
+        ("slicing-by-16", Crc32.digest_portable);
+      ]
   in
   let random n seed =
     let b = Bytes.create n in
     Rng.fill_bytes (Rng.create seed) b;
     b
   in
-  let small = random 128 1 in
+  let small = random 320 1 in
   for off = 0 to 15 do
+    for len = 0 to 300 do
+      check "every alignment" small ~off ~len
+    done;
     for len = 0 to 64 do
-      check "every alignment" small ~off ~len;
       if crc32_model small ~off ~len <> crc32_reference small ~off ~len then
         Alcotest.failf "model off %d len %d disagrees with the definition" off
           len
@@ -320,7 +333,35 @@ let test_crc32_model () =
     [ 2; 3; 4; 5 ];
   let mb = random (1 lsl 20) 6 in
   check "1 MB" mb ~off:0 ~len:(1 lsl 20);
-  check "1 MB, odd slice" mb ~off:7 ~len:((1 lsl 20) - 20)
+  check "1 MB, odd slice" mb ~off:7 ~len:((1 lsl 20) - 20);
+  Alcotest.(check int32) "portable check value" 0xCBF43926l
+    (Crc32.digest_portable (Bytes.of_string "123456789"))
+
+(* A dispatch that never fires would lose the fold with every digest
+   still right, so on an x86-64 CPU that lists pclmulqdq the fold must
+   be the kernel in use (a "flags" line naming pclmulqdq is x86 only).
+   Elsewhere there is nothing to check. *)
+let test_crc32_dispatch () =
+  let cpu_flags =
+    match open_in "/proc/cpuinfo" with
+    | exception Sys_error _ -> None
+    | ic ->
+        let rec scan () =
+          match input_line ic with
+          | exception End_of_file -> None
+          | line ->
+              if String.starts_with ~prefix:"flags" line then
+                Some (String.split_on_char ' ' line)
+              else scan ()
+        in
+        let flags = scan () in
+        close_in ic;
+        flags
+  in
+  match cpu_flags with
+  | Some flags when Sys.word_size = 64 && List.mem "pclmulqdq" flags ->
+      Alcotest.(check string) "kernel" "pclmul" (Crc32.kernel ())
+  | Some _ | None -> Alcotest.skip ()
 
 (* RNG *)
 
@@ -550,6 +591,8 @@ let suite =
       test_crc32_differential;
     Alcotest.test_case "crc32 matches the slicing-by-8 model" `Quick
       test_crc32_model;
+    Alcotest.test_case "crc32 folds where the CPU can" `Quick
+      test_crc32_dispatch;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;
