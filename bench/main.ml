@@ -1293,8 +1293,9 @@ let () =
         | [] -> default_order
         | l -> List.sort_uniq compare l
       in
-      (* Host-side only: every figure is in simulated time, so the kernel
-         moves no number and stays out of the JSON. *)
+      (* Host-side only: every figure is in simulated time, so the
+         kernels move no number and stay out of the JSON. *)
       say "CRC-32 kernel: %s" (Lfs_util.Crc32.kernel ());
+      say "byte-fill kernel: %s" (Lfs_util.Rng.kernel ());
       List.iter (fun name -> (List.assoc name experiments) ()) todo;
       Option.iter write_json !json_out

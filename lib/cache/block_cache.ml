@@ -1,4 +1,3 @@
-module Lru = Lfs_util.Lru
 module Clock = Lfs_disk.Clock
 module Bus = Lfs_obs.Bus
 module Event = Lfs_obs.Event
@@ -6,25 +5,52 @@ module Metrics = Lfs_obs.Metrics
 
 type key = { owner : int; blkno : int }
 
-(* Dirty entries are also threaded, oldest first, on a circular doubly
+(* Keys hash and compare as two ints, without [caml_hash] or
+   [caml_compare].  Nothing iterates the table, so its bucket order
+   never shows. *)
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = a.owner = b.owner && a.blkno = b.blkno
+
+  let hash k =
+    let h = (k.owner * 0x2545F491) + k.blkno in
+    h lxor (h lsr 17)
+end)
+
+(* Every entry is threaded on a circular doubly linked list through
+   [up]/[down] around the sentinel [t.recent], in recency order: [up]
+   is the next more recently used entry, [down] the next less recently
+   used, so the sentinel's [up] is the least recently used entry and
+   its [down] the most recently used.  A lookup moves its entry to the
+   top; eviction walks up from the bottom.
+
+   Dirty entries are also threaded, oldest first, on a circular doubly
    linked list through [older]/[newer] around the sentinel [t.dirty].
    An entry joins at the newest end when it becomes dirty and leaves
    when it stops being dirty or leaves the cache.  The simulated clock
    never runs backwards, so the list is ordered by [dirty_since_us] and
    the oldest dirty entry is the sentinel's [newer] neighbour.  A clean
-   entry links to itself. *)
+   entry links to itself.
+
+   Both lists live in the entries, so promoting, inserting, evicting
+   and folding allocate nothing. *)
 type entry = {
-  data : bytes;
+  key : key;
+  mutable data : bytes;
   mutable is_dirty : bool;
   mutable dirty_since_us : int;
   mutable older : entry;
   mutable newer : entry;
+  mutable up : entry;
+  mutable down : entry;
 }
 
 type t = {
   clock : Clock.t;
   bus : Bus.t option;
-  entries : (key, entry) Lru.t;
+  table : entry Table.t;
+  recent : entry;  (** sentinel of the recency list *)
   dirty : entry;  (** sentinel of the dirty list *)
   capacity : int;
   mutable ndirty : int;
@@ -34,11 +60,23 @@ type t = {
   c_writebacks : Metrics.counter;
 }
 
-let make_entry data ~is_dirty ~since_us =
+let make_entry key data ~is_dirty ~since_us =
   let rec e =
-    { data; is_dirty; dirty_since_us = since_us; older = e; newer = e }
+    {
+      key;
+      data;
+      is_dirty;
+      dirty_since_us = since_us;
+      older = e;
+      newer = e;
+      up = e;
+      down = e;
+    }
   in
   e
+
+let sentinel () =
+  make_entry { owner = 0; blkno = 0 } Bytes.empty ~is_dirty:false ~since_us:0
 
 (* Join the dirty list at its newest end. *)
 let link_newest t e =
@@ -48,11 +86,29 @@ let link_newest t e =
   newest.newer <- e;
   t.dirty.older <- e
 
-let unlink e =
+let unlink_dirty e =
   e.older.newer <- e.newer;
   e.newer.older <- e.older;
   e.older <- e;
   e.newer <- e
+
+(* Join the recency list at the most recently used end. *)
+let link_top t e =
+  let top = t.recent.down in
+  e.down <- top;
+  e.up <- t.recent;
+  top.up <- e;
+  t.recent.down <- e
+
+let unlink_recent e =
+  e.up.down <- e.down;
+  e.down.up <- e.up
+
+let promote t e =
+  if t.recent.down != e then begin
+    unlink_recent e;
+    link_top t e
+  end
 
 let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
   if capacity_blocks <= 0 then invalid_arg "Block_cache.create: capacity";
@@ -63,8 +119,9 @@ let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
     {
       clock;
       bus;
-      entries = Lru.create ();
-      dirty = make_entry Bytes.empty ~is_dirty:false ~since_us:0;
+      table = Table.create 64;
+      recent = sentinel ();
+      dirty = sentinel ();
       capacity = capacity_blocks;
       ndirty = 0;
       c_hits = Metrics.counter metrics "cache.hits";
@@ -74,117 +131,135 @@ let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
     }
   in
   Metrics.gauge metrics "cache.blocks" (fun () ->
-      float_of_int (Lru.length t.entries));
+      float_of_int (Table.length t.table));
   Metrics.gauge metrics "cache.dirty_blocks" (fun () -> float_of_int t.ndirty);
   t
 
-(* Allocate the event only when someone is listening. *)
-let emit t mk =
+(* Allocate the event only when someone is listening.  Each [mk] below
+   is a closed function, so a call site allocates no closure either. *)
+let emit t mk key =
   match t.bus with
-  | Some bus when Bus.enabled bus -> Bus.emit bus (mk ())
+  | Some bus when Bus.enabled bus -> Bus.emit bus (mk key)
   | Some _ | None -> ()
 
+let hit k = Event.Cache_hit { owner = k.owner; blkno = k.blkno }
+let miss k = Event.Cache_miss { owner = k.owner; blkno = k.blkno }
+let evicted k = Event.Cache_evict { owner = k.owner; blkno = k.blkno }
+let written_back k = Event.Cache_writeback { owner = k.owner; blkno = k.blkno }
+
 let capacity_blocks t = t.capacity
-let length t = Lru.length t.entries
+let length t = Table.length t.table
 let dirty_count t = t.ndirty
 
 let find t key =
-  match Lru.find t.entries key with
-  | Some e ->
+  match Table.find t.table key with
+  | e ->
+      promote t e;
       Metrics.incr t.c_hits;
-      emit t (fun () ->
-          Event.Cache_hit { owner = key.owner; blkno = key.blkno });
+      emit t hit key;
       Some e.data
-  | None ->
+  | exception Not_found ->
       Metrics.incr t.c_misses;
-      emit t (fun () ->
-          Event.Cache_miss { owner = key.owner; blkno = key.blkno });
+      emit t miss key;
       None
 
-let mem t key = Lru.mem t.entries key
+let mem t key = Table.mem t.table key
 
 let dirty t key =
-  match Lru.peek t.entries key with Some e -> e.is_dirty | None -> false
+  match Table.find t.table key with
+  | e -> e.is_dirty
+  | exception Not_found -> false
 
-(* Reclaim clean entries from the LRU side while over capacity.  Dirty
-   entries are skipped: they are the write buffer and only write-back may
-   release them.  [keep] protects the entry {!insert} just added — without
-   it, a cache whose other entries are all dirty would evict the newcomer
-   itself.  Sweeping from the cold end stops as soon as the excess is
-   reclaimed, so the common insert pays O(1) instead of materializing the
-   whole LRU list. *)
-let evict_clean_keeping keep t =
-  if Lru.length t.entries > t.capacity then begin
-    let excess = ref (Lru.length t.entries - t.capacity) in
-    Lru.sweep_lru
-      (fun k e ->
-        if !excess <= 0 then Lru.Stop
-        else if e.is_dirty || keep = Some k then Lru.Keep
-        else begin
-          decr excess;
-          Metrics.incr t.c_evictions;
-          emit t (fun () ->
-              Event.Cache_evict { owner = k.owner; blkno = k.blkno });
-          Lru.Remove
-        end)
-      t.entries
+let drop t e =
+  Table.remove t.table e.key;
+  unlink_recent e;
+  if e.is_dirty then begin
+    unlink_dirty e;
+    t.ndirty <- t.ndirty - 1
   end
 
-let evict_clean t = evict_clean_keeping None t
+(* Reclaim clean entries from the bottom of the recency list while over
+   capacity.  Dirty entries are skipped: they are the write buffer and
+   only write-back may release them.  [keep] protects the entry {!insert}
+   just added — without it, a cache whose other entries are all dirty
+   would evict the newcomer itself.  Sweeping from the cold end stops as
+   soon as the excess is reclaimed, so the common insert pays O(1). *)
+let rec sweep_excess t keep e excess =
+  if excess > 0 && e != t.recent then begin
+    let up = e.up in
+    if e.is_dirty || e == keep then sweep_excess t keep up excess
+    else begin
+      drop t e;
+      Metrics.incr t.c_evictions;
+      emit t evicted e.key;
+      sweep_excess t keep up (excess - 1)
+    end
+  end
 
+let evict_clean_keeping keep t =
+  sweep_excess t keep t.recent.up (Table.length t.table - t.capacity)
+
+let evict_clean t = evict_clean_keeping t.recent t
+
+(* A replaced entry keeps its record: it leaves the dirty list if it was
+   on it, takes the new bytes and state, and moves to the top. *)
 let insert t key ~dirty data =
-  (match Lru.peek t.entries key with
-  | Some old when old.is_dirty ->
-      unlink old;
-      t.ndirty <- t.ndirty - 1
-  | Some _ | None -> ());
+  let now = Clock.now_us t.clock in
   let e =
-    make_entry data ~is_dirty:dirty ~since_us:(Clock.now_us t.clock)
+    match Table.find t.table key with
+    | e ->
+        if e.is_dirty then begin
+          unlink_dirty e;
+          t.ndirty <- t.ndirty - 1
+        end;
+        e.data <- data;
+        e.is_dirty <- dirty;
+        e.dirty_since_us <- now;
+        promote t e;
+        e
+    | exception Not_found ->
+        let e = make_entry key data ~is_dirty:dirty ~since_us:now in
+        Table.add t.table key e;
+        link_top t e;
+        e
   in
   if dirty then begin
     link_newest t e;
     t.ndirty <- t.ndirty + 1
   end;
-  ignore (Lru.add t.entries key e);
-  evict_clean_keeping (Some key) t
+  evict_clean_keeping e t
 
 let mark_dirty t key =
-  match Lru.peek t.entries key with
-  | None -> raise Not_found
-  | Some e ->
-      if not e.is_dirty then begin
-        e.is_dirty <- true;
-        e.dirty_since_us <- Clock.now_us t.clock;
-        link_newest t e;
-        t.ndirty <- t.ndirty + 1
-      end
+  let e = Table.find t.table key in
+  if not e.is_dirty then begin
+    e.is_dirty <- true;
+    e.dirty_since_us <- Clock.now_us t.clock;
+    link_newest t e;
+    t.ndirty <- t.ndirty + 1
+  end
 
 let mark_clean t key =
-  match Lru.peek t.entries key with
-  | None -> ()
-  | Some e ->
+  match Table.find t.table key with
+  | exception Not_found -> ()
+  | e ->
       if e.is_dirty then begin
         e.is_dirty <- false;
-        unlink e;
+        unlink_dirty e;
         t.ndirty <- t.ndirty - 1;
         Metrics.incr t.c_writebacks;
-        emit t (fun () ->
-            Event.Cache_writeback { owner = key.owner; blkno = key.blkno })
+        emit t written_back key
       end
 
 let remove t key =
-  match Lru.remove t.entries key with
-  | None -> ()
-  | Some e ->
-      if e.is_dirty then begin
-        unlink e;
-        t.ndirty <- t.ndirty - 1
-      end
+  match Table.find t.table key with
+  | exception Not_found -> ()
+  | e -> drop t e
 
-let fold_dirty f t init =
-  Lru.fold_lru
-    (fun k e acc -> if e.is_dirty then f k e.data acc else acc)
-    t.entries init
+let rec fold_up f recent e acc =
+  if e == recent then acc
+  else fold_up f recent e.up (if e.is_dirty then f e.key e.data acc else acc)
+
+let fold_dirty f t init = fold_up f t.recent t.recent.up init
 
 let dirty_keys t = List.rev (fold_dirty (fun k _ acc -> k :: acc) t [])
 
@@ -195,14 +270,20 @@ let oldest_dirty_age_us t =
 
 let over_capacity t = t.ndirty > t.capacity
 
-let drop_clean t =
-  Lru.sweep_lru
-    (fun _ e -> if e.is_dirty then Lru.Keep else Lru.Remove)
-    t.entries
+let rec drop_clean_from t e =
+  if e != t.recent then begin
+    let up = e.up in
+    if not e.is_dirty then drop t e;
+    drop_clean_from t up
+  end
+
+let drop_clean t = drop_clean_from t t.recent.up
 
 let clear t =
-  Lru.clear t.entries;
-  unlink t.dirty;
+  Table.reset t.table;
+  t.recent.up <- t.recent;
+  t.recent.down <- t.recent;
+  unlink_dirty t.dirty;
   t.ndirty <- 0
 
 let stats_hits t = Metrics.value t.c_hits

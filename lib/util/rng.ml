@@ -20,17 +20,26 @@ let int t bound =
   let mask = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
-(* The byte [int t 256] would draw, without boxing a step per byte: the
-   state lives in a local ref the compiler keeps unboxed, and bits 1..8
-   of the mixed word are [Int64.rem (shift_right_logical z 1) 256L]. *)
-let fill_bytes t b =
-  let s = ref t.state in
-  for i = 0 to Bytes.length b - 1 do
-    s := Int64.add !s gamma;
-    Bytes.unsafe_set b i
-      (Char.unsafe_chr ((Int64.to_int (mix !s) lsr 1) land 0xff))
-  done;
-  t.state <- !s
+(* The kernels are C (rng_stubs.c): an AVX-512 loop where the CPU has
+   one, a portable loop for tails and everywhere else.  They neither
+   allocate nor raise, so they run as [noalloc] calls on an unboxed
+   state, which is boxed back into [t] once per fill. *)
+external init : unit -> unit = "lfs_rng_init" [@@noalloc]
+external uses_avx512 : unit -> bool = "lfs_rng_uses_avx512" [@@noalloc]
+
+external fill : bytes -> (int64[@unboxed]) -> (int64[@unboxed])
+  = "lfs_rng_fill_byte" "lfs_rng_fill"
+[@@noalloc]
+
+external fill_portable : bytes -> (int64[@unboxed]) -> (int64[@unboxed])
+  = "lfs_rng_fill_portable_byte" "lfs_rng_fill_portable"
+[@@noalloc]
+
+let () = init ()
+
+let kernel () = if uses_avx512 () then "avx512" else "portable"
+let fill_bytes t b = t.state <- fill b t.state
+let fill_bytes_portable t b = t.state <- fill_portable b t.state
 
 let float t bound =
   let mantissa = Int64.shift_right_logical (next_int64 t) 11 in

@@ -1,3 +1,4 @@
+module Codec = Lfs_util.Codec
 module Io = Lfs_disk.Io
 
 type view = {
@@ -74,15 +75,60 @@ let examine b fs d blk =
   Io.charge_lookup (b.views fs).io;
   view b fs d blk
 
-(* Write [entries] as block [blk] and store their view around [index].
-   The caller patches [index] only once the write has gone through: the
+(* Write [src] as block [blk] and store its view around [index].  The
+   caller patches [index] only once the write has gone through: the
    superseded view's buffer is no longer the cache's, so its table moves
    to the new view. *)
-let rewrite b fs d blk entries used index =
-  let t = b.views fs in
-  let src = Dir_block.encode ~block_size:t.block_size entries in
+let rewrite b fs d blk src entries used index =
   b.write fs d blk src;
-  store t (b.inum d) blk { src; entries; used; index }
+  store (b.views fs) (b.inum d) blk { src; entries; used; index }
+
+(* The block with [name, inum] put at the head of [v]'s entries, made
+   from [v.src] rather than re-encoded: the header with one more entry,
+   the new entry at offset 2, the old entries shifted up by one blit,
+   and a zeroed tail.  Byte for byte what [Dir_block.encode] gives for
+   the new entry list, since [v.src] holds the encoding of [v.entries]
+   in [\[2, v.used)].  A hole has no bytes to patch. *)
+let patched_add ~block_size v name inum size =
+  if v.src == Bytes.empty then
+    Dir_block.encode ~block_size ((name, inum) :: v.entries)
+  else begin
+    let dst = Bytes.create block_size and used = v.used + size in
+    ignore (Codec.put_u16 dst 0 (Bytes.get_uint16_le v.src 0 + 1) : int);
+    let off = Codec.put_u32 dst 2 inum in
+    let off = Codec.put_u16 dst off (String.length name) in
+    Bytes.blit_string name 0 dst off (String.length name);
+    Bytes.blit v.src 2 dst (2 + size) (v.used - 2);
+    Bytes.fill dst used (block_size - used) '\000';
+    dst
+  end
+
+(* Byte offset of [name]'s first entry in a block of [entries], counting
+   from [off]. *)
+let rec entry_offset name off = function
+  | [] -> raise Not_found
+  | (n, _) :: rest ->
+      if String.equal n name then off
+      else entry_offset name (off + Dir_block.entry_bytes n) rest
+
+(* [List.remove_assoc] without the polymorphic compare. *)
+let rec remove_first name = function
+  | [] -> []
+  | ((n, _) as e) :: rest ->
+      if String.equal n name then rest else e :: remove_first name rest
+
+(* The block with [name]'s first entry dropped from [v]: the bytes on
+   either side of the entry closed up by two blits, one fewer in the
+   header, and a zeroed tail. *)
+let patched_remove ~block_size v name =
+  let off = entry_offset name 2 v.entries
+  and size = Dir_block.entry_bytes name in
+  let dst = Bytes.create block_size and used = v.used - size in
+  Bytes.blit v.src 0 dst 0 off;
+  ignore (Codec.put_u16 dst 0 (Bytes.get_uint16_le v.src 0 - 1) : int);
+  Bytes.blit v.src (off + size) dst off (v.used - off - size);
+  Bytes.fill dst used (block_size - used) '\000';
+  dst
 
 let block_entries b fs d blk = (view b fs d blk).entries
 
@@ -103,8 +149,12 @@ let add b fs d name inum =
   let n = b.nblocks fs d and size = Dir_block.entry_bytes name in
   let rec place blk =
     let v = if blk >= n then hole () else examine b fs d blk in
-    if blk >= n || v.used + size <= (b.views fs).block_size then begin
-      rewrite b fs d blk ((name, inum) :: v.entries) (v.used + size) v.index;
+    let block_size = (b.views fs).block_size in
+    if blk >= n || v.used + size <= block_size then begin
+      rewrite b fs d blk
+        (patched_add ~block_size v name inum size)
+        ((name, inum) :: v.entries)
+        (v.used + size) v.index;
       Hashtbl.add v.index name inum
     end
     else place (blk + 1)
@@ -119,7 +169,8 @@ let remove b fs d name =
       let v = examine b fs d blk in
       if Hashtbl.mem v.index name then begin
         rewrite b fs d blk
-          (List.remove_assoc name v.entries)
+          (patched_remove ~block_size:(b.views fs).block_size v name)
+          (remove_first name v.entries)
           (v.used - Dir_block.entry_bytes name)
           v.index;
         Hashtbl.remove v.index name

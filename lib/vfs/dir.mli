@@ -10,7 +10,9 @@
     still hands back that same buffer ([==]); any other buffer (a block
     evicted and re-read, or never seen) is decoded once and its view
     stored.  This relies on one invariant: directory blocks are never
-    mutated in place — every change encodes a fresh block.
+    mutated in place — every change writes a fresh block, patched from
+    the view's buffer and byte for byte what {!Dir_block.encode} gives
+    for the new entries.
 
     The scans keep the paper's cost model (§5.1): one
     {!Lfs_disk.Io.charge_lookup} per block examined, in block order, so
@@ -42,8 +44,8 @@ type ('fs, 'dir) backing = {
       (** The block's current buffer: the cache's, else read from disk
           (and cached).  [None] for a hole. *)
   write : 'fs -> 'dir -> int -> bytes -> unit;
-      (** Store a freshly encoded block (extending the directory when
-          the index is [nblocks]). *)
+      (** Store a fresh block (extending the directory when the index
+          is [nblocks]). *)
 }
 
 (** Every scan below may raise [Errors.Error (Ecorrupt _)], naming the

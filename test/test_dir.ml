@@ -6,6 +6,7 @@
    over the directory or the cache shows up as a failure. *)
 
 module Cpu_model = Lfs_disk.Cpu_model
+module Dir_block = Lfs_vfs.Dir_block
 module E = Lfs_vfs.Errors
 module Fs_intf = Lfs_vfs.Fs_intf
 module Io = Lfs_disk.Io
@@ -31,7 +32,11 @@ module Cases
         F.t
       (** Formatted and mounted. *)
 
-      val dir_block0_sector : F.t -> string -> int
+      val dir_block_sector : F.t -> string -> int -> int
+      (** First sector of a directory's block (direct blocks only on
+          FFS). *)
+
+
       val inodes_in_use : F.t -> int
     end) =
 struct
@@ -63,7 +68,7 @@ struct
     ok "create" (F.create fs "/a/x");
     F.sync fs;
     let io = F.io fs in
-    let sector = Env.dir_block0_sector fs "/a" in
+    let sector = Env.dir_block_sector fs "/a" 0 in
     let first = Io.sync_read io ~sector ~count:1 in
     Bytes.set_uint16_le first 0 5000;
     Io.sync_write io ~sector first;
@@ -198,6 +203,89 @@ struct
         "%s cached read allocates %.1f words with %d dirty blocks, %.1f with %d"
         Env.label w_many many w_few few
 
+  (* Creates and deletes patch the directory block they change rather
+     than re-encode it; what reaches the disk must still be exactly the
+     block's encoding.  Names of 1..255 bytes on 2 KB blocks, so blocks
+     fill and later creates reuse the room deletes free.  Block 0 may
+     first get junk written past its used bytes on disk and be read back
+     cold: the next create patches that block and must zero the junk. *)
+  type dir_op = Create of string | Delete of int
+
+  let dir_op_gen =
+    QCheck.Gen.(
+      let len = frequency [ (3, int_range 1 8); (2, int_range 200 255) ] in
+      frequency
+        [
+          (3, map (fun n -> Create n) (string_size ~gen:(char_range 'a' 'z') len));
+          (2, map (fun k -> Delete k) nat);
+        ])
+
+  let prop_blocks_are_encodings =
+    QCheck.Test.make
+      ~name:(Env.label ^ " directory blocks on disk are their encoding")
+      ~count:40
+      (QCheck.make
+         ~print:(fun (junk, ops) ->
+           Printf.sprintf "junk=%b\n%s" junk
+             (String.concat "\n"
+                (List.map
+                   (function
+                     | Create n -> Printf.sprintf "create %d bytes" (String.length n)
+                     | Delete k -> Printf.sprintf "delete #%d" k)
+                   ops)))
+         QCheck.Gen.(pair bool (list_size (int_range 1 40) dir_op_gen)))
+      (fun (junk, ops) ->
+        let block_size = 2048 in
+        let fs =
+          Env.make ~cache_blocks:1024 ~size_bytes:(8 * 1024 * 1024)
+            ~cpu:Cpu_model.free ~block_size
+        in
+        let io = F.io fs in
+        let count = block_size / (Io.geometry io).Lfs_disk.Geometry.sector_size in
+        let read_block blk =
+          Io.sync_read io ~sector:(Env.dir_block_sector fs "/d" blk) ~count
+        in
+        ok "mkdir" (F.mkdir fs "/d");
+        ok "create" (F.create fs "/d/first");
+        if junk then begin
+          F.sync fs;
+          let b = read_block 0 in
+          let used = Dir_block.used_bytes (Dir_block.parse b) in
+          Bytes.fill b used (block_size - used) '\xAA';
+          Io.sync_write io ~sector:(Env.dir_block_sector fs "/d" 0) b;
+          F.flush_caches fs
+        end;
+        ok "create" (F.create fs "/d/second");
+        let live = ref [ "second"; "first" ] in
+        List.iter
+          (function
+            | Create n ->
+                if not (List.mem n !live) then begin
+                  ok "create" (F.create fs ("/d/" ^ n));
+                  live := n :: !live
+                end
+            | Delete k -> (
+                match !live with
+                | [] -> ()
+                | l ->
+                    let n = List.nth l (k mod List.length l) in
+                    ok "delete" (F.delete fs ("/d/" ^ n));
+                    live := List.filter (fun m -> m <> n) l))
+          ops;
+        F.sync fs;
+        let size = (ok "stat" (F.stat fs "/d")).Fs_intf.size in
+        let names =
+          List.concat_map
+            (fun blk ->
+              let b = read_block blk in
+              let entries = Dir_block.parse b in
+              if not (Bytes.equal b (Dir_block.encode ~block_size entries)) then
+                QCheck.Test.fail_reportf "block %d is not its encoding" blk;
+              List.map fst entries)
+            (List.init (size / block_size) Fun.id)
+        in
+        List.sort compare names = List.sort compare !live)
+
   let cases =
     [
       Alcotest.test_case (Env.label ^ " corrupt block is Ecorrupt") `Quick
@@ -209,6 +297,7 @@ struct
       Alcotest.test_case
         (Env.label ^ " read allocation flat in dirty blocks")
         `Quick test_read_allocation_flat;
+      Common.qcheck prop_blocks_are_encodings;
     ]
 end
 
@@ -231,11 +320,11 @@ module Lfs = Cases (Lfs_core.Fs) (struct
     | Error e -> failwith e);
     match Lfs_core.Fs.mount ~config io with Ok fs -> fs | Error e -> failwith e
 
-  let dir_block0_sector fs path =
+  let dir_block_sector fs path blk =
     let inum = (Common.check_ok "stat" (Lfs_core.Fs.stat fs path)).Fs_intf.inum in
     let e = Lfs_core.Inode_store.find fs inum in
     Lfs_core.Layout.sector_of_block (Lfs_core.Fs.layout fs)
-      (Lfs_core.Inode_store.bmap_read fs e 0)
+      (Lfs_core.Inode_store.bmap_read fs e blk)
 
   let inodes_in_use (fs : Lfs_core.Fs.t) = Lfs_core.Imap.count_allocated fs.imap
 end)
@@ -251,10 +340,10 @@ module Ffs = Cases (Lfs_ffs.Fs) (struct
     | Error e -> failwith e);
     match Lfs_ffs.Fs.mount ~config io with Ok fs -> fs | Error e -> failwith e
 
-  let dir_block0_sector fs path =
+  let dir_block_sector fs path blk =
     let inum = (Common.check_ok "stat" (Lfs_ffs.Fs.stat fs path)).Fs_intf.inum in
     Lfs_ffs.Layout.sector_of_block (Lfs_ffs.Fs.layout fs)
-      (Lfs_ffs.Fs.inode_of fs inum).Lfs_ffs.Inode.direct.(0)
+      (Lfs_ffs.Fs.inode_of fs inum).Lfs_ffs.Inode.direct.(blk)
 
   let inodes_in_use fs =
     let l = Lfs_ffs.Fs.layout fs in

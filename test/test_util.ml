@@ -1,10 +1,9 @@
-(* Unit and property tests for lfs_util: bitset, LRU, CRC, RNG, Zipf,
-   codec, tables. *)
+(* Unit and property tests for lfs_util: bitset, CRC, RNG, Zipf, codec,
+   tables. *)
 
 module Bitset = Lfs_util.Bitset
 module Codec = Lfs_util.Codec
 module Crc32 = Lfs_util.Crc32
-module Lru = Lfs_util.Lru
 module Rng = Lfs_util.Rng
 module Table = Lfs_util.Table
 module Zipf = Lfs_util.Zipf
@@ -91,92 +90,6 @@ let prop_bitset_roundtrip =
       let b' = Bitset.of_bytes ~length:len (Bitset.to_bytes b) in
       Bitset.cardinal b = Bitset.cardinal b'
       && List.for_all (fun i -> i >= len || Bitset.mem b' i) sets)
-
-(* LRU *)
-
-let test_lru_eviction () =
-  let l = Lru.create ~capacity:3 () in
-  Alcotest.(check (option (pair int string))) "evict none" None (Lru.add l 1 "a");
-  ignore (Lru.add l 2 "b");
-  ignore (Lru.add l 3 "c");
-  (* Touch 1 so that 2 is LRU. *)
-  Alcotest.(check (option string)) "find" (Some "a") (Lru.find l 1);
-  Alcotest.(check (option (pair int string))) "evicts 2" (Some (2, "b"))
-    (Lru.add l 4 "d");
-  Alcotest.(check int) "len" 3 (Lru.length l);
-  Alcotest.(check bool) "2 gone" false (Lru.mem l 2)
-
-let test_lru_replace () =
-  let l = Lru.create ~capacity:2 () in
-  ignore (Lru.add l 1 "a");
-  ignore (Lru.add l 1 "a2");
-  Alcotest.(check int) "no dup" 1 (Lru.length l);
-  Alcotest.(check (option string)) "replaced" (Some "a2") (Lru.peek l 1)
-
-let test_lru_order () =
-  let l = Lru.create () in
-  ignore (Lru.add l 1 "a");
-  ignore (Lru.add l 2 "b");
-  ignore (Lru.add l 3 "c");
-  ignore (Lru.find l 1);
-  Alcotest.(check (list int)) "mru order" [ 1; 3; 2 ]
-    (List.map fst (Lru.to_list l));
-  Alcotest.(check (option (pair int string))) "pop lru" (Some (2, "b"))
-    (Lru.pop_lru l);
-  ignore (Lru.remove l 3);
-  Alcotest.(check (list int)) "after removal" [ 1 ] (List.map fst (Lru.to_list l))
-
-let test_lru_cold_iteration () =
-  let l = Lru.create () in
-  ignore (Lru.add l 1 "a");
-  ignore (Lru.add l 2 "b");
-  ignore (Lru.add l 3 "c");
-  ignore (Lru.find l 1);
-  (* Cold-to-hot is the reverse of to_list, without the allocation. *)
-  Alcotest.(check (list int)) "lru order" [ 2; 3; 1 ]
-    (List.rev (Lru.fold_lru (fun k _ acc -> k :: acc) l []));
-  let seen = ref [] in
-  Lru.iter_lru (fun k _ -> seen := k :: !seen) l;
-  Alcotest.(check (list int)) "iter_lru agrees" [ 2; 3; 1 ] (List.rev !seen)
-
-let test_lru_sweep () =
-  let l = Lru.create () in
-  for i = 1 to 5 do
-    ignore (Lru.add l i (string_of_int i))
-  done;
-  (* Cold-to-hot order is 1..5.  Remove evens, stop at 4: so 1 kept,
-     2 removed, 3 kept, 4 untouched by Stop, 5 never visited. *)
-  Lru.sweep_lru
-    (fun k _ ->
-      if k = 4 then Lru.Stop else if k mod 2 = 0 then Lru.Remove else Lru.Keep)
-    l;
-  Alcotest.(check int) "one removed" 4 (Lru.length l);
-  Alcotest.(check bool) "2 removed" false (Lru.mem l 2);
-  Alcotest.(check bool) "4 kept at Stop" true (Lru.mem l 4);
-  Alcotest.(check bool) "5 untouched" true (Lru.mem l 5);
-  (* Removing every visited entry leaves a consistent structure. *)
-  Lru.sweep_lru (fun _ _ -> Lru.Remove) l;
-  Alcotest.(check int) "swept clean" 0 (Lru.length l);
-  ignore (Lru.add l 9 "z");
-  Alcotest.(check (option string)) "usable after sweep" (Some "z")
-    (Lru.peek l 9)
-
-let prop_lru_model =
-  (* Compare against a naive list model. *)
-  QCheck.Test.make ~name:"lru matches model" ~count:200
-    QCheck.(list (pair (int_bound 10) (int_bound 100)))
-    (fun ops ->
-      let capacity = 4 in
-      let l = Lru.create ~capacity () in
-      let model = ref [] in
-      List.iter
-        (fun (k, v) ->
-          ignore (Lru.add l k v);
-          model := (k, v) :: List.remove_assoc k !model;
-          if List.length !model > capacity then
-            model := List.filteri (fun i _ -> i < capacity) !model)
-        ops;
-      List.sort compare (Lru.to_list l) = List.sort compare !model)
 
 (* CRC32 *)
 
@@ -337,31 +250,35 @@ let test_crc32_model () =
   Alcotest.(check int32) "portable check value" 0xCBF43926l
     (Crc32.digest_portable (Bytes.of_string "123456789"))
 
-(* A dispatch that never fires would lose the fold with every digest
-   still right, so on an x86-64 CPU that lists pclmulqdq the fold must
-   be the kernel in use (a "flags" line naming pclmulqdq is x86 only).
-   Elsewhere there is nothing to check. *)
-let test_crc32_dispatch () =
-  let cpu_flags =
-    match open_in "/proc/cpuinfo" with
-    | exception Sys_error _ -> None
-    | ic ->
-        let rec scan () =
-          match input_line ic with
-          | exception End_of_file -> None
-          | line ->
-              if String.starts_with ~prefix:"flags" line then
-                Some (String.split_on_char ' ' line)
-              else scan ()
-        in
-        let flags = scan () in
-        close_in ic;
-        flags
-  in
-  match cpu_flags with
-  | Some flags when Sys.word_size = 64 && List.mem "pclmulqdq" flags ->
-      Alcotest.(check string) "kernel" "pclmul" (Crc32.kernel ())
+(* The "flags" line of /proc/cpuinfo, split on spaces (an x86 line;
+   [None] where there is no such file or line). *)
+let cpu_flags () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line ->
+            if String.starts_with ~prefix:"flags" line then
+              Some (String.split_on_char ' ' line)
+            else scan ()
+      in
+      let flags = scan () in
+      close_in ic;
+      flags
+
+(* A dispatch that never fires would lose the vector kernel with every
+   result still right, so on an x86-64 CPU that lists [flag] the kernel
+   in use must be [want].  Elsewhere there is nothing to check. *)
+let check_dispatch ~flag ~want kernel =
+  match cpu_flags () with
+  | Some flags when Sys.word_size = 64 && List.mem flag flags ->
+      Alcotest.(check string) "kernel" want kernel
   | Some _ | None -> Alcotest.skip ()
+
+let test_crc32_dispatch () =
+  check_dispatch ~flag:"pclmulqdq" ~want:"pclmul" (Crc32.kernel ())
 
 (* RNG *)
 
@@ -421,22 +338,56 @@ let test_content_matches_model () =
   List.iter (fun len -> check len all) [ 0; 1; 7; 4096 ];
   check 65536 (List.filter (fun s -> s mod 50 = 0) all)
 
+(* Both fill kernels.  [fill_bytes_portable] runs the portable loop
+   alone, so the fallback stays covered on a CPU where [fill_bytes]
+   vectorises. *)
+let fill_kernels =
+  [ (Rng.kernel (), Rng.fill_bytes); ("portable", Rng.fill_bytes_portable) ]
+
+(* Every length 0..300 covers the 16-byte vector steps with every tail;
+   seeded 64 KB buffers run the loop far. *)
+let fill_lengths = List.init 301 Fun.id
+
 let test_fill_bytes_leaves_state () =
   List.iter
-    (fun seed ->
+    (fun (kernel, fill) ->
       List.iter
-        (fun len ->
-          let filled = Rng.create seed and model = Rng.create seed in
-          Rng.fill_bytes filled (Bytes.create len);
-          ignore (model_content model len : bytes);
-          for k = 1 to 100 do
-            let want = Rng.int model 256 and got = Rng.int filled 256 in
-            if got <> want then
-              Alcotest.failf "seed %d len %d: draw %d after fill is %d, model %d"
-                seed len k got want
-          done)
-        [ 0; 1; 7; 4096 ])
-    [ -50; 0; 1; 999_999; min_int; max_int ]
+        (fun seed ->
+          List.iter
+            (fun len ->
+              let filled = Rng.create seed and model = Rng.create seed in
+              fill filled (Bytes.create len);
+              ignore (model_content model len : bytes);
+              for k = 1 to 100 do
+                let want = Rng.int model 256 and got = Rng.int filled 256 in
+                if got <> want then
+                  Alcotest.failf
+                    "%s: seed %d len %d: draw %d after fill is %d, model %d"
+                    kernel seed len k got want
+              done)
+            (fill_lengths @ [ 4096; 65536 ]))
+        [ -50; 0; 1; 999_999; min_int; max_int ])
+    fill_kernels
+
+let test_fill_kernels () =
+  let check seed len =
+    let want = model_content (Rng.create seed) len in
+    List.iter
+      (fun (kernel, fill) ->
+        let b = Bytes.make len '\255' in
+        fill (Rng.create seed) b;
+        if not (Bytes.equal b want) then
+          Alcotest.failf "%s: seed %d len %d differs from the model" kernel
+            seed len)
+      fill_kernels
+  in
+  List.iter
+    (fun seed -> List.iter (check seed) fill_lengths)
+    ([ -50; 0; 1; 2; 3 ] @ special_seeds);
+  List.iter (fun seed -> check seed 65536) [ 4; 5; min_int ]
+
+let test_fill_dispatch () =
+  check_dispatch ~flag:"avx512dq" ~want:"avx512" (Rng.kernel ())
 
 (* A silent change to the byte sequence moves every figure: pin it. *)
 let test_content_golden () =
@@ -579,12 +530,6 @@ let suite =
     Alcotest.test_case "bitset fill/clear all" `Quick test_bitset_fill_all;
     qcheck prop_bitset_roundtrip;
     qcheck prop_bitset_iter_set;
-    Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
-    Alcotest.test_case "lru replace" `Quick test_lru_replace;
-    Alcotest.test_case "lru order" `Quick test_lru_order;
-    Alcotest.test_case "lru cold-end iteration" `Quick test_lru_cold_iteration;
-    Alcotest.test_case "lru sweep" `Quick test_lru_sweep;
-    qcheck prop_lru_model;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 slice" `Quick test_crc32_slice;
     Alcotest.test_case "crc32 matches bitwise reference" `Quick
@@ -600,6 +545,10 @@ let suite =
       test_content_matches_model;
     Alcotest.test_case "fill_bytes leaves the generator in step" `Quick
       test_fill_bytes_leaves_state;
+    Alcotest.test_case "fill kernels match the per-byte model" `Quick
+      test_fill_kernels;
+    Alcotest.test_case "fill vectorises where the CPU can" `Quick
+      test_fill_dispatch;
     Alcotest.test_case "content golden crc" `Quick test_content_golden;
     Alcotest.test_case "content allocates only its buffer" `Quick
       test_content_allocation;

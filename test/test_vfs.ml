@@ -133,6 +133,139 @@ let prop_dir_block =
       QCheck.assume (Dir_block.used_bytes entries <= 4096);
       Dir_block.parse (Dir_block.encode ~block_size:4096 entries) = entries)
 
+(* [Dir.add] and [Dir.remove] patch the block they change instead of
+   re-encoding it; every block they write must still be exactly
+   [Dir_block.encode] of its new entries.  Random sequences on 1 KB
+   blocks: names of 1..255 bytes (so blocks fill after a few long
+   names), re-adds of names already present (a later [remove] drops the
+   first occurrence), block 0 optionally starting with junk past its
+   used bytes (a block read back from a disk that never zeroed it), and
+   optionally a hole at block 1 that an add spilling past block 0 must
+   fill. *)
+type patch_op = Add of string * int | Add_again of int * int | Remove of int
+
+let patch_block_size = 1024
+
+let patch_case_gen =
+  let open QCheck.Gen in
+  let name =
+    let len = frequency [ (3, int_range 1 8); (1, int_range 200 255); (1, int_range 1 255) ] in
+    string_size ~gen:(char_range 'a' 'z') len
+  in
+  let inum = int_bound 0xFFFF_FFFF in
+  let op =
+    frequency
+      [
+        (4, map2 (fun n i -> Add (n, i)) name inum);
+        (1, map2 (fun k i -> Add_again (k, i)) nat inum);
+        (3, map (fun k -> Remove k) nat);
+      ]
+  in
+  quad (list_size (int_bound 10) (pair name inum)) bool bool
+    (list_size (int_range 1 60) op)
+
+let pp_patch_case (start, junk, hole, ops) =
+  let short n = if String.length n > 12 then Printf.sprintf "%s..(%d)" (String.sub n 0 8) (String.length n) else n in
+  Printf.sprintf "start [%s] junk=%b hole=%b\n%s"
+    (String.concat "; " (List.map (fun (n, i) -> Printf.sprintf "%s=%d" (short n) i) start))
+    junk hole
+    (String.concat "\n"
+       (List.map
+          (function
+            | Add (n, i) -> Printf.sprintf "add %s %d" (short n) i
+            | Add_again (k, i) -> Printf.sprintf "add again #%d %d" k i
+            | Remove k -> Printf.sprintf "remove #%d" k)
+          ops))
+
+type patch_dir = {
+  p_views : Dir.t;
+  p_blocks : (int, bytes) Hashtbl.t;
+  mutable p_n : int;
+  p_written : (int, unit) Hashtbl.t;
+}
+
+let patch_backing : (patch_dir, int) Dir.backing =
+  {
+    views = (fun t -> t.p_views);
+    inum = Fun.id;
+    nblocks = (fun t _ -> t.p_n);
+    read = (fun t _ blk -> Hashtbl.find_opt t.p_blocks blk);
+    write =
+      (fun t _ blk block ->
+        Hashtbl.replace t.p_blocks blk block;
+        Hashtbl.replace t.p_written blk ();
+        t.p_n <- max t.p_n (blk + 1));
+  }
+
+let rec drop_first name = function
+  | [] -> []
+  | ((n, _) as e) :: rest -> if String.equal n name then rest else e :: drop_first name rest
+
+let prop_dir_patch =
+  QCheck.Test.make ~name:"patched dir blocks equal Dir_block.encode" ~count:300
+    (QCheck.make ~print:pp_patch_case patch_case_gen)
+    (fun (start, junk, hole, ops) ->
+      let bs = patch_block_size in
+      let fits l = Dir_block.used_bytes l <= bs in
+      let start =
+        List.fold_left (fun acc e -> if fits (acc @ [ e ]) then acc @ [ e ] else acc) [] start
+      in
+      let t =
+        {
+          p_views = Dir.create ~io:(Common.make_io ()) ~block_size:bs;
+          p_blocks = Hashtbl.create 4;
+          p_n = (if hole then 2 else 1);
+          p_written = Hashtbl.create 4;
+        }
+      in
+      let block0 = Dir_block.encode ~block_size:bs start in
+      let used0 = Dir_block.used_bytes start in
+      if junk then Bytes.fill block0 used0 (bs - used0) '\xAA';
+      Hashtbl.replace t.p_blocks 0 block0;
+      (* The model: each block's entries, a hole being an empty block. *)
+      let model = Hashtbl.create 4 in
+      Hashtbl.replace model 0 start;
+      let entries blk = Option.value (Hashtbl.find_opt model blk) ~default:[] in
+      let names () = List.concat_map (fun blk -> List.map fst (entries blk)) (List.init t.p_n Fun.id) in
+      let add name inum =
+        let size = Dir_block.entry_bytes name in
+        let rec place blk =
+          if blk >= t.p_n || Dir_block.used_bytes (entries blk) + size <= bs then blk
+          else place (blk + 1)
+        in
+        let blk = place 0 in
+        Dir.add patch_backing t 2 name inum;
+        Hashtbl.replace model blk ((name, inum) :: entries blk)
+      in
+      let pick k = match names () with [] -> None | l -> Some (List.nth l (k mod List.length l)) in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Add (name, inum) -> add name inum
+          | Add_again (k, inum) -> Option.iter (fun name -> add name inum) (pick k)
+          | Remove k ->
+              Option.iter
+                (fun name ->
+                  Dir.remove patch_backing t 2 name;
+                  let rec first blk =
+                    if List.mem_assoc name (entries blk) then blk else first (blk + 1)
+                  in
+                  let blk = first 0 in
+                  Hashtbl.replace model blk (drop_first name (entries blk)))
+                (pick k));
+          for blk = 0 to t.p_n - 1 do
+            if Dir.block_entries patch_backing t 2 blk <> entries blk then
+              QCheck.Test.fail_reportf "after op %d: block %d entries differ" i blk;
+            if Hashtbl.mem t.p_written blk
+               && not
+                    (Bytes.equal (Hashtbl.find t.p_blocks blk)
+                       (Dir_block.encode ~block_size:bs (entries blk)))
+            then
+              QCheck.Test.fail_reportf "after op %d: block %d is not the encoding" i blk
+          done)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "path split" `Quick test_path_split;
@@ -143,4 +276,5 @@ let suite =
     Alcotest.test_case "dir view room" `Quick test_dir_view_room;
     Alcotest.test_case "dir view identity" `Quick test_dir_view_identity;
     qcheck prop_dir_block;
+    qcheck prop_dir_patch;
   ]
