@@ -15,7 +15,6 @@
 module Clock = Lfs_disk.Clock
 module Config = Lfs_core.Config
 module Cpu_model = Lfs_disk.Cpu_model
-module Disk = Lfs_disk.Disk
 module Fs = Lfs_core.Fs
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
@@ -38,8 +37,8 @@ let on_host_file path f =
     host_file_error path (String.sub msg skip (String.length msg - skip))
 
 (* Whole host files move as one [bytes] buffer each way: a disk image is
-   read straight into the buffer [Disk.restore] takes, and written
-   straight from the one [Disk.snapshot] returns. *)
+   read straight into the buffer [Io.restore_media] takes, and written
+   straight from the one [Io.snapshot_media] returns. *)
 let read_file path =
   on_host_file path @@ fun () ->
   let ic = open_in_bin path in
@@ -59,7 +58,7 @@ let write_file path contents =
 
 let make_io ~size_bytes =
   let geometry = Geometry.wren_iv ~size_bytes in
-  Io.create (Disk.create geometry) (Clock.create ()) Cpu_model.free
+  Io.of_geometry geometry (Clock.create ()) Cpu_model.free
 
 (* An image whose size is not a whole geometry (a truncated copy, a
    stray file) is a usage error too. *)
@@ -75,10 +74,10 @@ let load_image path =
       (Printf.sprintf "%d bytes is not a whole disk image (truncated?)"
          size_bytes);
   let io = make_io ~size_bytes in
-  Disk.restore (Io.disk io) media;
+  Io.restore_media io media;
   io
 
-let save_image io path = write_file path (Disk.snapshot (Io.disk io))
+let save_image io path = write_file path (Io.snapshot_media io)
 
 let mount_image path =
   let io = load_image path in

@@ -31,7 +31,7 @@ let show_root banner fs =
   Printf.printf "%-42s root: [%s]\n" banner (String.concat "; " names)
 
 let recover fs =
-  Disk.clear_crash (Io.disk (Fs.io fs));
+  Disk.clear_crash (Io.member_disk (Fs.io fs) 0);
   let t0 = Io.now_us (Fs.io fs) in
   let fs' = match Fs.mount (Fs.io fs) with Ok f -> f | Error e -> failwith e in
   let us = Io.now_us (Fs.io fs) - t0 in
@@ -76,7 +76,7 @@ let () =
   Fs.checkpoint_now fs;
   ok (Fs.create fs "/torn");
   ok (Fs.write fs "/torn" ~off:0 (Bytes.make 100_000 'x'));
-  Disk.set_crash_after (Io.disk (Fs.io fs)) ~sectors:37;
+  Disk.set_crash_after (Io.member_disk (Fs.io fs) 0) ~sectors:37;
   (try Fs.sync fs with Disk.Crash -> print_endline "  ** power cut mid-write **");
   let fs = recover fs in
   show_root "after recovery:" fs;

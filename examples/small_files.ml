@@ -20,7 +20,7 @@ let () =
         let r = W.Smallfile.run ~nfiles ~file_size:1024 inst in
         (* Show what the disk actually did. *)
         let io = W.Driver.io inst in
-        let stats = Lfs_disk.Disk.stats (Lfs_disk.Io.disk io) in
+        let stats = Lfs_disk.Io.disk_stats io in
         Printf.printf
           "%s: %d disk writes, %d disk reads, %d seeks, disk busy %.1f s\n"
           (W.Driver.label inst) stats.Lfs_disk.Disk.writes

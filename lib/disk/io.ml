@@ -22,21 +22,19 @@ let () =
              attempts)
     | _ -> None)
 
-(* The device behind the scheduler: one disk, or a multi-member volume.
-   Either way, every member ("lane") has its own busy horizon and request
-   queue — a single disk is simply the one-lane case, running the exact
-   same code paths. *)
-type device = Single of Disk.t | Vol of Volume.t
-
+(* The device behind the scheduler is always a {!Volume}: a bare disk is
+   the one-member mirror ({!Volume.of_disk}).  Every member ("lane") has
+   its own busy horizon and request queue. *)
 type lane = {
-  l_member : int;
+  l_disk : Disk.t;
   mutable l_busy_until_us : int;
   mutable l_sched : Sched.t option;
       (* None = immediate issue-order service *)
+  mutable l_tried : bool;  (* already attempted by the current mirror read *)
 }
 
 type t = {
-  device : device;
+  volume : Volume.t;
   lanes : lane array;
   clock : Clock.t;
   cpu : Cpu_model.t;
@@ -63,16 +61,22 @@ type t = {
 
 let is_disk_request = function Event.Disk_request _ -> true | _ -> false
 
-let make ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
-    ?(retry_backoff_us = 1_000) device metrics nlanes clock cpu =
+let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
+    ?(retry_backoff_us = 1_000) volume clock cpu =
   if max_backlog_us < 0 then invalid_arg "Io.create: negative backlog";
   if read_attempts < 1 then invalid_arg "Io.create: read_attempts < 1";
   if retry_backoff_us < 0 then invalid_arg "Io.create: negative backoff";
+  let metrics = Volume.metrics volume in
   {
-    device;
+    volume;
     lanes =
-      Array.init nlanes (fun i ->
-          { l_member = i; l_busy_until_us = 0; l_sched = None });
+      Array.init (Volume.members volume) (fun i ->
+          {
+            l_disk = Volume.member_disk volume i;
+            l_busy_until_us = 0;
+            l_sched = None;
+            l_tried = false;
+          });
     clock;
     cpu;
     bus = Bus.create ~now:(fun () -> Clock.now_us clock) ();
@@ -97,38 +101,18 @@ let make ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
     audit = None;
   }
 
-let create ?max_backlog_us ?read_attempts ?retry_backoff_us disk clock cpu =
-  make ?max_backlog_us ?read_attempts ?retry_backoff_us (Single disk)
-    (Disk.metrics disk) 1 clock cpu
+let create ?max_backlog_us ?read_attempts ?retry_backoff_us disk =
+  of_volume ?max_backlog_us ?read_attempts ?retry_backoff_us
+    (Volume.of_disk disk)
 
-let of_geometry ?max_backlog_us ?read_attempts ?retry_backoff_us geometry clock
-    cpu =
+let of_geometry ?max_backlog_us ?read_attempts ?retry_backoff_us geometry =
   create ?max_backlog_us ?read_attempts ?retry_backoff_us
-    (Disk.create geometry) clock cpu
+    (Disk.create geometry)
 
-let of_volume ?max_backlog_us ?read_attempts ?retry_backoff_us volume clock cpu
-    =
-  make ?max_backlog_us ?read_attempts ?retry_backoff_us (Vol volume)
-    (Volume.metrics volume)
-    (Volume.members volume)
-    clock cpu
-
-let disk t =
-  match t.device with Single d -> d | Vol v -> Volume.member_disk v 0
-
-let volume t = match t.device with Single _ -> None | Vol v -> Some v
+let volume t = t.volume
 let members t = Array.length t.lanes
-
-let member_disk t i =
-  match t.device with
-  | Single d ->
-      if i <> 0 then invalid_arg "Io.member_disk: single-disk stack";
-      d
-  | Vol v -> Volume.member_disk v i
-
-let geometry t =
-  match t.device with Single d -> Disk.geometry d | Vol v -> Volume.geometry v
-
+let member_disk t i = Volume.member_disk t.volume i
+let geometry t = Volume.geometry t.volume
 let clock t = t.clock
 let cpu t = t.cpu
 let bus t = t.bus
@@ -159,24 +143,6 @@ let record t ~kind ~sync ~sector ~sectors ~service_us ~sequential =
 
 let sector_size t = (geometry t).Geometry.sector_size
 
-let lane_disk t lane =
-  match t.device with
-  | Single d -> d
-  | Vol v -> Volume.member_disk v lane.l_member
-
-(* The member data path: a single disk is addressed directly, volume
-   members only through [Volume] (whose wrappers are the one sanctioned
-   raw-device surface besides this module). *)
-let dev_read_into t lane ~start_us ~sector dst =
-  match t.device with
-  | Single d -> Disk.read_into ~start_us d ~sector dst
-  | Vol v -> Volume.read_into ~start_us v ~member:lane.l_member ~sector dst
-
-let dev_write ?len t lane ~start_us ~sector data =
-  match t.device with
-  | Single d -> Disk.write ~start_us ?len d ~sector data
-  | Vol v -> Volume.write ~start_us ?len v ~member:lane.l_member ~sector data
-
 (* Without a scheduler the lane serves requests in issue order; a request
    begins when both the caller and the member device are ready. *)
 let start_time t lane = max (now_us t) lane.l_busy_until_us
@@ -197,9 +163,20 @@ let emit_queue t ~action ~kind ~sector ~sectors ~depth ~wait_us =
            wait_us;
          })
 
+(* A logical request on a multi-member volume.  On one member the event
+   would only repeat the [Disk_request] that follows it. *)
 let emit_volume_op t ~op ~sector ~sectors ~runs =
-  if Bus.enabled t.bus then
+  if Bus.enabled t.bus && members t > 1 then
     Bus.emit t.bus (Event.Volume_op { op; sector; sectors; runs })
+
+(* Write the first [len] bytes of [data] to [lane] at [sector], the
+   device starting at [start]: the one service path for every write,
+   queued or immediate. *)
+let serve_write t lane ~start ~sync ~sector ~len data =
+  let service_us = Disk.write ~start_us:start ~len lane.l_disk ~sector data in
+  record t ~kind:`Write ~sync ~sector ~sectors:(len / sector_size t)
+    ~service_us ~sequential:(Disk.last_was_streamed lane.l_disk);
+  lane.l_busy_until_us <- start + service_us
 
 (* The one retry loop, shared by the immediate and queued read paths;
    the data lands in the caller's slices [dst].  A failed attempt costs
@@ -208,9 +185,9 @@ let emit_volume_op t ~op ~sector ~sectors ~runs =
    advances by the (exponentially growing) wait between attempts. *)
 let read_with_retries t lane ~start ~sector ~count ~dst ~sync =
   let rec attempt n =
-    match dev_read_into t lane ~start_us:(start ()) ~sector dst with
+    match Disk.read_into ~start_us:(start ()) lane.l_disk ~sector dst with
     | service_us ->
-        let sequential = Disk.last_was_streamed (lane_disk t lane) in
+        let sequential = Disk.last_was_streamed lane.l_disk in
         record t ~kind:`Read ~sync ~sector ~sectors:count ~service_us
           ~sequential;
         lane.l_busy_until_us <- start () + service_us
@@ -239,15 +216,10 @@ let dispatch_entry ?dst t lane q (e : Sched.entry) =
   let depth = Sched.length q in
   (match e.Sched.kind with
   | `Write ->
-      let data = Option.get e.Sched.data in
-      let service_us =
-        dev_write t lane ~start_us:(start ()) ~sector:e.Sched.sector
-          ~len:(e.Sched.count * sector_size t) data
-      in
-      record t ~kind:`Write ~sync:e.Sched.sync ~sector:e.Sched.sector
-        ~sectors:e.Sched.count ~service_us
-        ~sequential:(Disk.last_was_streamed (lane_disk t lane));
-      lane.l_busy_until_us <- start () + service_us
+      serve_write t lane ~start:(start ()) ~sync:e.Sched.sync
+        ~sector:e.Sched.sector
+        ~len:(e.Sched.count * sector_size t)
+        (Option.get e.Sched.data)
   | `Read ->
       read_with_retries t lane ~start ~sector:e.Sched.sector
         ~count:e.Sched.count ~dst:(Option.get dst) ~sync:e.Sched.sync);
@@ -258,7 +230,7 @@ let dispatch_entry ?dst t lane q (e : Sched.entry) =
 (* The oldest entry is always eligible, so a non-empty queue always
    dispatches: no livelock.  Returns the serviced entry. *)
 let dispatch_next ?dst t lane q =
-  match Sched.select q ~head:(Disk.head_sector (lane_disk t lane)) with
+  match Sched.select q ~head:(Disk.head_sector lane.l_disk) with
   | None -> None
   | Some e ->
       dispatch_entry ?dst t lane q e;
@@ -285,24 +257,22 @@ let dispatch_until ?dst t lane q ~id =
   in
   go ()
 
-let enqueue t lane q ~kind ~sync ~sector ~count ~data =
+let enqueue t q ~kind ~sync ~sector ~count ~data =
   let e =
     Sched.enqueue q ~kind ~sync ~sector ~count ~data ~arrival_us:(now_us t)
   in
-  ignore lane;
   Metrics.observe t.h_queue_depth (Sched.length q);
   emit_queue t ~action:`Enqueue ~kind ~sector ~sectors:count
     ~depth:(Sched.length q) ~wait_us:0;
   e
 
-(* ---- scatter/gather over a volume run's piece map ---- *)
+(* ---- scatter/gather over a striped run's piece map ---- *)
 
 (* Assemble the member-contiguous payload of one write run from the
    logical request, the first [len] bytes of [data].  When the run covers
-   the whole request in order (single disk, mirror replica) the original
-   buffer is returned as-is — callers that enqueue must copy it then.
-   Either way the payload is the first [run.count] sectors of the
-   result. *)
+   the whole request in order the original buffer is returned as-is —
+   callers that enqueue must copy it then.  Either way the payload is the
+   first [run.count] sectors of the result. *)
 let gather ~ss ~len data run =
   match run.Volume.pieces with
   | [ (0, n) ] when n * ss = len -> data
@@ -338,25 +308,20 @@ let lane_read_run t lane ~sector ~count ~dst ~sync =
       read_with_retries t lane ~start:(fun () -> start_time t lane) ~sector
         ~count ~dst ~sync
   | Some q ->
-      let e = enqueue t lane q ~kind:`Read ~sync ~sector ~count ~data:None in
+      let e = enqueue t q ~kind:`Read ~sync ~sector ~count ~data:None in
       dispatch_until ~dst t lane q ~id:e.Sched.id
 
 (* One synchronous write run on one lane: the first [len] bytes of
    [data], already gathered and owned by the caller. *)
 let lane_sync_write_run t lane ~sector ~len data =
-  let count = len / sector_size t in
   match lane.l_sched with
   | None ->
-      let start = start_time t lane in
-      let service_us = dev_write ~len t lane ~start_us:start ~sector data in
-      let sequential = Disk.last_was_streamed (lane_disk t lane) in
-      record t ~kind:`Write ~sync:true ~sector ~sectors:count ~service_us
-        ~sequential;
-      lane.l_busy_until_us <- start + service_us
+      serve_write t lane ~start:(start_time t lane) ~sync:true ~sector ~len
+        data
   | Some q ->
       let e =
-        enqueue t lane q ~kind:`Write ~sync:true ~sector ~count
-          ~data:(Some data)
+        enqueue t q ~kind:`Write ~sync:true ~sector
+          ~count:(len / sector_size t) ~data:(Some data)
       in
       dispatch_until t lane q ~id:e.Sched.id
 
@@ -364,22 +329,17 @@ let lane_sync_write_run t lane ~sector ~len data =
    [data].  [owned] says whether [data] may be handed to the queue
    without copying. *)
 let lane_async_write_run t lane ~sector ~len ~owned data =
-  let count = len / sector_size t in
   match lane.l_sched with
   | None ->
-      let start = start_time t lane in
-      let service_us = dev_write ~len t lane ~start_us:start ~sector data in
-      let sequential = Disk.last_was_streamed (lane_disk t lane) in
-      record t ~kind:`Write ~sync:false ~sector ~sectors:count ~service_us
-        ~sequential;
-      lane.l_busy_until_us <- start + service_us
+      serve_write t lane ~start:(start_time t lane) ~sync:false ~sector ~len
+        data
   | Some q ->
       (* The queue owns the payload from here: copy so a caller reusing
          its buffer cannot retroactively change a pending write. *)
       let payload = if owned then data else Bytes.sub data 0 len in
       let (_ : Sched.entry) =
-        enqueue t lane q ~kind:`Write ~sync:false ~sector ~count
-          ~data:(Some payload)
+        enqueue t q ~kind:`Write ~sync:false ~sector
+          ~count:(len / sector_size t) ~data:(Some payload)
       in
       (* Bounded queue: past [max_queue] pending requests the member must
          make room before the caller may continue. *)
@@ -389,35 +349,61 @@ let lane_async_write_run t lane ~sector ~len ~owned data =
 
 (* ---- mirror read load balancing ---- *)
 
-(* Replicas ranked by how soon they could serve the request: shallowest
-   queue first, then earliest busy horizon, then closest head, then
-   member index (deterministic tie-break). *)
-let mirror_order t ~sector =
-  let score lane =
-    let qlen = match lane.l_sched with None -> 0 | Some q -> Sched.length q in
-    let head = Disk.head_sector (lane_disk t lane) in
-    (qlen, max 0 (lane.l_busy_until_us - now_us t), abs (head - sector),
-     lane.l_member)
-  in
-  List.sort
-    (fun a b -> compare (score a) (score b))
-    (Array.to_list t.lanes)
+let queue_length lane =
+  match lane.l_sched with None -> 0 | Some q -> Sched.length q
+
+(* Whether replica [a] could serve a read of [sector] sooner than [b],
+   judged at time [now]: shallower queue first, then earlier busy
+   horizon, then closer head.  A full tie is not sooner, so a scan in
+   member order breaks it toward the lower member index. *)
+let sooner ~now ~sector a b =
+  let qa = queue_length a and qb = queue_length b in
+  if qa <> qb then qa < qb
+  else
+    let ha = max 0 (a.l_busy_until_us - now)
+    and hb = max 0 (b.l_busy_until_us - now) in
+    if ha <> hb then ha < hb
+    else
+      abs (Disk.head_sector a.l_disk - sector)
+      < abs (Disk.head_sector b.l_disk - sector)
+
+(* The best replica not yet tried, or -1 when every one has been. *)
+let best_untried t ~now ~sector =
+  let best = ref (-1) in
+  for i = 0 to Array.length t.lanes - 1 do
+    let l = t.lanes.(i) in
+    if
+      (not l.l_tried)
+      && (!best < 0 || sooner ~now ~sector l t.lanes.(!best))
+    then best := i
+  done;
+  !best
 
 (* A failed replica is transparently retried on the next-best member;
    only when every replica exhausts its retry budget does the failure
-   surface.  Each fail-over is counted in [io.degraded_reads]. *)
+   surface.  Each fail-over is counted in [io.degraded_reads].  Replicas
+   are ranked as of the read's start ([now]): a failed attempt's backoff
+   does not reorder the rest. *)
+let rec mirror_read_from t ~now ~sector ~count ~dst ~sync i =
+  let lane = t.lanes.(i) in
+  lane.l_tried <- true;
+  match lane_read_run t lane ~sector ~count ~dst ~sync with
+  | () -> lane
+  | exception (Read_failed _ as e) ->
+      let next = best_untried t ~now ~sector in
+      if next < 0 then raise e
+      else begin
+        Metrics.incr t.c_degraded_reads;
+        mirror_read_from t ~now ~sector ~count ~dst ~sync next
+      end
+
 let mirror_read t ~sector ~count ~dst ~sync =
-  let rec go last = function
-    | [] -> (
-        match last with Some e -> raise e | None -> assert false)
-    | lane :: rest -> (
-        match lane_read_run t lane ~sector ~count ~dst ~sync with
-        | () -> lane
-        | exception (Read_failed _ as e) ->
-            if rest <> [] then Metrics.incr t.c_degraded_reads;
-            go (Some e) rest)
-  in
-  go None (mirror_order t ~sector)
+  for i = 0 to Array.length t.lanes - 1 do
+    t.lanes.(i).l_tried <- false
+  done;
+  let now = now_us t in
+  mirror_read_from t ~now ~sector ~count ~dst ~sync
+    (best_untried t ~now ~sector)
 
 (* ---- public request paths ---- *)
 
@@ -439,42 +425,35 @@ let sync_read_into ?len t ~sector bufs =
        size within the buffers";
   let count = len / ss in
   let go () =
-    match t.device with
-    | Single _ ->
-        let lane = t.lanes.(0) in
+    match Volume.policy t.volume with
+    | Volume.Mirror ->
+        emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
         let dst = slices bufs ~blen ~pos:0 ~len:(count * ss) in
-        lane_read_run t lane ~sector ~count ~dst ~sync:true;
+        let lane = mirror_read t ~sector ~count ~dst ~sync:true in
         Clock.advance_to_us t.clock lane.l_busy_until_us
-    | Vol v -> (
-        match Volume.policy v with
-        | Volume.Mirror ->
-            emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
-            let dst = slices bufs ~blen ~pos:0 ~len:(count * ss) in
-            let lane = mirror_read t ~sector ~count ~dst ~sync:true in
-            Clock.advance_to_us t.clock lane.l_busy_until_us
-        | Volume.Stripe _ | Volume.Log_stripe _ ->
-            let runs = Volume.map_read v ~sector ~count in
-            emit_volume_op t ~op:"read" ~sector ~sectors:count
-              ~runs:(List.length runs);
-            let finish = ref 0 in
-            List.iter
-              (fun (r : Volume.run) ->
-                let lane = t.lanes.(r.Volume.member) in
-                (* Each member run fills its pieces of the destination
-                   directly: no member-contiguous buffer to scatter. *)
-                let dst =
-                  List.concat_map
-                    (fun (off, n) ->
-                      slices bufs ~blen ~pos:(off * ss) ~len:(n * ss))
-                    r.Volume.pieces
-                in
-                lane_read_run t lane ~sector:r.Volume.sector
-                  ~count:r.Volume.count ~dst ~sync:true;
-                finish := max !finish lane.l_busy_until_us)
-              runs;
-            (* The runs were issued together and serviced in parallel:
-               the caller resumes when the slowest member finishes. *)
-            Clock.advance_to_us t.clock !finish)
+    | Volume.Stripe _ | Volume.Log_stripe _ ->
+        let runs = Volume.map_read t.volume ~sector ~count in
+        emit_volume_op t ~op:"read" ~sector ~sectors:count
+          ~runs:(List.length runs);
+        let finish = ref 0 in
+        List.iter
+          (fun (r : Volume.run) ->
+            let lane = t.lanes.(r.Volume.member) in
+            (* Each member run fills its pieces of the destination
+               directly: no member-contiguous buffer to scatter. *)
+            let dst =
+              List.concat_map
+                (fun (off, n) ->
+                  slices bufs ~blen ~pos:(off * ss) ~len:(n * ss))
+                r.Volume.pieces
+            in
+            lane_read_run t lane ~sector:r.Volume.sector
+              ~count:r.Volume.count ~dst ~sync:true;
+            finish := max !finish lane.l_busy_until_us)
+          runs;
+        (* The runs were issued together and serviced in parallel: the
+           caller resumes when the slowest member finishes. *)
+        Clock.advance_to_us t.clock !finish
   in
   (* The span covers the retry loop too: backoff waits are disk time. *)
   if Bus.enabled t.bus then Bus.with_span t.bus "io_read" go else go ()
@@ -487,15 +466,19 @@ let sync_read t ~sector ~count =
 let sync_write ?len t ~sector data =
   let len = Option.value len ~default:(Bytes.length data) in
   let go () =
-    match t.device with
-    | Single _ ->
-        let lane = t.lanes.(0) in
-        lane_sync_write_run t lane ~sector ~len data;
-        Clock.advance_to_us t.clock lane.l_busy_until_us
-    | Vol v ->
-        let ss = sector_size t in
-        let count = len / ss in
-        let runs = Volume.map_write v ~sector ~count in
+    let ss = sector_size t in
+    let count = len / ss in
+    match Volume.policy t.volume with
+    | Volume.Mirror ->
+        (* Every replica takes the whole request; the caller resumes when
+           the slowest one finishes. *)
+        emit_volume_op t ~op:"write" ~sector ~sectors:count ~runs:(members t);
+        for i = 0 to Array.length t.lanes - 1 do
+          lane_sync_write_run t t.lanes.(i) ~sector ~len data
+        done;
+        Clock.advance_to_us t.clock (max_busy t)
+    | Volume.Stripe _ | Volume.Log_stripe _ ->
+        let runs = Volume.map_write t.volume ~sector ~count in
         emit_volume_op t ~op:"write" ~sector ~sectors:count
           ~runs:(List.length runs);
         let finish = ref 0 in
@@ -513,13 +496,17 @@ let sync_write ?len t ~sector data =
 let async_write ?len t ~sector data =
   let len = Option.value len ~default:(Bytes.length data) in
   let go () =
-    (match t.device with
-    | Single _ ->
-        lane_async_write_run t t.lanes.(0) ~sector ~len ~owned:false data
-    | Vol v ->
-        let ss = sector_size t in
-        let count = len / ss in
-        let runs = Volume.map_write v ~sector ~count in
+    let ss = sector_size t in
+    let count = len / ss in
+    (match Volume.policy t.volume with
+    | Volume.Mirror ->
+        emit_volume_op t ~op:"write_async" ~sector ~sectors:count
+          ~runs:(members t);
+        for i = 0 to Array.length t.lanes - 1 do
+          lane_async_write_run t t.lanes.(i) ~sector ~len ~owned:false data
+        done
+    | Volume.Stripe _ | Volume.Log_stripe _ ->
+        let runs = Volume.map_write t.volume ~sector ~count in
         emit_volume_op t ~op:"write_async" ~sector ~sectors:count
           ~runs:(List.length runs);
         List.iter
@@ -548,10 +535,7 @@ let note_clustered_write t ~blocks =
   Metrics.add t.c_clustered_write_blocks blocks
 
 let queue_depth t =
-  Array.fold_left
-    (fun acc lane ->
-      acc + match lane.l_sched with None -> 0 | Some q -> Sched.length q)
-    0 t.lanes
+  Array.fold_left (fun acc lane -> acc + queue_length lane) 0 t.lanes
 
 let drain t =
   let pending = queue_depth t > 0 || max_busy t > Clock.now_us t.clock in
@@ -578,32 +562,18 @@ let set_scheduler ?(max_queue = 32) t d =
         (match d with None -> None | Some disc -> Some (Sched.create disc)))
     t.lanes
 
+(* Every member adds to the shared aggregate [disk.*] cells, so they are
+   the whole-device view. *)
 let disk_stats t =
-  match t.device with
-  | Single d -> Disk.stats d
-  | Vol v ->
-      (* Aggregate member view, matching the shared disk.* counters. *)
-      let acc =
-        {
-          Disk.reads = 0;
-          writes = 0;
-          sectors_read = 0;
-          sectors_written = 0;
-          seeks = 0;
-          busy_us = 0;
-        }
-      in
-      for i = 0 to Volume.members v - 1 do
-        let s = Disk.stats (Volume.member_disk v i) in
-        acc.Disk.reads <- acc.Disk.reads + s.Disk.reads;
-        acc.Disk.writes <- acc.Disk.writes + s.Disk.writes;
-        acc.Disk.sectors_read <- acc.Disk.sectors_read + s.Disk.sectors_read;
-        acc.Disk.sectors_written <-
-          acc.Disk.sectors_written + s.Disk.sectors_written;
-        acc.Disk.seeks <- acc.Disk.seeks + s.Disk.seeks;
-        acc.Disk.busy_us <- acc.Disk.busy_us + s.Disk.busy_us
-      done;
-      acc
+  let v name = Metrics.value (Metrics.counter t.metrics name) in
+  {
+    Disk.reads = v "disk.reads";
+    writes = v "disk.writes";
+    sectors_read = v "disk.sectors_read";
+    sectors_written = v "disk.sectors_written";
+    seeks = v "disk.seeks";
+    busy_us = v "disk.busy_us";
+  }
 
 let member_stats t i = Disk.stats (member_disk t i)
 
@@ -611,17 +581,13 @@ let snapshot_media t =
   (* Pending queued writes belong on the snapshot: flush them to every
      member (extending its busy horizon) without advancing the clock. *)
   dispatch_all t;
-  match t.device with
-  | Single d -> Disk.snapshot d
-  | Vol v -> Volume.snapshot v
+  Volume.snapshot t.volume
 
 let restore_media t media =
   Array.iter
     (fun lane -> match lane.l_sched with Some q -> Sched.clear q | None -> ())
     t.lanes;
-  match t.device with
-  | Single d -> Disk.restore d media
-  | Vol v -> Volume.restore v media
+  Volume.restore t.volume media
 
 let backlog_us t = max 0 (max_busy t - Clock.now_us t.clock)
 

@@ -1,4 +1,4 @@
-(** The I/O scheduler: joins a {!Disk}, a {!Clock} and a {!Cpu_model} and
+(** The I/O scheduler: joins a {!Volume}, a {!Clock} and a {!Cpu_model} and
     decides who pays for each request.
 
     - [sync_read]/[sync_write] make the caller wait: the clock advances
@@ -31,19 +31,21 @@
     eight small random writes versus LFS's single large sequential
     one.
 
-    {b Multi-disk volumes.}  The device behind the scheduler may be a
-    {!Volume} ({!of_volume}): N member disks, each with its own busy
-    horizon and — when a scheduler is installed — its own request queue,
-    all sharing the clock.  Requests are split by the volume's address
-    map into at most one contiguous run per member, the runs issued
+    {b One device: a volume.}  The device behind the scheduler is always
+    a {!Volume}; a bare disk ({!create}, {!of_geometry}) is the
+    one-member mirror ({!Volume.of_disk}), so there is no single-disk
+    special case.  Every member has its own busy horizon and — when a
+    scheduler is installed — its own request queue, all sharing the
+    clock.  On a striped volume a request is split by the address map
+    into at most one contiguous run per member, the runs issued
     together, and a synchronous caller resumes when the slowest member
     finishes: an N-member striped segment write completes in roughly
-    [1/N] of the single-disk media time.  Mirror reads pick the replica
-    with the shallowest queue / earliest horizon / closest head and fail
-    over transparently (counted in [io.degraded_reads]).  A single disk
-    is the one-lane case of the same code, so single-disk timing is
-    unchanged.  Logical requests on volumes are additionally published
-    as [Volume_op] events; the per-member requests appear as the usual
+    [1/N] of the single-disk media time.  A mirror write goes whole to
+    every member; a mirror read picks the replica with the shallowest
+    queue / earliest horizon / closest head and fails over
+    transparently (counted in [io.degraded_reads]).  Logical requests on
+    volumes of more than one member are additionally published as
+    [Volume_op] events; the per-member requests appear as the usual
     [Disk_request]s (with member-local sectors). *)
 
 type t
@@ -73,8 +75,9 @@ val create :
   Clock.t ->
   Cpu_model.t ->
   t
-(** Default backlog: 2 s of queued device time (roughly two segment
-    writes ahead on the paper's disk).
+(** [create disk] drives [disk] as the one-member volume
+    {!Volume.of_disk}.  Default backlog: 2 s of queued device time
+    (roughly two segment writes ahead on the paper's disk).
 
     [read_attempts] (default 4) bounds how often {!sync_read} tries a
     request that fails with {!Disk.Read_fault}; each retry first waits
@@ -100,28 +103,23 @@ val of_volume :
   Clock.t ->
   Cpu_model.t ->
   t
-(** Mount a multi-member {!Volume} behind the scheduler.  Every member
-    gets its own busy horizon and (with {!set_scheduler}) its own queue;
-    options apply to all members. *)
+(** Mount a {!Volume} behind the scheduler.  Every member gets its own
+    busy horizon and (with {!set_scheduler}) its own queue; options
+    apply to all members. *)
 
-val disk : t -> Disk.t
-(** The device as a single disk — member 0 on a volume.  Prefer
-    {!geometry}/{!member_disk} in volume-aware code; this accessor keeps
-    single-disk tooling working. *)
-
-val volume : t -> Volume.t option
-(** The volume behind this stack, or [None] for a single disk. *)
+val volume : t -> Volume.t
+(** The volume behind this stack — one member for a bare disk. *)
 
 val members : t -> int
-(** Number of member devices (1 for a single disk). *)
+(** Number of member devices. *)
 
 val member_disk : t -> int -> Disk.t
-(** Member [i]'s device.
-    @raise Invalid_argument if out of range (only 0 on a single disk). *)
+(** Member [i]'s device; member 0 is the bare disk of {!create}.
+    @raise Invalid_argument if out of range. *)
 
 val geometry : t -> Geometry.t
-(** The logical geometry the file system should format: the disk's own on
-    a single-disk stack, {!Volume.geometry} on a volume. *)
+(** The logical geometry the file system should format:
+    {!Volume.geometry}, which for a bare disk is the disk's own. *)
 
 val clock : t -> Clock.t
 val cpu : t -> Cpu_model.t
@@ -132,9 +130,8 @@ val bus : t -> Lfs_obs.Bus.t
     sink or subscriber is attached. *)
 
 val metrics : t -> Lfs_obs.Metrics.t
-(** The registry shared by the whole stack: [Disk.metrics (disk t)] on a
-    single disk, {!Volume.metrics} (shared by every member) on a
-    volume. *)
+(** The registry shared by the whole stack: {!Volume.metrics}, shared by
+    every member (a bare disk's own registry). *)
 
 (** {1 CPU accounting} *)
 
@@ -207,8 +204,8 @@ val queue_depth : t -> int
 
 val disk_stats : t -> Disk.stats
 (** The sanctioned way for workloads and bench code to read device
-    counters without naming [Disk].  On a volume this is the aggregate
-    over all members (matching the shared [disk.*] registry counters). *)
+    counters without naming [Disk]: the shared aggregate [disk.*]
+    registry counters, which every member adds to. *)
 
 val member_stats : t -> int -> Disk.stats
 (** {!disk_stats} for one member — the per-spindle view ([disk.<i>.*])
@@ -216,7 +213,7 @@ val member_stats : t -> int -> Disk.stats
 
 val snapshot_media : t -> bytes
 (** Copy of the underlying media — member media concatenated in member
-    order on a volume, so crash sweeps and replays are deterministic and
+    order, so crash sweeps and replays are deterministic and
     byte-comparable.  Queued writes on every member are dispatched first
     (without advancing the clock) so the snapshot reflects everything
     issued. *)

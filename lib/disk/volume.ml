@@ -69,6 +69,18 @@ let create policy ~members geometry =
     metrics;
   }
 
+let of_disk d =
+  let g = Disk.geometry d in
+  {
+    policy = Mirror;
+    nmembers = 1;
+    chunk = 0;
+    disks = [| d |];
+    member_geometry = g;
+    geometry = g;
+    metrics = Disk.metrics d;
+  }
+
 let policy t = t.policy
 let members t = t.nmembers
 let geometry t = t.geometry
@@ -79,8 +91,6 @@ let member_disk t i =
   if i < 0 || i >= t.nmembers then
     invalid_arg (Printf.sprintf "Volume.member_disk: member %d of %d" i t.nmembers);
   t.disks.(i)
-
-let chunk_sectors t = match t.policy with Mirror -> None | _ -> Some t.chunk
 
 let check_range t ~sector ~count =
   if sector < 0 || count <= 0 || sector + count > t.geometry.Geometry.sectors
@@ -133,13 +143,10 @@ let map_write t ~sector ~count =
   | Mirror -> List.init t.nmembers (fun m -> full_run ~member:m ~sector ~count)
   | Stripe _ | Log_stripe _ -> chunked_runs t ~sector ~count
 
-let map_read ?(prefer = 0) t ~sector ~count =
+let map_read t ~sector ~count =
   check_range t ~sector ~count;
   match t.policy with
-  | Mirror ->
-      if prefer < 0 || prefer >= t.nmembers then
-        invalid_arg "Volume.map_read: prefer out of range";
-      [ full_run ~member:prefer ~sector ~count ]
+  | Mirror -> [ full_run ~member:0 ~sector ~count ]
   | Stripe _ | Log_stripe _ -> chunked_runs t ~sector ~count
 
 let locate t ~sector =
@@ -161,12 +168,6 @@ let logical_of t ~member ~msec =
       let j = msec / c in
       (((j * n) + member) * c) + (msec mod c)
 
-let read_into ?start_us t ~member ~sector dst =
-  Disk.read_into ?start_us (member_disk t member) ~sector dst
-
-let write ?start_us ?len t ~member ~sector data =
-  Disk.write ?start_us ?len (member_disk t member) ~sector data
-
 (* Members copy their chunks straight into (and out of) their slice of
    the volume image: no per-member intermediate image. *)
 let snapshot t =
@@ -180,6 +181,3 @@ let restore t media =
   if Bytes.length media <> t.nmembers * msize then
     invalid_arg "Volume.restore: snapshot size mismatch";
   Array.iteri (fun i d -> Disk.restore_from d media ~off:(i * msize)) t.disks
-
-let crashed t = Array.exists Disk.crashed t.disks
-let clear_crash t = Array.iter Disk.clear_crash t.disks

@@ -25,6 +25,9 @@
       with spindle count while per-member seek counts stay at the
       single-disk level.
 
+    A bare disk is the one-member mirror ({!of_disk}): {!Io} drives
+    every device, one disk or many, as a volume.
+
     All members share one metrics registry: each registers its own
     [disk.<i>.*] family and contributes to the aggregate [disk.*]
     counters (see {!Disk.create}), so existing name-based consumers keep
@@ -61,6 +64,11 @@ val create : policy -> members:int -> Geometry.t -> t
     non-positive, [Log_stripe] stripe size is not divisible by
     [members], or a member is too small to hold one chunk. *)
 
+val of_disk : Disk.t -> t
+(** [of_disk d] is the one-member [Mirror] over [d]: the disk's own
+    geometry and its own registry.  It registers no [disk.0.*] member
+    cells, so the registry reads exactly as the bare disk's. *)
+
 val policy : t -> policy
 val members : t -> int
 
@@ -75,9 +83,6 @@ val member_geometry : t -> Geometry.t
 val member_disk : t -> int -> Disk.t
 val metrics : t -> Lfs_obs.Metrics.t
 
-val chunk_sectors : t -> int option
-(** The striping chunk in sectors ([None] for mirrors). *)
-
 (** {1 Address mapping} *)
 
 val map_write : t -> sector:int -> count:int -> run list
@@ -85,9 +90,9 @@ val map_write : t -> sector:int -> count:int -> run list
     offset.  Mirrors return one full-range run per member.
     @raise Invalid_argument if the logical range is out of bounds. *)
 
-val map_read : ?prefer:int -> t -> sector:int -> count:int -> run list
-(** Same split for reads.  Mirrors return a single run on member
-    [prefer] (default 0) — the caller picks the replica. *)
+val map_read : t -> sector:int -> count:int -> run list
+(** Same split for reads.  Mirrors return a single run on member 0, the
+    replica {!locate} names; {!Io} balances mirror reads itself. *)
 
 val locate : t -> sector:int -> int * int
 (** [(member, member_sector)] of one logical sector (mirrors: member 0's
@@ -96,19 +101,6 @@ val locate : t -> sector:int -> int * int
 val logical_of : t -> member:int -> msec:int -> int
 (** Inverse of {!locate} for striped policies; identity on mirrors.  Not
     bounds-checked against the member's last partial chunk. *)
-
-(** {1 Member I/O}
-
-    The sanctioned data path to the member devices — {!Io} drives these
-    with run-level timing; nothing above {!Io} touches them. *)
-
-val read_into :
-  ?start_us:int -> t -> member:int -> sector:int -> Disk.slice list -> int
-(** {!Disk.read_into} on member [member]. *)
-
-val write :
-  ?start_us:int -> ?len:int -> t -> member:int -> sector:int -> bytes -> int
-(** {!Disk.write} on member [member]. *)
 
 (** {1 Whole-volume state} *)
 
@@ -120,8 +112,3 @@ val restore : t -> bytes -> unit
 (** Split a {!snapshot} back onto the members (head state reset).
     @raise Invalid_argument on size mismatch. *)
 
-val crashed : t -> bool
-(** Whether any member is down ({!Disk.crashed}). *)
-
-val clear_crash : t -> unit
-(** Bring every member back up. *)

@@ -60,7 +60,7 @@ let test_sequential_allocation () =
      read it back after a cache flush and count seeks. *)
   Fs.flush_caches fs;
   let io = Fs.io fs in
-  let disk = Io.disk io in
+  let disk = Io.member_disk io 0 in
   let before = (Lfs_disk.Disk.stats disk).Lfs_disk.Disk.seeks in
   ignore (check_ok "read" (Fs.read fs "/f" ~off:0 ~len:(16 * 1024)));
   let seeks = (Lfs_disk.Disk.stats disk).Lfs_disk.Disk.seeks - before in

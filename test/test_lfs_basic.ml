@@ -216,7 +216,7 @@ let test_writeback_age_trigger () =
      pushed to disk by ordinary activity, without any sync call. *)
   let fs = make_lfs () in
   let io = Fs.io fs in
-  let disk = Lfs_disk.Io.disk io in
+  let disk = Lfs_disk.Io.member_disk io 0 in
   write_file fs "/aged" (pattern ~seed:21 3000);
   let writes_before = (Lfs_disk.Disk.stats disk).Lfs_disk.Disk.writes in
   (* 31 simulated seconds pass; a read then triggers housekeeping. *)

@@ -13,7 +13,7 @@ let remount ?(config = small_config) fs =
 (* Mount again without unmounting: everything not on disk is lost, as in
    a crash. *)
 let crash_and_remount ?config fs =
-  Disk.clear_crash (Io.disk (Fs.io fs));
+  Disk.clear_crash (Io.member_disk (Fs.io fs) 0);
   remount ?config fs
 
 let test_checkpoint_then_crash () =
@@ -57,7 +57,7 @@ let test_crash_mid_segment_write () =
   Fs.checkpoint_now fs;
   write_file fs "/torn" (pattern ~seed:5 8000);
   (* Allow only a few more sectors: the segment write will tear. *)
-  Disk.set_crash_after (Io.disk (Fs.io fs)) ~sectors:5;
+  Disk.set_crash_after (Io.member_disk (Fs.io fs) 0) ~sectors:5;
   (try Fs.sync fs with Disk.Crash -> ());
   let fs2 = crash_and_remount fs in
   check_bytes "checkpointed data intact" (pattern ~seed:4 4000)
@@ -77,15 +77,15 @@ let test_torn_checkpoint_region () =
      flush for this config is well under 120 sectors; the region write
      comes last.  Find the tear point empirically by sweeping. *)
   Fs.sync fs;
-  let snapshot = Disk.snapshot (Io.disk (Fs.io fs)) in
+  let snapshot = Disk.snapshot (Io.member_disk (Fs.io fs) 0) in
   let try_tear sectors =
     (* Start from the snapshot with a *freshly mounted* instance — the
        old [fs] value's in-memory state no longer matches the media. *)
-    Disk.restore (Io.disk (Fs.io fs)) snapshot;
-    Disk.clear_crash (Io.disk (Fs.io fs));
+    Disk.restore (Io.member_disk (Fs.io fs) 0) snapshot;
+    Disk.clear_crash (Io.member_disk (Fs.io fs) 0);
     let fs1 = remount fs in
     write_file fs1 (Printf.sprintf "/extra%d" sectors) (pattern ~seed:sectors 500);
-    Disk.set_crash_after (Io.disk (Fs.io fs)) ~sectors;
+    Disk.set_crash_after (Io.member_disk (Fs.io fs) 0) ~sectors;
     (try Fs.checkpoint_now fs1 with Disk.Crash -> ());
     let fs2 = crash_and_remount fs1 in
     check_bytes "pre-tear file" (pattern ~seed:6 1000) (read_all fs2 "/a");
@@ -196,7 +196,7 @@ let test_crash_during_cleaning_sweep () =
       if i mod 2 = 0 then check_ok "delete" (Fs.delete fs (Printf.sprintf "/f%02d" i))
     done;
     Fs.sync fs;
-    Disk.set_crash_after (Io.disk (Fs.io fs)) ~sectors;
+    Disk.set_crash_after (Io.member_disk (Fs.io fs) 0) ~sectors;
     (try ignore (Fs.clean_now ~target:max_int fs) with Disk.Crash -> ());
     let fs2 = crash_and_remount fs in
     (* Every file the recovered namespace shows must read correctly; all

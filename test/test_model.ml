@@ -371,7 +371,7 @@ let prop_lfs_crash_recovery =
     (fun (ops, crash_after) ->
       let fs = Common.make_lfs () in
       let io = Lfs_core.Fs.io fs in
-      let disk = Lfs_disk.Io.disk io in
+      let disk = Lfs_disk.Io.member_disk io 0 in
       let model = Model_fs.create () in
       (* Stable state: everything up to a checkpoint.  Touched paths are
          tracked as *prefixes*: renaming a directory moves its whole

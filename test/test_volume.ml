@@ -108,7 +108,9 @@ let split_covers =
         runs;
       Array.for_all Fun.id covered)
 
-(* Mirrors: writes fan out whole-range to every member, reads pick one. *)
+(* Mirrors: writes fan out whole-range to every member; the address map
+   names member 0's replica for a read ([Io] balances mirror reads
+   itself). *)
 let test_mirror_map () =
   let v = Volume.create Volume.Mirror ~members:3 (geo ()) in
   let runs = Volume.map_write v ~sector:100 ~count:10 in
@@ -118,17 +120,32 @@ let test_mirror_map () =
       Alcotest.(check int) "full range" 10 r.Volume.count;
       Alcotest.(check int) "at the logical sector" 100 r.Volume.sector)
     runs;
-  match Volume.map_read ~prefer:2 v ~sector:100 ~count:10 with
-  | [ r ] -> Alcotest.(check int) "read on preferred member" 2 r.Volume.member
+  match Volume.map_read v ~sector:100 ~count:10 with
+  | [ r ] ->
+      Alcotest.(check int) "read on member 0" 0 r.Volume.member;
+      Alcotest.(check int) "whole range" 10 r.Volume.count
   | l -> Alcotest.failf "mirror read split into %d runs" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* 1-member volume = bare disk                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The same LFS workload on a bare disk and on a 1-member striped
-   volume (awkward chunk) must end with byte-identical media and an
-   identical clock: the volume path is the single-disk path. *)
+(* The registry cells a bare disk and a one-member volume share: the
+   aggregate [disk.*] counters and every [io.*] instrument.  A volume
+   built by [Volume.create] also keeps its member's [disk.0.*] family,
+   which a bare disk does not register. *)
+let shared_cells io =
+  List.filter
+    (fun (name, _) ->
+      String.starts_with ~prefix:"io." name
+      || String.starts_with ~prefix:"disk." name
+         && not (String.length name > 5 && name.[5] >= '0' && name.[5] <= '9'))
+    (Metrics.snapshot (Io.metrics io))
+
+(* The same LFS workload on a bare disk and on one-member volumes of
+   every policy must end with byte-identical media, an identical clock and identical device and I/O metrics: a
+   bare disk is a one-member volume, and every request takes the one
+   volume path. *)
 let test_single_member_lockstep () =
   let workload io =
     let inst = Setup.lfs_on io ~config:Lfs_core.Config.small () in
@@ -141,20 +158,108 @@ let test_single_member_lockstep () =
     Driver.delete inst "/f03";
     Driver.sync inst;
     Driver.sanitize inst;
-    (Io.snapshot_media io, Io.now_us io)
+    ignore (Driver.read inst "/f10" ~off:0 ~len:3000 : bytes);
+    (Io.snapshot_media io, Io.now_us io, shared_cells io)
   in
-  let bare =
+  let media, clock, cells =
     workload (Io.of_geometry (geo ()) (Clock.create ()) Cpu_model.free)
   in
-  let volume =
-    workload
+  Alcotest.(check bool) "bare disk has disk.* and io.* cells" true
+    (List.exists (fun (n, _) -> n = "disk.writes") cells
+    && List.exists (fun (n, _) -> n = "io.write_us") cells);
+  List.iter
+    (fun policy ->
+      let name = Volume.policy_name policy in
+      let media', clock', cells' =
+        workload
+          (Io.of_volume
+             (Volume.create policy ~members:1 (geo ()))
+             (Clock.create ()) Cpu_model.free)
+      in
+      Alcotest.(check bool) (name ^ ": media byte-identical") true
+        (media = media');
+      Alcotest.(check int) (name ^ ": clock identical") clock clock';
+      Alcotest.(check (list string))
+        (name ^ ": same cell names") (List.map fst cells) (List.map fst cells');
+      List.iter2
+        (fun (n, v) (_, v') ->
+          if v <> v' then Alcotest.failf "%s: %s differs" name n)
+        cells cells')
+    (* Awkward chunk sizes, but each divides the disk's 32,886 sectors:
+       a one-member volume rounds its capacity down to whole chunks, and
+       a smaller file system would format different media. *)
+    [
+      Volume.Stripe { chunk_sectors = 42 };
+      Volume.Mirror;
+      Volume.Log_stripe { stripe_sectors = 54 };
+    ]
+
+(* A bare disk publishes only its [Disk_request]s: a [Volume_op] there
+   would only repeat the request that follows it.  A two-member stripe
+   publishes one per logical request. *)
+let test_bare_disk_no_volume_op () =
+  let volume_ops io =
+    let sink = Lfs_obs.Bus.attach (Io.bus io) in
+    Io.sync_write io ~sector:64 (Bytes.make 4096 'v');
+    Io.async_write io ~sector:128 (Bytes.make 4096 'w');
+    ignore (Io.sync_read io ~sector:64 ~count:8 : bytes);
+    Io.drain io;
+    let records = Lfs_obs.Bus.records sink in
+    let count p = List.length (List.filter p records) in
+    ( count (fun r ->
+          match r.Lfs_obs.Event.event with
+          | Lfs_obs.Event.Volume_op _ -> true
+          | _ -> false),
+      count (fun r ->
+          match r.Lfs_obs.Event.event with
+          | Lfs_obs.Event.Disk_request _ -> true
+          | _ -> false) )
+  in
+  let ops, requests =
+    volume_ops (Io.of_geometry (geo ()) (Clock.create ()) Cpu_model.free)
+  in
+  Alcotest.(check int) "bare disk: no Volume_op" 0 ops;
+  Alcotest.(check int) "bare disk: one Disk_request per request" 3 requests;
+  let ops, _ =
+    volume_ops
       (Io.of_volume
-         (Volume.create (Volume.Stripe { chunk_sectors = 42 }) ~members:1
+         (Volume.create (Volume.Stripe { chunk_sectors = 8 }) ~members:2
             (geo ()))
          (Clock.create ()) Cpu_model.free)
   in
-  Alcotest.(check bool) "media byte-identical" true (fst bare = fst volume);
-  Alcotest.(check int) "clock identical" (snd bare) (snd volume)
+  Alcotest.(check int) "2-member stripe: one Volume_op per request" 3 ops
+
+(* [disk_stats] reads the shared aggregate [disk.*] cells; on a striped
+   volume they must equal the field-wise sum of the members' own
+   counters. *)
+let test_disk_stats_sums_members () =
+  let io =
+    Setup.make_volume_io ~disk_mb:16 ~cpu:Cpu_model.free
+      ~policy:(Volume.Stripe { chunk_sectors = 16 })
+      ~members:3 ()
+  in
+  let inst = Setup.lfs_on io ~config:Lfs_core.Config.small () in
+  for i = 0 to 19 do
+    let path = Printf.sprintf "/s%02d" i in
+    Driver.create inst path;
+    Driver.write inst path ~off:0 (Driver.content ~seed:i 7000)
+  done;
+  Driver.sync inst;
+  Driver.sanitize inst;
+  ignore (Driver.read inst "/s07" ~off:0 ~len:7000 : bytes);
+  let sum = Array.init 3 (Io.member_stats io) in
+  let total f = Array.fold_left (fun a s -> a + f s) 0 sum in
+  let s = Io.disk_stats io in
+  let check name f =
+    Alcotest.(check int) name (total f) (f s);
+    if f s = 0 then Alcotest.failf "%s: workload did not reach it" name
+  in
+  check "reads" (fun s -> s.Disk.reads);
+  check "writes" (fun s -> s.Disk.writes);
+  check "sectors_read" (fun s -> s.Disk.sectors_read);
+  check "sectors_written" (fun s -> s.Disk.sectors_written);
+  check "seeks" (fun s -> s.Disk.seeks);
+  check "busy_us" (fun s -> s.Disk.busy_us)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore on multi-member stacks                           *)
@@ -172,7 +277,7 @@ let test_snapshot_restore_deterministic () =
   Driver.sync inst;
   let snap = Io.snapshot_media io in
   Alcotest.(check int) "snapshot is the member concatenation"
-    (3 * (Volume.member_geometry (Option.get (Io.volume io))).Geometry.sectors
+    (3 * (Volume.member_geometry (Io.volume io)).Geometry.sectors
    * (geo ()).Geometry.sector_size)
     (Bytes.length snap);
   (* Diverge, restore, and the media must match the snapshot exactly;
@@ -233,6 +338,10 @@ let suite =
     Alcotest.test_case "mirror address map" `Quick test_mirror_map;
     Alcotest.test_case "1-member volume = bare disk" `Quick
       test_single_member_lockstep;
+    Alcotest.test_case "bare disk emits no Volume_op" `Quick
+      test_bare_disk_no_volume_op;
+    Alcotest.test_case "disk_stats sums the members" `Quick
+      test_disk_stats_sums_members;
     Alcotest.test_case "snapshot/restore deterministic on volumes" `Quick
       test_snapshot_restore_deterministic;
     Alcotest.test_case "mirror degraded read" `Quick

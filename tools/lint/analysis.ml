@@ -272,7 +272,6 @@ let absorbers =
   [
     ("disk/io.ml", eff_disk_io lor eff_clock);
     ("disk/disk.ml", eff_disk_io);
-    ("disk/volume.ml", eff_disk_io);
     ("disk/clock.ml", eff_nondet);
     ("util/rng.ml", eff_nondet);
     ("workload/engine.ml", eff_clock);
