@@ -288,8 +288,6 @@ let clear t =
 
 let stats_hits t = Metrics.value t.c_hits
 let stats_misses t = Metrics.value t.c_misses
-let stats_evictions t = Metrics.value t.c_evictions
-let stats_writebacks t = Metrics.value t.c_writebacks
 
 let reset_stats t =
   Metrics.reset_counter t.c_hits;

@@ -94,15 +94,6 @@ val stats_hits : t -> int
 val stats_misses : t -> int
 (** [find] hit/miss counters (a miss is a [find] returning [None]). *)
 
-val stats_evictions : t -> int
-(** Clean entries reclaimed by capacity pressure ({!evict_clean}) —
-    deliberate flushes ({!drop_clean}, {!remove}, {!clear}) don't
-    count. *)
-
-val stats_writebacks : t -> int
-(** Dirty entries released by {!mark_clean} (the block reached disk or a
-    segment buffer). *)
-
 val reset_stats : t -> unit
 (** Zero hit/miss/eviction/write-back counters, mirroring
     [Disk.reset_stats]. *)

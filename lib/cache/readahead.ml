@@ -110,16 +110,6 @@ let served t ~owner ~blkno ~hit =
           Metrics.incr (if hit then t.c_hit else t.c_wasted)
         end
 
-let is_pending t ~owner ~blkno =
-  match Hashtbl.find_opt t.streams owner with
-  | None -> false
-  | Some stream -> Hashtbl.mem stream.pending blkno
-
-let pending_count t ~owner =
-  match Hashtbl.find_opt t.streams owner with
-  | None -> 0
-  | Some stream -> Hashtbl.length stream.pending
-
 let forget t ~owner =
   match Hashtbl.find_opt t.streams owner with
   | None -> ()

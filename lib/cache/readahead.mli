@@ -54,9 +54,6 @@ val served : t -> owner:int -> blkno:int -> hit:bool -> unit
     [hit:false] (the prefetch was evicted before use) bumps
     [io.readahead.wasted]. *)
 
-val is_pending : t -> owner:int -> blkno:int -> bool
-val pending_count : t -> owner:int -> int
-
 val forget : t -> owner:int -> unit
 (** Drop the stream for [owner] (file deletion/truncation); its pending
     blocks count as wasted. *)

@@ -47,17 +47,3 @@ let read_file_block st ~inum ~blkno ~addr = read_at st (key_data ~inum ~blkno) a
 
 let fetch_file_block st ~inum ~blkno ~addr =
   fetch_at st (key_data ~inum ~blkno) addr
-
-let read_run (st : State.t) ~inum ~first_blkno ~addr ~n =
-  let blocks =
-    Array.init n (fun _ -> Bytes.create st.layout.Layout.block_size)
-  in
-  Io.sync_read_into st.io ~sector:(sector_of_block st addr) blocks;
-  if n > 1 then Io.note_clustered_read st.io ~blocks:n;
-  Array.iteri
-    (fun i block ->
-      Cache.insert st.cache
-        (key_data ~inum ~blkno:(first_blkno + i))
-        ~dirty:false block)
-    blocks;
-  blocks

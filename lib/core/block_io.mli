@@ -27,15 +27,4 @@ val fetch_file_block : State.t -> inum:int -> blkno:int -> addr:int -> bytes
 (** Like {!read_file_block} but without the cache lookup: for callers
     that already missed and would otherwise double-count the miss. *)
 
-val read_run :
-  State.t -> inum:int -> first_blkno:int -> addr:int -> n:int -> bytes array
-(** Clustered read: fetch [n] physically contiguous blocks (logical
-    blocks [first_blkno..first_blkno + n - 1] stored at
-    [addr..addr + n - 1]) in a single disk request that fills one fresh
-    buffer per block, and cache each buffer clean.  Returns the blocks,
-    which are the cached buffers themselves: read them, never mutate
-    them.  The caller guarantees none of the blocks is already cached (a
-    dirty cached block must never be clobbered with stale disk data) and
-    none lives in the active segment. *)
-
 val sector_of_block : State.t -> int -> int

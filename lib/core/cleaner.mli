@@ -29,10 +29,6 @@ val clean_exact : State.t -> victims:int list -> int
     which must clean a chosen population once rather than clean to a
     target. *)
 
-val clean_once : State.t -> batch:int -> int
-(** Clean one batch of victims; returns how many segments were freed
-    (0 when nothing is cleanable). *)
-
 val clean_to_target : ?target:int -> State.t -> int
 (** Clean until at least [target] segments are clean (default: the
     configuration's [clean_target_segments]) or nothing more can be

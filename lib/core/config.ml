@@ -5,8 +5,6 @@ let policy_name = function
   | Cost_benefit -> "cost-benefit"
   | Oldest -> "oldest"
 
-let pp_policy ppf p = Format.pp_print_string ppf (policy_name p)
-
 type t = {
   block_size : int;
   segment_size : int;

@@ -10,7 +10,6 @@ type policy =
   | Cost_benefit  (** weigh free space by data age (Sprite-LFS extension) *)
   | Oldest  (** clean the coldest segments first (ablation baseline) *)
 
-val pp_policy : Format.formatter -> policy -> unit
 val policy_name : policy -> string
 
 type t = {

@@ -50,9 +50,6 @@ val set_atime_us : t -> int -> int -> unit
 
 (** {1 Persistence} *)
 
-val block_of_inum : t -> int -> int
-(** Which imap block holds an inum's entry. *)
-
 val n_blocks : t -> int
 
 val mark_block_dirty : t -> int -> unit

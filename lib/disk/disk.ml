@@ -152,7 +152,6 @@ let stats t =
     busy_us = cell_value t.c_busy_us;
   }
 
-let seek_count t = cell_value t.c_seeks
 let busy_us t = cell_value t.c_busy_us
 let positioning_us t = cell_value t.c_positioning_us
 let last_was_streamed t = t.last_streamed

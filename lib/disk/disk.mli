@@ -56,7 +56,7 @@ val create : ?metrics:Lfs_obs.Metrics.t -> ?member:int -> Geometry.t -> t
     the shared aggregate [disk.*] counters (get-or-create on the common
     registry, so they sum over members) and its own [disk.<i>.*] family —
     the per-spindle view.  Per-disk accessors below ({!stats},
-    {!seek_count}, …) always report this disk alone. *)
+    {!busy_us}, …) always report this disk alone. *)
 
 val geometry : t -> Geometry.t
 
@@ -72,9 +72,6 @@ val metrics : t -> Lfs_obs.Metrics.t
 val stats : t -> stats
 (** Compatibility view over the [disk.*] registry counters: a fresh
     record per call.  Mutating the returned record has no effect. *)
-
-val seek_count : t -> int
-(** Cheap accessor for [disk.seeks]. *)
 
 val busy_us : t -> int
 
@@ -94,7 +91,7 @@ val last_was_streamed : t -> bool
     transfer ended (an exact continuation of the access pattern).  This
     is the correct "sequential" classification for the request audit: a
     request that merely lands on the same cylinder skips the seek (so
-    [seek_count] is unchanged) but still pays rotational latency and is
+    [disk.seeks] is unchanged) but still pays rotational latency and is
     not sequential. *)
 
 val reset_stats : t -> unit

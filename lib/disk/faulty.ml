@@ -35,7 +35,6 @@ type t = {
   c_read_errors : Metrics.counter;
   c_bad_sector_reads : Metrics.counter;
   mutable writes : int;
-  mutable crashed_at : int option;
   mutable faults : int;
   (* Transient-error state: a retry of the last faulted request is
      recognised by address, so a burst fails a bounded number of times
@@ -59,7 +58,6 @@ let on_write t ~sector ~count =
         if t.scenario.torn_write && count > 1 then 1 + Rng.int t.rng (count - 1)
         else 0
       in
-      t.crashed_at <- Some idx;
       Metrics.incr t.c_crashes;
       if persisted > 0 then Metrics.incr t.c_torn_writes;
       emit t (if persisted > 0 then "torn_write" else "crash") ~sector
@@ -133,7 +131,6 @@ let attach io scenario =
       c_bad_sector_reads =
         Metrics.counter metrics "disk.faults.bad_sector_reads";
       writes = 0;
-      crashed_at = None;
       faults = 0;
       last_read = None;
       pending_failures = 0;
@@ -154,7 +151,6 @@ let detach t =
   List.iter (fun d -> Disk.set_fault_hook d None) (target_disks t.io t.scenario)
 
 let writes_seen t = t.writes
-let crashed_at t = t.crashed_at
 let faults_injected t = t.faults
 
 let crashed t =

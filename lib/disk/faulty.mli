@@ -70,9 +70,6 @@ val writes_seen : t -> int
 (** Write requests observed since [attach] — the boundary count a
     crash-point sweep enumerates. *)
 
-val crashed_at : t -> int option
-(** Index of the write request the scenario crashed on, if it fired. *)
-
 val faults_injected : t -> int
 (** Total faults of all kinds injected so far. *)
 

@@ -2,16 +2,6 @@ module Bus = Lfs_obs.Bus
 module Event = Lfs_obs.Event
 module Metrics = Lfs_obs.Metrics
 
-type request = {
-  issued_at_us : int;
-  kind : [ `Read | `Write ];
-  sync : bool;
-  sector : int;
-  sectors : int;
-  service_us : int;
-  sequential : bool;
-}
-
 exception Read_failed of { sector : int; attempts : int }
 
 let () =
@@ -47,8 +37,6 @@ type t = {
   h_queue_wait : Metrics.histogram;
   c_clustered_reads : Metrics.counter;
   c_clustered_read_blocks : Metrics.counter;
-  c_clustered_writes : Metrics.counter;
-  c_clustered_write_blocks : Metrics.counter;
   c_retries : Metrics.counter;
   c_backoff_us : Metrics.counter;
   c_degraded_reads : Metrics.counter;
@@ -56,10 +44,7 @@ type t = {
   read_attempts : int;
   retry_backoff_us : int;
   mutable max_queue : int;
-  mutable audit : Bus.sink option;  (* the legacy request log, as a sink *)
 }
-
-let is_disk_request = function Event.Disk_request _ -> true | _ -> false
 
 let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
     ?(retry_backoff_us = 1_000) volume clock cpu =
@@ -88,9 +73,6 @@ let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
     h_queue_wait = Metrics.histogram metrics "io.queue.wait_us";
     c_clustered_reads = Metrics.counter metrics "io.clustered_reads";
     c_clustered_read_blocks = Metrics.counter metrics "io.clustered_read_blocks";
-    c_clustered_writes = Metrics.counter metrics "io.clustered_writes";
-    c_clustered_write_blocks =
-      Metrics.counter metrics "io.clustered_write_blocks";
     c_retries = Metrics.counter metrics "io.retries";
     c_backoff_us = Metrics.counter metrics "io.backoff_us";
     c_degraded_reads = Metrics.counter metrics "io.degraded_reads";
@@ -98,7 +80,6 @@ let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
     read_attempts;
     retry_backoff_us;
     max_queue = 32;
-    audit = None;
   }
 
 let create ?max_backlog_us ?read_attempts ?retry_backoff_us disk =
@@ -530,10 +511,6 @@ let note_clustered_read t ~blocks =
   Metrics.incr t.c_clustered_reads;
   Metrics.add t.c_clustered_read_blocks blocks
 
-let note_clustered_write t ~blocks =
-  Metrics.incr t.c_clustered_writes;
-  Metrics.add t.c_clustered_write_blocks blocks
-
 let queue_depth t =
   Array.fold_left (fun acc lane -> acc + queue_length lane) 0 t.lanes
 
@@ -590,40 +567,3 @@ let restore_media t media =
   Volume.restore t.volume media
 
 let backlog_us t = max 0 (max_busy t - Clock.now_us t.clock)
-
-let recording t = t.audit <> None
-
-let set_recording t on =
-  match (t.audit, on) with
-  | None, true ->
-      t.audit <- Some (Bus.attach ~filter:is_disk_request t.bus)
-  | Some _, true ->
-      (* Already recording: keep the prefix.  (Historically this cleared
-         the log — a footgun that silently dropped the Figure 1/2 audit
-         when tracing was enabled mid-run.) *)
-      ()
-  | Some sink, false ->
-      Bus.detach t.bus sink;
-      t.audit <- None
-  | None, false -> ()
-
-let request_of_record (r : Event.record) =
-  match r.Event.event with
-  | Event.Disk_request { kind; sync; sector; sectors; service_us; sequential }
-    ->
-      Some
-        {
-          issued_at_us = r.Event.at_us;
-          kind = (match kind with Event.Read -> `Read | Event.Write -> `Write);
-          sync;
-          sector;
-          sectors;
-          service_us;
-          sequential;
-        }
-  | _ -> None
-
-let requests t =
-  match t.audit with
-  | None -> []
-  | Some sink -> List.filter_map request_of_record (Bus.records sink)

@@ -25,11 +25,10 @@
     unchanged.
 
     Every request is published on the instance's {!Lfs_obs.Bus} as a
-    [Disk_request] event and observed in the [io.*] registry histograms;
-    the legacy request log ({!set_recording}/{!requests}) is a thin view
-    over a bus sink.  The Figure 1/2 experiment audits it to show FFS's
-    eight small random writes versus LFS's single large sequential
-    one.
+    [Disk_request] event and observed in the [io.*] registry histograms.
+    The Figure 1/2 experiment audits those events, through a bus sink,
+    to show FFS's eight small random writes versus LFS's single large
+    sequential one.
 
     {b One device: a volume.}  The device behind the scheduler is always
     a {!Volume}; a bare disk ({!create}, {!of_geometry}) is the
@@ -49,18 +48,6 @@
     [Disk_request]s (with member-local sectors). *)
 
 type t
-
-type request = {
-  issued_at_us : int;
-  kind : [ `Read | `Write ];
-  sync : bool;
-  sector : int;
-  sectors : int;
-  service_us : int;
-  sequential : bool;
-      (** continued the previous transfer exactly, paying no positioning
-          delay (neither seek nor rotational latency) *)
-}
 
 exception Read_failed of { sector : int; attempts : int }
 (** A read kept failing ({!Disk.Read_fault}) until the retry budget ran
@@ -225,28 +212,8 @@ val restore_media : t -> bytes -> unit
 val note_clustered_read : t -> blocks:int -> unit
 (** Account one multi-block read request that replaced [blocks]
     single-block requests: bumps [io.clustered_reads] and adds [blocks]
-    to [io.clustered_read_blocks].  Called by the file systems when they
-    coalesce contiguous blocks into one {!sync_read}. *)
-
-val note_clustered_write : t -> blocks:int -> unit
-(** Same accounting for coalesced write-back requests
-    ([io.clustered_writes] / [io.clustered_write_blocks]). *)
+    to [io.clustered_read_blocks].  Called by the file read path when it
+    coalesces contiguous blocks into one {!sync_read_into}. *)
 
 val backlog_us : t -> int
 (** Queued device time not yet reached by the clock. *)
-
-(** {1 Request log}
-
-    A compatibility view over the trace bus: recording attaches an
-    internal unbounded sink filtered to [Disk_request] events. *)
-
-val recording : t -> bool
-
-val set_recording : t -> bool -> unit
-(** Enable/disable the request log (disabled by default).  Enabling when
-    already enabled is a no-op — the log prefix is {e kept}, so turning
-    tracing on mid-run can never silently drop an audit prefix (it used
-    to clear the log).  Disabling discards the log. *)
-
-val requests : t -> request list
-(** Recorded requests, oldest first.  Empty when recording is off. *)

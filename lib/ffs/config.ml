@@ -5,7 +5,6 @@ type t = {
   cache_blocks : int;
   read_clustering : bool;
   readahead_blocks : int;
-  write_clustering : bool;
   writeback_age_us : int;
 }
 
@@ -17,10 +16,6 @@ let default =
     cache_blocks = 2048;
     read_clustering = true;
     readahead_blocks = 32;
-    (* The write side of BSD clustering arrived with 4.4BSD, after the
-       paper's measurements: off by default so the FFS baseline keeps the
-       per-block write-back pattern of Figures 1/2. *)
-    write_clustering = false;
     writeback_age_us = 30_000_000;
   }
 
@@ -32,7 +27,6 @@ let small =
     cache_blocks = 64;
     read_clustering = true;
     readahead_blocks = 8;
-    write_clustering = false;
     writeback_age_us = 30_000_000;
   }
 

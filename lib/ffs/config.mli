@@ -14,11 +14,6 @@ type t = {
   readahead_blocks : int;
       (** sequential read-ahead window ceiling in blocks; 0 disables
           prefetching *)
-  write_clustering : bool;
-      (** coalesce physically adjacent dirty blocks inside each elevator
-          window into one multi-block write.  Off by default: 4.4BSD
-          behaviour, newer than the paper's baseline, so enabling it
-          changes the Figure 1/2 write audit. *)
   writeback_age_us : int;  (** delayed-write threshold (30 s) *)
 }
 

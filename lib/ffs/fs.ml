@@ -213,51 +213,20 @@ let bmap_alloc t (e : entry) blkno =
     end
   end
 
-(* Write one elevator window, already address-sorted.  With
-   [write_clustering] on, physically adjacent blocks coalesce into a
-   single multi-block transfer (the 4.4BSD clustering pass). *)
+(* Write one elevator window, already address-sorted, one request per
+   block. *)
 let write_window t window =
-  let items =
-    List.filter_map
-      (fun (addr, key) ->
-        if addr = Layout.null_addr then None
-        else
-          match Cache.find t.cache key with
-          | Some data -> Some (addr, key, data)
-          | None -> None)
-      window
-  in
-  if not t.config.Config.write_clustering then
-    List.iter
-      (fun (addr, key, data) ->
-        Io.async_write t.io ~sector:(sector_of_block t addr) data;
-        Cache.mark_clean t.cache key)
-      items
-  else begin
-    (* [group] holds a run of adjacent blocks, newest first. *)
-    let flush_group group =
-      match List.rev group with
-      | [] -> ()
-      | (addr0, _, _) :: _ as run ->
-          let data = Bytes.concat Bytes.empty (List.map (fun (_, _, d) -> d) run) in
-          Io.async_write t.io ~sector:(sector_of_block t addr0) data;
-          let n = List.length run in
-          if n > 1 then Io.note_clustered_write t.io ~blocks:n;
-          List.iter (fun (_, key, _) -> Cache.mark_clean t.cache key) run
-    in
-    let last =
-      List.fold_left
-        (fun group ((addr, _, _) as item) ->
-          match group with
-          | (prev, _, _) :: _ when addr = prev + 1 -> item :: group
-          | [] -> [ item ]
-          | _ ->
-              flush_group group;
-              [ item ])
-        [] items
-    in
-    flush_group last
-  end
+  List.filter_map
+    (fun (addr, key) ->
+      if addr = Layout.null_addr then None
+      else
+        match Cache.find t.cache key with
+        | Some data -> Some (addr, key, data)
+        | None -> None)
+    window
+  |> List.iter (fun (addr, key, data) ->
+         Io.async_write t.io ~sector:(sector_of_block t addr) data;
+         Cache.mark_clean t.cache key)
 
 (* Delayed write-back: dirty inodes are folded into their table blocks,
    then every dirty block goes to its fixed address, sorted so the
@@ -301,40 +270,11 @@ let flush t =
   windows writes
 
 let persist_bitmaps t =
-  let blocks =
-    List.concat_map
-      (fun g -> Alloc.encode_group t.alloc g)
-      (Alloc.dirty_groups t.alloc)
-  in
-  if not t.config.Config.write_clustering then
-    List.iter
-      (fun (addr, block) ->
-        Io.async_write t.io ~sector:(sector_of_block t addr) block)
-      blocks
-  else begin
-    let flush_group group =
-      match List.rev group with
-      | [] -> ()
-      | (addr0, _) :: _ as run ->
-          Io.async_write t.io ~sector:(sector_of_block t addr0)
-            (Bytes.concat Bytes.empty (List.map snd run));
-          let n = List.length run in
-          if n > 1 then Io.note_clustered_write t.io ~blocks:n
-    in
-    let last =
-      List.fold_left
-        (fun group ((addr, _) as item) ->
-          match group with
-          | (prev, _) :: _ when addr = prev + 1 -> item :: group
-          | [] -> [ item ]
-          | _ ->
-              flush_group group;
-              [ item ])
-        []
-        (List.sort compare blocks)
-    in
-    flush_group last
-  end;
+  List.concat_map
+    (fun g -> Alloc.encode_group t.alloc g)
+    (Alloc.dirty_groups t.alloc)
+  |> List.iter (fun (addr, block) ->
+         Io.async_write t.io ~sector:(sector_of_block t addr) block);
   Alloc.clear_dirty t.alloc
 
 let do_sync t =
@@ -571,94 +511,37 @@ let regular_inum t path =
   if e.ino.Inode.kind = Fs_intf.Directory then Errors.raise_ (Errors.Eisdir path);
   inum
 
+(* One block after a cache miss, cached clean: no second lookup. *)
+let fetch_file_block t ~inum ~blkno ~addr =
+  let block =
+    Io.sync_read t.io ~sector:(sector_of_block t addr)
+      ~count:t.layout.Layout.block_sectors
+  in
+  Cache.insert t.cache (key_data ~inum ~blkno) ~dirty:false block;
+  block
+
 let read_file_block t ~inum ~blkno ~addr =
   match Cache.find t.cache (key_data ~inum ~blkno) with
   | Some block -> block
-  | None ->
-      let block =
-        Io.sync_read t.io ~sector:(sector_of_block t addr)
-          ~count:t.layout.Layout.block_sectors
-      in
-      Cache.insert t.cache (key_data ~inum ~blkno) ~dirty:false block;
-      block
+  | None -> fetch_file_block t ~inum ~blkno ~addr
 
-(* Clustered read: [n] physically contiguous blocks in one disk request,
-   each cached clean. *)
-let read_run t ~inum ~first_blkno ~addr ~n =
-  let blocks =
-    Array.init n (fun _ -> Bytes.create t.layout.Layout.block_size)
-  in
-  Io.sync_read_into t.io ~sector:(sector_of_block t addr) blocks;
-  if n > 1 then Io.note_clustered_read t.io ~blocks:n;
-  Array.iteri
-    (fun i block ->
-      Cache.insert t.cache
-        (key_data ~inum ~blkno:(first_blkno + i))
-        ~dirty:false block)
-    blocks;
-  blocks
-
-(* How many blocks starting at [blkno]/[addr] can go in one request:
-   consecutive logical blocks up to [max_blkno] at consecutive addresses,
-   none already cached (a dirty cached block must never be clobbered with
-   stale disk data). *)
-let probe_run t (e : entry) ~inum ~blkno ~addr ~max_blkno =
-  let n = ref 1 in
-  let continue = ref true in
-  while !continue && blkno + !n <= max_blkno do
-    let next = blkno + !n in
-    if
-      bmap_read t e next = addr + !n
-      && not (Cache.mem t.cache (key_data ~inum ~blkno:next))
-    then incr n
-    else continue := false
-  done;
-  !n
-
-(* Issue a planned read-ahead window: clamp to the file, skip holes and
-   cached blocks, fetch the rest as contiguous runs inserted clean. *)
-let prefetch t (e : entry) ~inum ~start ~count =
-  let bs = t.layout.Layout.block_size in
-  let size = e.ino.Inode.size in
-  let max_blkno = if size = 0 then -1 else (size - 1) / bs in
-  let last = min (start + count - 1) max_blkno in
-  let issue ~first_blkno ~addr ~n =
-    let bus = Io.bus t.io in
-    let go () =
-      ignore (read_run t ~inum ~first_blkno ~addr ~n);
-      for i = 0 to n - 1 do
-        Readahead.mark_issued t.readahead ~owner:inum ~blkno:(first_blkno + i)
-      done;
-      if Bus.enabled bus then
-        Bus.emit bus
-          (Event.Readahead { owner = inum; start = first_blkno; blocks = n })
-    in
-    if Bus.enabled bus then Bus.with_span bus "ffs_prefetch" go else go ()
-  in
-  let run_first = ref (-1) in
-  let run_addr = ref Layout.null_addr in
-  let run_n = ref 0 in
-  let flush_run () =
-    if !run_n > 0 then issue ~first_blkno:!run_first ~addr:!run_addr ~n:!run_n;
-    run_n := 0
-  in
-  for blkno = start to last do
-    let addr =
-      if Cache.mem t.cache (key_data ~inum ~blkno) then Layout.null_addr
-      else bmap_read t e blkno
-    in
-    if addr <> Layout.null_addr then begin
-      if !run_n > 0 && addr = !run_addr + !run_n then incr run_n
-      else begin
-        flush_run ();
-        run_first := blkno;
-        run_addr := addr;
-        run_n := 1
-      end
-    end
-    else flush_run ()
-  done;
-  flush_run ()
+let file_backing : (t, entry) Lfs_cache.File_read.backing =
+  {
+    io = (fun t -> t.io);
+    cache = (fun t -> t.cache);
+    readahead = (fun t -> t.readahead);
+    block_size = (fun t -> t.layout.Layout.block_size);
+    clustering = (fun t -> t.config.Config.read_clustering);
+    size = (fun (e : entry) -> e.ino.Inode.size);
+    null_addr = Layout.null_addr;
+    bmap = bmap_read;
+    (* Update in place: every mapped block is on disk. *)
+    on_disk = (fun _ _ -> true);
+    fetch = fetch_file_block;
+    sector_of_block;
+    fill_span = (fun bus f -> Bus.with_span bus "ffs_read_fill" f);
+    prefetch_span = (fun bus f -> Bus.with_span bus "ffs_prefetch" f);
+  }
 
 let read t path ~off ~len =
   Errors.wrap (fun () ->
@@ -667,62 +550,7 @@ let read t path ~off ~len =
       if off < 0 || len < 0 then Errors.raise_ (Errors.Einval "read bounds");
       let inum = regular_inum t path in
       let e = get_entry t inum in
-      let size = e.ino.Inode.size in
-      let len = max 0 (min len (size - off)) in
-      let bs = t.layout.Layout.block_size in
-      let result = Bytes.make len '\000' in
-      let clustering = t.config.Config.read_clustering in
-      let max_blkno = if len = 0 then -1 else (off + len - 1) / bs in
-      (* Blocks fetched by the most recent clustered run are taken from
-         it rather than looked up again. *)
-      let run_first = ref 0 in
-      let run_blocks = ref [||] in
-      let pos = ref 0 in
-      while !pos < len do
-        let abs = off + !pos in
-        let blkno = abs / bs in
-        let in_block = abs mod bs in
-        let chunk = min (len - !pos) (bs - in_block) in
-        if
-          blkno >= !run_first && blkno < !run_first + Array.length !run_blocks
-        then
-          Bytes.blit !run_blocks.(blkno - !run_first) in_block result !pos chunk
-        else begin
-          match Cache.find t.cache (key_data ~inum ~blkno) with
-          | Some block ->
-              Readahead.served t.readahead ~owner:inum ~blkno ~hit:true;
-              Bytes.blit block in_block result !pos chunk
-          | None -> (
-              Readahead.served t.readahead ~owner:inum ~blkno ~hit:false;
-              let addr = bmap_read t e blkno in
-              if addr <> Layout.null_addr then begin
-                let fill () =
-                  if clustering then begin
-                    let n = probe_run t e ~inum ~blkno ~addr ~max_blkno in
-                    run_first := blkno;
-                    run_blocks := read_run t ~inum ~first_blkno:blkno ~addr ~n;
-                    Bytes.blit !run_blocks.(0) in_block result !pos chunk
-                  end
-                  else
-                    Bytes.blit
-                      (read_file_block t ~inum ~blkno ~addr)
-                      in_block result !pos chunk
-                in
-                let bus = Io.bus t.io in
-                if Bus.enabled bus then Bus.with_span bus "ffs_read_fill" fill
-                else fill ()
-              end)
-        end;
-        pos := !pos + chunk
-      done;
-      (if len > 0 then
-         match
-           Readahead.observe t.readahead ~owner:inum ~first:(off / bs)
-             ~last:max_blkno
-         with
-         | None -> ()
-         | Some (start, count) -> prefetch t e ~inum ~start ~count);
-      Io.charge_copy t.io ~bytes:len;
+      let result = Lfs_cache.File_read.read file_backing t e ~inum ~off ~len in
       e.ino.Inode.atime_us <- Io.now_us t.io;
       e.dirty <- true;
       housekeep t;

@@ -12,13 +12,6 @@ type report = {
   elapsed_us : int;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "fsck: %d inodes, %d blocks referenced, %d directories, %d orphans, %d \
-     bitmap errors, %a of scanning"
-    r.inodes_scanned r.blocks_referenced r.directories_walked r.orphan_inodes
-    r.bitmap_errors Lfs_disk.Clock.pp_duration_us r.elapsed_us
-
 let run io =
   let geometry = Io.geometry io in
   let sector_size = geometry.Geometry.sector_size in

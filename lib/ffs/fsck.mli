@@ -23,4 +23,3 @@ type report = {
 val run : Lfs_disk.Io.t -> (report, string) result
 (** @return [Error _] if the superblock is unreadable. *)
 
-val pp_report : Format.formatter -> report -> unit

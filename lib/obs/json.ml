@@ -272,4 +272,3 @@ let to_float_opt = function
   | Float f -> Some f
   | _ -> None
 
-let to_string_opt = function String s -> Some s | _ -> None

@@ -31,4 +31,3 @@ val of_string_opt : string -> t option
 val member : string -> t -> t option
 val path : string list -> t -> t option
 val to_float_opt : t -> float option
-val to_string_opt : t -> string option

@@ -7,7 +7,7 @@
 val split : string -> (string list, Errors.t) result
 (** [split "/a/b/c"] is [Ok ["a"; "b"; "c"]]; [split "/"] is [Ok []].
     Rejects relative paths, empty components, ["."]/[".."] components and
-    components longer than {!max_name_len}. *)
+    components longer than 255 bytes (BSD's limit). *)
 
 val split_exn : string -> string list
 (** @raise Errors.Error on invalid paths. *)
@@ -15,8 +15,5 @@ val split_exn : string -> string list
 val parent_and_name : string -> (string list * string, Errors.t) result
 (** [parent_and_name "/a/b/c"] is [Ok (["a"; "b"], "c")].  Fails on
     ["/"]. *)
-
-val max_name_len : int
-(** 255, as in BSD. *)
 
 val valid_name : string -> bool

@@ -5,10 +5,18 @@
     creat("dir1/file1"); write(1 block); close
     creat("dir2/file2"); write(1 block); close
     v}
-    against a file system with request recording enabled, flushes the
-    delayed writes, and reports every disk write that resulted — enough to
-    show FFS's small random writes (half synchronous) versus LFS's single
-    large sequential transfer. *)
+    against a file system with a disk-request sink on its trace bus,
+    flushes the delayed writes, and reports every disk write that
+    resulted — enough to show FFS's small random writes (half
+    synchronous) versus LFS's single large sequential transfer. *)
+
+type write = {
+  sector : int;
+  sectors : int;
+  sync : bool;
+  sequential : bool;  (** paid no positioning delay *)
+}
+(** One disk write request, from its [Disk_request] event. *)
 
 type summary = {
   label : string;
@@ -16,11 +24,10 @@ type summary = {
   sync_writes : int;
   sequential_writes : int;
   sectors_written : int;
-  requests : Lfs_disk.Io.request list;  (** write requests, in order *)
+  requests : write list;  (** write requests, in order *)
 }
 
 let run inst =
-  let io = Driver.io inst in
   let block =
     match Driver.label inst with
     | "LFS" -> 4096
@@ -30,29 +37,40 @@ let run inst =
   Driver.mkdir inst "/dir1";
   Driver.mkdir inst "/dir2";
   Driver.sync inst;
-  Lfs_disk.Io.set_recording io true;
+  let bus = Driver.bus inst in
+  let sink =
+    Lfs_obs.Bus.attach
+      ~filter:(function Lfs_obs.Event.Disk_request _ -> true | _ -> false)
+      bus
+  in
   Driver.create inst "/dir1/file1";
   Driver.write inst "/dir1/file1" ~off:0 (Driver.content ~seed:1 block);
   Driver.create inst "/dir2/file2";
   Driver.write inst "/dir2/file2" ~off:0 (Driver.content ~seed:2 block);
   (* The delayed write-back of Figure 1. *)
   Driver.sync inst;
+  Lfs_obs.Bus.detach bus sink;
   let requests =
-    List.filter
-      (fun r -> r.Lfs_disk.Io.kind = `Write)
-      (Lfs_disk.Io.requests io)
+    List.filter_map
+      (fun (r : Lfs_obs.Event.record) ->
+        match r.Lfs_obs.Event.event with
+        | Lfs_obs.Event.Disk_request
+            { kind = Lfs_obs.Event.Write; sync; sector; sectors; sequential; _ }
+          ->
+            Some { sector; sectors; sync; sequential }
+        | _ -> None)
+      (Lfs_obs.Bus.records sink)
   in
-  Lfs_disk.Io.set_recording io false;
   let result =
     {
       label = Driver.label inst;
       writes = List.length requests;
       sync_writes =
-        List.length (List.filter (fun r -> r.Lfs_disk.Io.sync) requests);
+        List.length (List.filter (fun (r : write) -> r.sync) requests);
       sequential_writes =
-        List.length (List.filter (fun r -> r.Lfs_disk.Io.sequential) requests);
+        List.length (List.filter (fun (r : write) -> r.sequential) requests);
       sectors_written =
-        List.fold_left (fun acc r -> acc + r.Lfs_disk.Io.sectors) 0 requests;
+        List.fold_left (fun acc (r : write) -> acc + r.sectors) 0 requests;
       requests;
     }
   in

@@ -78,12 +78,12 @@ let fig12 (results : Creation_trace.summary list) =
     (fun (r : Creation_trace.summary) ->
       Buffer.add_string buf (Printf.sprintf "\n%s write trace:\n" r.Creation_trace.label);
       List.iter
-        (fun (req : Lfs_disk.Io.request) ->
+        (fun (req : Creation_trace.write) ->
           Buffer.add_string buf
             (Printf.sprintf "  sector %7d  %4d sectors  %s %s\n"
-               req.Lfs_disk.Io.sector req.Lfs_disk.Io.sectors
-               (if req.Lfs_disk.Io.sync then "sync " else "async")
-               (if req.Lfs_disk.Io.sequential then "sequential" else "seek")))
+               req.Creation_trace.sector req.Creation_trace.sectors
+               (if req.Creation_trace.sync then "sync " else "async")
+               (if req.Creation_trace.sequential then "sequential" else "seek")))
         r.Creation_trace.requests)
     results;
   Buffer.contents buf

@@ -3,14 +3,6 @@
 val bar : float -> max:float -> width:int -> string
 (** ASCII bar for inline charts. *)
 
-val phase_metrics :
-  label:string ->
-  ?prefixes:string list ->
-  (string * Lfs_obs.Metrics.snapshot) list ->
-  string
-(** Render per-phase registry deltas as a metric-by-phase table (only
-    non-zero counters under [prefixes]; "" when nothing qualifies). *)
-
 val fig12 : Creation_trace.summary list -> string
 val fig3 : Smallfile.result list -> string
 val fig4 : Largefile.result list -> string

@@ -1,8 +1,6 @@
 (** Benchmark environments: a simulated WREN IV disk, a Sun-4/260 CPU
     model, and a freshly formatted file system — the §5 test setup. *)
 
-val default_disk_mb : int
-
 val make_io :
   ?disk_mb:int -> ?cpu:Lfs_disk.Cpu_model.t -> unit -> Lfs_disk.Io.t
 

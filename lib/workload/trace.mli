@@ -18,11 +18,9 @@ val pp_event : Format.formatter -> event -> unit
 
 (** {1 Serialization} *)
 
-val of_line : string -> event option
-(** [None] on a blank line.  @raise Invalid_argument on garbage. *)
-
 val to_lines : event list -> string
 val of_lines : string -> event list
+(** One event per non-blank line.  @raise Invalid_argument on garbage. *)
 
 (** {1 Generation} *)
 

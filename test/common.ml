@@ -32,6 +32,37 @@ let make_io ?(size_bytes = 8 * 1024 * 1024) ?(cpu = Cpu_model.free) () =
   let clock = Clock.create () in
   Io.create disk clock cpu
 
+(* A disk request as its [Disk_request] trace event describes it. *)
+type request = {
+  kind : Lfs_obs.Event.disk_kind;
+  sync : bool;
+  sector : int;
+  sectors : int;
+  sequential : bool;
+}
+
+(* The disk requests [f ()] issues on [io], oldest first, from a sink on
+   the io's trace bus that is attached only while [f] runs. *)
+let requests_during io f =
+  let bus = Io.bus io in
+  let sink =
+    Lfs_obs.Bus.attach
+      ~filter:(function Lfs_obs.Event.Disk_request _ -> true | _ -> false)
+      bus
+  in
+  Fun.protect ~finally:(fun () -> Lfs_obs.Bus.detach bus sink) f;
+  List.filter_map
+    (fun (r : Lfs_obs.Event.record) ->
+      match r.Lfs_obs.Event.event with
+      | Lfs_obs.Event.Disk_request { kind; sync; sector; sectors; sequential; _ }
+        ->
+          Some { kind; sync; sector; sectors; sequential }
+      | _ -> None)
+    (Lfs_obs.Bus.records sink)
+
+let writes_during io f =
+  List.filter (fun r -> r.kind = Lfs_obs.Event.Write) (requests_during io f)
+
 let small_config = Lfs_core.Config.small
 
 (* A formatted, mounted small LFS. *)

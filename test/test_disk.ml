@@ -408,23 +408,27 @@ let test_io_throttling () =
   Alcotest.(check bool) "throttled" true (Clock.now_us clock > 0);
   Alcotest.(check bool) "backlog capped" true (Io.backlog_us io <= 100_000)
 
+(* Every request reaches the trace bus as a [Disk_request], in issue
+   order; a detached sink records nothing more. *)
 let test_io_request_log () =
   let io, _, _ = make_io () in
-  Io.set_recording io true;
-  Io.sync_write io ~sector:0 (Bytes.make 512 'x');
-  Io.async_write io ~sector:8 (Bytes.make 512 'x');
-  ignore (Io.sync_read io ~sector:0 ~count:1);
-  let reqs = Io.requests io in
+  let reqs =
+    Common.requests_during io (fun () ->
+        Io.sync_write io ~sector:0 (Bytes.make 512 'x');
+        Io.async_write io ~sector:8 (Bytes.make 512 'x');
+        ignore (Io.sync_read io ~sector:0 ~count:1))
+  in
   Alcotest.(check int) "three requests" 3 (List.length reqs);
   (match reqs with
   | [ w1; w2; r ] ->
-      Alcotest.(check bool) "w1 sync" true w1.Io.sync;
-      Alcotest.(check bool) "w2 async" false w2.Io.sync;
-      Alcotest.(check bool) "r is read" true (r.Io.kind = `Read)
+      Alcotest.(check bool) "w1 sync" true w1.Common.sync;
+      Alcotest.(check bool) "w2 async" false w2.Common.sync;
+      Alcotest.(check (list int)) "sectors" [ 0; 8; 0 ]
+        (List.map (fun r -> r.Common.sector) reqs);
+      Alcotest.(check bool) "r is read" true (r.Common.kind = Lfs_obs.Event.Read)
   | _ -> Alcotest.fail "unexpected log shape");
-  Io.set_recording io false;
-  Io.sync_write io ~sector:0 (Bytes.make 512 'x');
-  Alcotest.(check int) "log cleared and off" 0 (List.length (Io.requests io))
+  Alcotest.(check int) "nothing recorded outside the window" 0
+    (List.length (Common.requests_during io ignore))
 
 let test_cpu_model () =
   let m = Cpu_model.sun4_260 in

@@ -25,17 +25,14 @@ let test_create_is_synchronous () =
   let io = Fs.io fs in
   check_ok "mkdir" (Fs.mkdir fs "/d");
   Fs.sync fs;
-  Io.set_recording io true;
-  check_ok "create" (Fs.create fs "/d/f");
   let writes =
-    List.filter (fun r -> r.Io.kind = `Write) (Io.requests io)
+    Common.writes_during io (fun () -> check_ok "create" (Fs.create fs "/d/f"))
   in
-  Io.set_recording io false;
   (* The defining behaviour the paper attacks: creat writes the inode
      table block and the directory block synchronously, before returning. *)
   Alcotest.(check int) "two writes" 2 (List.length writes);
   List.iter
-    (fun r -> Alcotest.(check bool) "synchronous" true r.Io.sync)
+    (fun r -> Alcotest.(check bool) "synchronous" true r.Common.sync)
     writes
 
 let test_lfs_create_is_asynchronous () =
@@ -45,11 +42,10 @@ let test_lfs_create_is_asynchronous () =
   let io = Lfs_core.Fs.io fs in
   Common.check_ok "mkdir" (Lfs_core.Fs.mkdir fs "/d");
   Lfs_core.Fs.sync fs;
-  Io.set_recording io true;
-  Common.check_ok "create" (Lfs_core.Fs.create fs "/d/f");
   Alcotest.(check int) "no disk writes on create" 0
-    (List.length (List.filter (fun r -> r.Io.kind = `Write) (Io.requests io)));
-  Io.set_recording io false
+    (List.length
+       (Common.writes_during io (fun () ->
+            Common.check_ok "create" (Lfs_core.Fs.create fs "/d/f"))))
 
 let test_sequential_allocation () =
   let fs = make () in

@@ -178,17 +178,16 @@ let audited_scan make =
   Driver.sync inst;
   Driver.flush_caches inst;
   let io = Driver.io inst in
-  Io.set_recording io true;
   let step = 4 * 1024 in
-  for i = 0 to (size / step) - 1 do
-    ignore (Driver.read inst path ~off:(i * step) ~len:step)
-  done;
   let reads =
-    List.filter (fun r -> r.Io.kind = `Read) (Io.requests io)
+    Common.requests_during io (fun () ->
+        for i = 0 to (size / step) - 1 do
+          ignore (Driver.read inst path ~off:(i * step) ~len:step)
+        done)
+    |> List.filter (fun r -> r.Common.kind = Lfs_obs.Event.Read)
   in
-  Io.set_recording io false;
   ( List.length reads,
-    List.fold_left (fun acc r -> acc + r.Io.sectors) 0 reads )
+    List.fold_left (fun acc r -> acc + r.Common.sectors) 0 reads )
 
 let check_scan_pair base fast =
   let base_n, base_sectors = audited_scan base in
@@ -203,6 +202,75 @@ let check_scan_pair base fast =
 let test_seq_scan_lfs () = check_scan_pair (lfs ~fast:false) (lfs ~fast:true)
 let test_seq_scan_ffs () = check_scan_pair (ffs ~fast:false) (ffs ~fast:true)
 
+(* ------------------------------------------------------------------ *)
+(* One read path, two systems                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A cold one-block read misses each block it needs exactly once: the
+   data block's miss must not be counted again by the fetch that
+   follows it, whether or not the miss is clustered. *)
+let cold_one_block_misses make =
+  let inst = make () in
+  let path = "/one" in
+  Driver.create inst path;
+  Driver.write inst path ~off:0 (Driver.content ~seed:4 (8 * 1024));
+  Driver.sync inst;
+  Driver.flush_caches inst;
+  let before = cval inst "cache.misses" in
+  ignore (Driver.read inst path ~off:0 ~len:1024);
+  cval inst "cache.misses" - before
+
+let test_cold_read_misses () =
+  List.iter
+    (fun (label, make) ->
+      Alcotest.(check int)
+        (label ^ ": same misses with clustering on and off")
+        (cold_one_block_misses (make ~fast:false))
+        (cold_one_block_misses (make ~fast:true)))
+    [ ("LFS", lfs); ("FFS", ffs) ]
+
+(* Each system's misses and read-ahead runs stay under its own spans. *)
+let spans_of_scan make =
+  let inst = make ~fast:true () in
+  let path = "/scan" in
+  Driver.create inst path;
+  Driver.write inst path ~off:0 (Driver.content ~seed:6 (64 * 1024));
+  Driver.sync inst;
+  Driver.flush_caches inst;
+  let sink =
+    Lfs_obs.Bus.attach
+      ~filter:(function Lfs_obs.Event.Span_begin _ -> true | _ -> false)
+      (Driver.bus inst)
+  in
+  for i = 0 to 15 do
+    ignore (Driver.read inst path ~off:(i * 1024) ~len:1024)
+  done;
+  Lfs_obs.Bus.detach (Driver.bus inst) sink;
+  List.filter_map
+    (fun (r : Lfs_obs.Event.record) ->
+      match r.Lfs_obs.Event.event with
+      | Lfs_obs.Event.Span_begin { name; _ } -> Some name
+      | _ -> None)
+    (Lfs_obs.Bus.records sink)
+  |> List.sort_uniq String.compare
+
+let test_read_spans () =
+  List.iter
+    (fun (sys, other, make) ->
+      let spans = spans_of_scan make in
+      List.iter
+        (fun suffix ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s emits %s_%s" sys sys suffix)
+            true
+            (List.mem (sys ^ "_" ^ suffix) spans);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s never emits %s_%s" sys other suffix)
+            false
+            (List.mem (other ^ "_" ^ suffix) spans))
+        [ "read_fill"; "prefetch" ])
+    [ ("lfs", "ffs", lfs); ("ffs", "lfs", ffs) ]
+
 let suite =
   [
     Alcotest.test_case "LFS equivalence with clustering+read-ahead" `Quick
@@ -216,4 +284,8 @@ let suite =
       test_seq_scan_lfs;
     Alcotest.test_case "FFS sequential scan: fewer, larger reads" `Quick
       test_seq_scan_ffs;
+    Alcotest.test_case "cold one-block read: misses same with clustering on/off"
+      `Quick test_cold_read_misses;
+    Alcotest.test_case "each system keeps its own read spans" `Quick
+      test_read_spans;
   ]

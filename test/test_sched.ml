@@ -113,12 +113,13 @@ let issue_four io =
 
 let run_four discipline =
   let io, d, _ = make_io () in
-  Io.set_recording io true;
-  Io.set_scheduler io discipline;
-  issue_four io;
-  let reqs = Io.requests io in
-  let order = List.map (fun r -> r.Io.sector) reqs in
-  let seq = List.map (fun r -> r.Io.sequential) reqs in
+  let reqs =
+    Common.requests_during io (fun () ->
+        Io.set_scheduler io discipline;
+        issue_four io)
+  in
+  let order = List.map (fun r -> r.Common.sector) reqs in
+  let seq = List.map (fun r -> r.Common.sequential) reqs in
   (order, seq, (Disk.stats d).Disk.seeks, io)
 
 let test_reordering_sequential_flags () =

@@ -88,73 +88,6 @@ let test_replay_both_systems () =
         (lfs.Trace.ops_per_sec > ffs.Trace.ops_per_sec)
   | _ -> Alcotest.fail "expected two systems"
 
-(* The Figure 1/2 audit must be identical whether read through the
-   legacy request log ([Io.set_recording]/[Io.requests]) or a sink
-   attached directly to the trace bus — the former is documented as a
-   thin view over the latter. *)
-let test_fig12_audit_paths_agree () =
-  List.iter
-    (fun inst ->
-      let io = W.Driver.io inst in
-      let bus = W.Driver.bus inst in
-      let label = W.Driver.label inst in
-      (* Same preamble as the creation-trace experiment. *)
-      W.Driver.mkdir inst "/dir1";
-      W.Driver.mkdir inst "/dir2";
-      W.Driver.sync inst;
-      (* Attach both consumers at the same instant, then replay the
-         two-file creation of §3.1. *)
-      let sink =
-        Lfs_obs.Bus.attach
-          ~filter:(function
-            | Lfs_obs.Event.Disk_request _ -> true | _ -> false)
-          bus
-      in
-      Lfs_disk.Io.set_recording io true;
-      W.Driver.create inst "/dir1/file1";
-      W.Driver.write inst "/dir1/file1" ~off:0 (W.Driver.content ~seed:1 4096);
-      W.Driver.create inst "/dir2/file2";
-      W.Driver.write inst "/dir2/file2" ~off:0 (W.Driver.content ~seed:2 4096);
-      W.Driver.sync inst;
-      let legacy = Lfs_disk.Io.requests io in
-      Lfs_disk.Io.set_recording io false;
-      let via_bus =
-        List.filter_map
-          (fun (r : Lfs_obs.Event.record) ->
-            match r.Lfs_obs.Event.event with
-            | Lfs_obs.Event.Disk_request
-                { kind; sync; sector; sectors; service_us; sequential } ->
-                Some
-                  {
-                    Lfs_disk.Io.issued_at_us = r.Lfs_obs.Event.at_us;
-                    kind =
-                      (match kind with
-                      | Lfs_obs.Event.Read -> `Read
-                      | Lfs_obs.Event.Write -> `Write);
-                    sync;
-                    sector;
-                    sectors;
-                    service_us;
-                    sequential;
-                  }
-            | _ -> None)
-          (Lfs_obs.Bus.records sink)
-      in
-      Lfs_obs.Bus.detach bus sink;
-      Alcotest.(check bool)
-        (label ^ ": the audit saw disk requests")
-        true
-        (List.length legacy > 0);
-      Alcotest.(check int)
-        (label ^ ": same request count")
-        (List.length via_bus) (List.length legacy);
-      List.iteri
-        (fun i ((a : Lfs_disk.Io.request), b) ->
-          if a <> b then
-            Alcotest.failf "%s: audit paths disagree at request %d" label i)
-        (List.combine legacy via_bus))
-    (W.Setup.both ~disk_mb:16 ())
-
 let suite =
   [
     Alcotest.test_case "generated traces are well-formed" `Quick
@@ -162,6 +95,4 @@ let suite =
     Alcotest.test_case "workload mix" `Quick test_generation_mix;
     qcheck prop_serialization_roundtrip;
     Alcotest.test_case "replay on both systems" `Slow test_replay_both_systems;
-    Alcotest.test_case "fig 1/2 audit agrees across log paths" `Quick
-      test_fig12_audit_paths_agree;
   ]
