@@ -1016,13 +1016,44 @@ let default_order =
 
 let bench_schema = "lfs-bench/1"
 
+(* Host words each experiment allocated, in run order: minor plus major
+   less promoted, so a word promoted out of the minor heap counts once.
+   OCaml allocation is deterministic, so the "host" figure gates host
+   cost as tightly as the simulated figures gate theirs.  The minor count
+   is [Gc.minor_words]: on OCaml 5.1 the one in [Gc.counters] leaves out
+   the current minor heap, which would make the figure move with the
+   collector's timing. *)
+let host_words = ref []
+
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let run_experiment name =
+  let before = allocated_words () in
+  (List.assoc name experiments) ();
+  let words = allocated_words () -. before in
+  say "host allocation (%s): %.0f words" name words;
+  host_words := (name, words) :: !host_words
+
+let host_figure () =
+  J.List
+    (List.rev_map
+       (fun (name, words) ->
+         J.Obj
+           [
+             ("label", J.String name);
+             ("alloc_words", J.Int (int_of_float words));
+           ])
+       !host_words)
+
 let write_json file =
   let doc =
     J.Obj
       [
         ("schema", J.String bench_schema);
         ("quick", J.Bool !quick);
-        ("figures", J.Obj (List.rev !figures));
+        ("figures", J.Obj (List.rev (("host", host_figure ()) :: !figures)));
       ]
   in
   let oc = open_out file in
@@ -1088,6 +1119,7 @@ let run_check_json file =
       "seq_reread_kbs";
     ];
   check_entries "fig5" [ "utilization"; "clean_kb_per_sec"; "write_cost" ];
+  check_entries "host" [ "alloc_words" ];
   check_entries "recovery"
     [
       "files"; "lfs_checkpoint_us"; "lfs_rollforward_us"; "segments_replayed";
@@ -1297,5 +1329,5 @@ let () =
          kernels move no number and stay out of the JSON. *)
       say "CRC-32 kernel: %s" (Lfs_util.Crc32.kernel ());
       say "byte-fill kernel: %s" (Lfs_util.Rng.kernel ());
-      List.iter (fun name -> (List.assoc name experiments) ()) todo;
+      List.iter run_experiment todo;
       Option.iter write_json !json_out

@@ -5,7 +5,9 @@ type stream = {
   mutable run : int;
   mutable window : int;
   mutable ra_next : int;  (* first block not yet covered by a planned window *)
-  pending : (int, unit) Hashtbl.t;
+  mutable pending : (int, unit) Hashtbl.t option;
+      (* made by the stream's first [mark_issued]: most streams never
+         prefetch *)
 }
 
 type t = {
@@ -39,8 +41,11 @@ let max_window t = t.max_window
    moment the stream is abandoned; this keeps
    issued = hit + wasted + pending an invariant. *)
 let abandon t stream =
-  Metrics.add t.c_wasted (Hashtbl.length stream.pending);
-  Hashtbl.reset stream.pending;
+  (match stream.pending with
+  | Some pending ->
+      Metrics.add t.c_wasted (Hashtbl.length pending);
+      Hashtbl.reset pending
+  | None -> ());
   stream.run <- 0;
   stream.window <- t.initial_window;
   stream.ra_next <- 0
@@ -59,7 +64,7 @@ let observe t ~owner ~first ~last =
               run = 0;
               window = t.initial_window;
               ra_next = 0;
-              pending = Hashtbl.create 8;
+              pending = None;
             }
           in
           Hashtbl.replace t.streams owner s;
@@ -93,18 +98,26 @@ let mark_issued t ~owner ~blkno =
   match Hashtbl.find_opt t.streams owner with
   | None -> ()
   | Some stream ->
-      if not (Hashtbl.mem stream.pending blkno) then begin
-        Hashtbl.replace stream.pending blkno ();
+      let pending =
+        match stream.pending with
+        | Some p -> p
+        | None ->
+            let p = Hashtbl.create 8 in
+            stream.pending <- Some p;
+            p
+      in
+      if not (Hashtbl.mem pending blkno) then begin
+        Hashtbl.replace pending blkno ();
         Metrics.incr t.c_issued
       end
 
 let served t ~owner ~blkno ~hit =
   if enabled t then
     match Hashtbl.find_opt t.streams owner with
-    | None -> ()
-    | Some stream ->
-        if Hashtbl.mem stream.pending blkno then begin
-          Hashtbl.remove stream.pending blkno;
+    | None | Some { pending = None; _ } -> ()
+    | Some { pending = Some pending; _ } ->
+        if Hashtbl.mem pending blkno then begin
+          Hashtbl.remove pending blkno;
           (* A miss on a pending block means the prefetch was evicted
              before the reader arrived: the transfer was wasted. *)
           Metrics.incr (if hit then t.c_hit else t.c_wasted)

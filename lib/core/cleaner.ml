@@ -55,31 +55,35 @@ let release (st : State.t) addr ~bytes =
     Seg_usage.sub_live st.usage (Layout.segment_of_block st.layout addr) ~bytes
 
 (* A missing or unreadable inode (possible after recovery from a heavily
-   damaged log) means nothing it owned is live. *)
+   damaged log) means nothing it owned is live.  A loaded inode is
+   returned in the table's own [Some], without allocating. *)
 let find_entry (st : State.t) inum =
-  match Inode_store.find st inum with
-  | e -> Some e
-  | exception Errors.Error _ -> None
+  match Inode_store.find_loaded st inum with
+  | Some _ as found -> found
+  | None -> (
+      match Inode_store.find st inum with
+      | e -> Some e
+      | exception Errors.Error _ -> None)
 
-(* Is the block at [addr] still referenced?  Step 1 is the version check
-   from the summary entry alone; step 2 walks the inode map and inode
-   (§4.3.3). *)
-let data_block_live (st : State.t) ~inum ~blkno ~version ~addr =
-  Imap.is_allocated st.imap inum
-  && version = Imap.version st.imap inum
-  &&
-  match find_entry st inum with
-  | None -> false
-  | Some e -> Inode_store.bmap_read st e blkno = addr
+(* The owner of the block at [addr] if that block is still referenced.
+   Step 1 is the version check from the summary entry alone; step 2
+   walks the inode map and inode (§4.3.3). *)
+let live_data_owner (st : State.t) ~inum ~blkno ~version ~addr =
+  if Imap.is_allocated st.imap inum && version = Imap.version st.imap inum
+  then
+    match find_entry st inum with
+    | Some e as found when Inode_store.bmap_read st e blkno = addr -> found
+    | Some _ | None -> None
+  else None
 
-(* Relocate one live data block (the block at [off] in [payload]):
-   append it to the log immediately and re-point the file at the copy.  A
-   dirty cache copy is newer than the on-disk one, so it is what gets
-   written (and becomes clean). *)
-let move_data_block (st : State.t) ~inum ~blkno ~version payload ~off =
+(* Relocate one live data block of [e] (the block at [off] in
+   [payload], described by the summary [entry], which is the moved
+   copy's entry too): append it to the log immediately and re-point the
+   file at the copy.  A dirty cache copy is newer than the on-disk one,
+   so it is what gets written (and becomes clean). *)
+let move_data_block (st : State.t) e ~entry ~inum ~blkno payload ~off =
   let bs = st.layout.Layout.block_size in
   let key = Block_io.key_data ~inum ~blkno in
-  let entry = Summary.Data { inum; blkno; version } in
   let addr' =
     match Cache.find st.cache key with
     | Some b -> Segwriter.append st ~privilege:`System ~entry ~live_bytes:bs b
@@ -87,7 +91,6 @@ let move_data_block (st : State.t) ~inum ~blkno ~version payload ~off =
         Segwriter.append st ~privilege:`System ~entry ~live_bytes:bs ~off
           payload
   in
-  let e = Inode_store.find st inum in
   let old = Inode_store.bmap_write st e blkno addr' in
   release st old ~bytes:bs;
   Cache.mark_clean st.cache key
@@ -104,11 +107,12 @@ let cache_block (st : State.t) ~addr payload ~off =
 let process_entry (st : State.t) ~addr payload ~off entry ~moved =
   let bs = st.layout.Layout.block_size in
   match (entry : Summary.entry) with
-  | Summary.Data { inum; blkno; version } ->
-      if data_block_live st ~inum ~blkno ~version ~addr then begin
-        move_data_block st ~inum ~blkno ~version payload ~off;
-        moved := !moved + bs
-      end
+  | Summary.Data { inum; blkno; version } -> (
+      match live_data_owner st ~inum ~blkno ~version ~addr with
+      | Some e ->
+          move_data_block st e ~entry ~inum ~blkno payload ~off;
+          moved := !moved + bs
+      | None -> ())
   | Summary.Indirect { inum; idx } ->
       if Imap.is_allocated st.imap inum then begin
         match find_entry st inum with
@@ -199,23 +203,23 @@ let clean_segment (st : State.t) seg ~moved ~max_seq =
     [| summary_region |];
   Metrics.add st.counters.State.c_cleaner_bytes_read
     (layout.Layout.summary_blocks * bs);
-  match Summary.decode summary_region with
-  | Some (header, entries)
-    when 0 < header.Summary.nblocks
-         && header.Summary.nblocks <= layout.Layout.payload_blocks ->
-      max_seq := max !max_seq header.Summary.seq;
-      Io.sync_read_into st.io
-        ~len:(header.Summary.nblocks * bs)
+  (* The summary is walked where it was read: one entry at a time, no
+     entry list. *)
+  match Summary.decode_header summary_region with
+  | Some { Summary.nblocks; seq; _ }
+    when 0 < nblocks && nblocks <= layout.Layout.payload_blocks ->
+      max_seq := max !max_seq seq;
+      Io.sync_read_into st.io ~len:(nblocks * bs)
         ~sector:
           (Layout.sector_of_block layout (first + layout.Layout.summary_blocks))
         [| payload |];
-      Metrics.add st.counters.State.c_cleaner_bytes_read
-        (header.Summary.nblocks * bs);
-      List.iteri
-        (fun idx entry ->
-          let addr = Layout.segment_payload_block layout ~seg ~idx in
-          process_entry st ~addr payload ~off:(idx * bs) entry ~moved)
-        entries
+      Metrics.add st.counters.State.c_cleaner_bytes_read (nblocks * bs);
+      for idx = 0 to nblocks - 1 do
+        let addr = Layout.segment_payload_block layout ~seg ~idx in
+        process_entry st ~addr payload ~off:(idx * bs)
+          (Summary.entry_at summary_region idx)
+          ~moved
+      done
   | Some _ | None ->
       (* No valid summary: nothing live can be in this segment (it was
          torn by a crash before any checkpoint referenced it). *)

@@ -94,6 +94,10 @@ let location t inum =
   if t.addr.(inum) = Layout.null_addr then None
   else Some (t.addr.(inum), t.slot.(inum))
 
+let addr_of t inum =
+  check t inum;
+  t.addr.(inum)
+
 let located_at t inum ~addr ~slot =
   check t inum;
   addr <> Layout.null_addr && t.addr.(inum) = addr && t.slot.(inum) = slot

@@ -40,6 +40,10 @@ val location : t -> int -> (int * int) option
 (** [(inode-block address, slot)] of the inode's latest copy, or [None]
     if it has never been written to disk. *)
 
+val addr_of : t -> int -> int
+(** The inode-block address of {!location}, or [Layout.null_addr] when
+    it is [None]; allocates nothing. *)
+
 val located_at : t -> int -> addr:int -> slot:int -> bool
 (** [location t inum = Some (addr, slot)], without allocating. *)
 

@@ -231,16 +231,26 @@ let entry_dirty (e : State.itable_entry) =
   || Bitset.cardinal e.dind_child_dirty > 0
 
 (* Ascending bit order is inum order.  A bit whose entry has since been
-   flushed, deleted or dropped is cleared on the way. *)
+   flushed, deleted or dropped is cleared by the first walk, so every bit
+   the second walk meets names a dirty loaded entry. *)
 let dirty_inodes (st : State.t) =
-  let acc = ref [] in
   Bitset.iter_set
     (fun inum ->
       match find_loaded st inum with
-      | Some e when entry_dirty e -> acc := e :: !acc
+      | Some e when entry_dirty e -> ()
       | Some _ | None -> Bitset.clear st.dirty_inums inum)
     st.dirty_inums;
-  List.rev !acc
+  let out = ref [||] and n = ref 0 in
+  Bitset.iter_set
+    (fun inum ->
+      match find_loaded st inum with
+      | Some e ->
+          if !n = 0 then out := Array.make (Bitset.cardinal st.dirty_inums) e;
+          !out.(!n) <- e;
+          incr n
+      | None -> assert false)
+    st.dirty_inums;
+  !out
 
 let clear_clean (st : State.t) =
   Array.iter
@@ -285,9 +295,7 @@ let delete (st : State.t) inum =
   | Some top -> Array.iter release_raw top);
   release_raw e.ino.Inode.dindirect;
   (* The inode's slice of its inode block dies too. *)
-  (match Imap.location st.imap inum with
-  | Some (addr, _slot) -> release_block st addr ~bytes:Layout.inode_bytes
-  | None -> ());
+  release_block st (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
   Lfs_cache.Readahead.forget st.readahead ~owner:inum;
   Lfs_vfs.Dir.forget st.dirs inum;
   remove st inum;

@@ -52,7 +52,7 @@ val cleaner_touch_ind : State.t -> State.itable_entry -> unit
 val cleaner_touch_dind_top : State.t -> State.itable_entry -> unit
 val cleaner_touch_dind_child : State.t -> State.itable_entry -> int -> unit
 
-val dirty_inodes : State.t -> State.itable_entry list
+val dirty_inodes : State.t -> State.itable_entry array
 (** Entries whose inode or pointer maps need writing, sorted by inum.
     Costs the set bits of [st.dirty_inums], not the table size. *)
 

@@ -25,10 +25,9 @@ let flush_active (st : State.t) =
           Summary.payload_crc seg.buf ~off:summary_bytes ~len:payload_len;
       }
     in
-    let summary =
-      Summary.encode ~size_bytes:summary_bytes header (List.rev seg.entries_rev)
-    in
-    Bytes.blit summary 0 seg.buf 0 summary_bytes;
+    (* [append] put each entry in place; the header and CRC close the
+       region. *)
+    Summary.seal seg.buf ~size_bytes:summary_bytes header;
     let first_block = Layout.segment_first_block layout seg.seg in
     let len = summary_bytes + payload_len in
     (* Io never keeps the caller's buffer past the call without copying
@@ -49,8 +48,7 @@ let flush_active (st : State.t) =
            { seg = seg.seg; seq = header.Summary.seq; blocks = seg.nblocks;
              partial });
     seg.seg <- -1;
-    seg.nblocks <- 0;
-    seg.entries_rev <- []
+    seg.nblocks <- 0
   end
   else if seg.seg >= 0 then begin
     (* Empty active segment: just release it. *)
@@ -73,8 +71,7 @@ let claim (st : State.t) ~privilege =
       Seg_usage.reset_segment usage seg_index;
       Seg_usage.set_state usage seg_index Seg_usage.Active;
       st.seg.seg <- seg_index;
-      st.seg.nblocks <- 0;
-      st.seg.entries_rev <- []
+      st.seg.nblocks <- 0
 
 let append (st : State.t) ~privilege ~entry ~live_bytes ?off data =
   let layout = st.layout in
@@ -97,8 +94,8 @@ let append (st : State.t) ~privilege ~entry ~live_bytes ?off data =
   end;
   let seg = st.seg in
   let idx = seg.nblocks in
+  Summary.put_entry seg.buf idx entry;
   Bytes.blit data off seg.buf ((layout.Layout.summary_blocks + idx) * bs) bs;
-  seg.entries_rev <- entry :: seg.entries_rev;
   seg.nblocks <- idx + 1;
   let addr = Layout.segment_payload_block layout ~seg:seg.seg ~idx in
   Seg_usage.add_live st.usage seg.seg ~bytes:live_bytes

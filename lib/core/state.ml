@@ -34,9 +34,11 @@ type itable_entry = {
     segment is currently active. *)
 type segbuf = {
   mutable seg : int;
-  mutable buf : bytes;  (** [segment_size] bytes; payload starts at block 1 *)
+  mutable buf : bytes;
+      (** [segment_size] bytes: the summary region, whose entries are
+          written as blocks are appended and sealed at flush, then the
+          payload *)
   mutable nblocks : int;  (** payload blocks filled *)
-  mutable entries_rev : Summary.entry list;
 }
 
 type lfs_stats = {
@@ -154,7 +156,6 @@ let create io config layout =
         seg = -1;
         buf = Bytes.create (layout.Layout.seg_blocks * layout.Layout.block_size);
         nblocks = 0;
-        entries_rev = [];
       };
     next_seq = 1;
     tail_segment = -1;

@@ -29,7 +29,6 @@ type segbuf = {
   mutable seg : int;
   mutable buf : bytes;
   mutable nblocks : int;
-  mutable entries_rev : Summary.entry list;
 }
 
 (** Compatibility view of the [lfs.*] registry counters: a fresh record

@@ -44,29 +44,40 @@ let blocks_needed ~block_size ~seg_blocks =
   in
   go 1
 
-let encode_entry e entry =
-  let tag, a, b, c =
-    match entry with
-    | Data { inum; blkno; version } -> (1, inum, blkno, version)
-    | Indirect { inum; idx } -> (2, inum, idx, 0)
-    | Dindirect { inum } -> (3, inum, 0, 0)
-    | Inode_block -> (4, 0, 0, 0)
-    | Imap_block { idx } -> (5, idx, 0, 0)
-    | Usage_block { idx } -> (6, idx, 0, 0)
-  in
-  Codec.u8 e tag;
-  Codec.u32 e a;
-  Codec.u32 e b;
-  Codec.u32 e c
+(* Entry [i] lies at a fixed offset after the header: a u8 tag and
+   three u32 fields, unused ones zero. *)
+let entry_off i = header_bytes + (i * entry_bytes)
 
-let decode_entry d =
-  let tag = Codec.read_u8 d in
-  let a = Codec.read_u32 d in
-  let b = Codec.read_u32 d in
-  let c = Codec.read_u32 d in
-  match tag with
-  | 1 -> Data { inum = a; blkno = b; version = c }
-  | 2 -> Indirect { inum = a; idx = b }
+let put_fields region off tag a b c =
+  let off = Codec.put_u8 region off tag in
+  let off = Codec.put_u32 region off a in
+  let off = Codec.put_u32 region off b in
+  ignore (Codec.put_u32 region off c : int)
+
+let put_entry region i entry =
+  let off = entry_off i in
+  match entry with
+  | Data { inum; blkno; version } -> put_fields region off 1 inum blkno version
+  | Indirect { inum; idx } -> put_fields region off 2 inum idx 0
+  | Dindirect { inum } -> put_fields region off 3 inum 0 0
+  | Inode_block -> put_fields region off 4 0 0 0
+  | Imap_block { idx } -> put_fields region off 5 idx 0 0
+  | Usage_block { idx } -> put_fields region off 6 idx 0 0
+
+let valid_tag tag = tag >= 1 && tag <= 6
+
+let entry_at region i =
+  let off = entry_off i in
+  let a = Codec.get_u32 region (off + 1) in
+  match Bytes.get_uint8 region off with
+  | 1 ->
+      Data
+        {
+          inum = a;
+          blkno = Codec.get_u32 region (off + 5);
+          version = Codec.get_u32 region (off + 9);
+        }
+  | 2 -> Indirect { inum = a; idx = Codec.get_u32 region (off + 5) }
   | 3 -> Dindirect { inum = a }
   | 4 -> Inode_block
   | 5 -> Imap_block { idx = a }
@@ -77,49 +88,64 @@ let decode_entry d =
    computed with that field zeroed. *)
 let crc_off = header_bytes - 4
 
+let seal region ~size_bytes header =
+  if size_bytes > Bytes.length region then
+    invalid_arg "Summary.seal: region longer than the buffer";
+  if header.nblocks > max_entries ~size_bytes then
+    invalid_arg "Summary.seal: too many entries for the summary region";
+  let off = Codec.put_u32 region 0 magic in
+  let off = Codec.put_int_as_i64 region off header.seq in
+  let off = Codec.put_int_as_i64 region off header.timestamp_us in
+  let off = Codec.put_u16 region off header.nblocks in
+  let off =
+    Codec.put_u32 region off (Int32.to_int header.payload_crc land 0xFFFFFFFF)
+  in
+  ignore (Codec.put_u32 region off 0 (* header crc placeholder *) : int);
+  let used = entry_off header.nblocks in
+  Bytes.fill region used (size_bytes - used) '\000';
+  Bytes.set_int32_le region crc_off
+    (Crc32.digest_bytes ~off:0 ~len:size_bytes region)
+
 let encode ~size_bytes header entries =
   if List.length entries <> header.nblocks then
     invalid_arg "Summary.encode: entry count differs from header.nblocks";
-  if header.nblocks > max_entries ~size_bytes then
-    invalid_arg "Summary.encode: too many entries for the summary region";
-  let e = Codec.encoder ~capacity:size_bytes () in
-  Codec.u32 e magic;
-  Codec.int_as_i64 e header.seq;
-  Codec.int_as_i64 e header.timestamp_us;
-  Codec.u16 e header.nblocks;
-  Codec.u32 e (Int32.to_int header.payload_crc land 0xFFFFFFFF);
-  Codec.u32 e 0 (* header crc placeholder *);
-  List.iter (encode_entry e) entries;
-  Codec.pad_to e size_bytes;
-  let block = Codec.to_bytes e in
-  let crc = Crc32.digest_bytes block in
-  Bytes.set_int32_le block crc_off crc;
-  block
+  let region = Bytes.create size_bytes in
+  List.iteri (put_entry region) entries;
+  seal region ~size_bytes header;
+  region
 
-let decode block =
-  match
+let rec tags_valid region i n =
+  i >= n || (valid_tag (Bytes.get_uint8 region (entry_off i))
+             && tags_valid region (i + 1) n)
+
+let decode_header region =
+  if Bytes.length region < header_bytes then None
+  else begin
     (* Zero the CRC field in place for the digest, then put it back. *)
-    let stored = Bytes.get_int32_le block crc_off in
-    Bytes.set_int32_le block crc_off 0l;
-    let crc = Crc32.digest_bytes block in
-    Bytes.set_int32_le block crc_off stored;
-    if crc <> stored then None
+    let stored = Bytes.get_int32_le region crc_off in
+    Bytes.set_int32_le region crc_off 0l;
+    let crc = Crc32.digest_bytes region in
+    Bytes.set_int32_le region crc_off stored;
+    if crc <> stored || Codec.get_u32 region 0 <> magic then None
     else begin
-      let d = Codec.decoder block in
-      if Codec.read_u32 d <> magic then None
-      else begin
-        let seq = Codec.read_int_as_i64 d in
-        let timestamp_us = Codec.read_int_as_i64 d in
-        let nblocks = Codec.read_u16 d in
-        let payload_crc = Int32.of_int (Codec.read_u32 d) in
-        Codec.skip d 4 (* header crc *);
-        let entries = List.init nblocks (fun _ -> decode_entry d) in
-        Some ({ seq; timestamp_us; nblocks; payload_crc }, entries)
-      end
+      let nblocks = Bytes.get_uint16_le region 20 in
+      if entry_off nblocks > Bytes.length region
+         || not (tags_valid region 0 nblocks)
+      then None
+      else
+        Some
+          {
+            seq = Int64.to_int (Bytes.get_int64_le region 4);
+            timestamp_us = Int64.to_int (Bytes.get_int64_le region 12);
+            nblocks;
+            payload_crc = Bytes.get_int32_le region 22;
+          }
     end
-  with
-  | v -> v
-  | exception Codec.Error _ -> None
-  | exception Invalid_argument _ -> None
+  end
+
+let decode region =
+  match decode_header region with
+  | None -> None
+  | Some header -> Some (header, List.init header.nblocks (entry_at region))
 
 let payload_crc bytes ~off ~len = Crc32.digest_bytes ~off ~len bytes

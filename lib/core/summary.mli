@@ -39,6 +39,38 @@ val blocks_needed : block_size:int -> seg_blocks:int -> int
 (** Smallest summary region (in blocks) able to describe the remaining
     payload of a [seg_blocks]-block segment. *)
 
+(** {1 In place}
+
+    The log writer builds a segment's summary inside the segment buffer
+    and the cleaner walks a victim's summary where it was read, so
+    neither allocates per entry.  The region starts at offset 0 of the
+    buffer given. *)
+
+val put_entry : bytes -> int -> entry -> unit
+(** [put_entry region i e] writes [e] as entry [i] of the region.
+    @raise Invalid_argument if the entry lies outside [region]. *)
+
+val seal : bytes -> size_bytes:int -> header -> unit
+(** [seal region ~size_bytes h] completes a region whose entries
+    [0 .. h.nblocks - 1] are already in place: it writes the header,
+    zero-fills the rest of the first [size_bytes] bytes and sets the
+    CRC.  The bytes are those {!encode} gives for the same header and
+    entries, whatever the region held before.
+    @raise Invalid_argument if [h.nblocks] exceeds {!max_entries} or
+    [size_bytes] the buffer. *)
+
+val decode_header : bytes -> header option
+(** The header of a valid summary region (the whole of the buffer given),
+    after every check {!decode} makes: CRC, magic, entry count within
+    the region, and a valid tag on each of the [nblocks] entries.  [None]
+    exactly when {!decode} gives [None]. *)
+
+val entry_at : bytes -> int -> entry
+(** Entry [i] of a region {!decode_header} accepted, for
+    [0 <= i < nblocks]. *)
+
+(** {1 Whole regions} *)
+
 val encode : size_bytes:int -> header -> entry list -> bytes
 (** A full summary region: header, entries, CRC.  The entry list length
     must equal [header.nblocks] and fit in {!max_entries}.

@@ -101,49 +101,42 @@ let flush_file_data (st : State.t) ~privilege inum blknos =
         (List.sort compare blknos);
       flush_pointer_blocks st ~privilege e
 
-(* Pack the dirty inodes [dirty] (the list [Inode_store.dirty_inodes]
+(* Pack the dirty inodes [dirty] (the array [Inode_store.dirty_inodes]
    gave, their pointer blocks since flushed) into shared inode blocks and
-   point the inode map at them. *)
+   point the inode map at them: entries [first, first + per_block) go to
+   one block, slot [i - first] holding entry [i]. *)
 let flush_inodes (st : State.t) ~privilege dirty =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
   let per_block = Layout.inodes_per_block layout in
-  let rec chunks = function
-    | [] -> []
-    | l ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> take (n - 1) (x :: acc) rest
-        in
-        let group, rest = take per_block [] l in
-        group :: chunks rest
+  let n = Array.length dirty in
+  let rec pack first =
+    if first < n then begin
+      let last = min n (first + per_block) in
+      let block = Bytes.make bs '\000' in
+      for i = first to last - 1 do
+        Inode.encode_into dirty.(i).State.ino block
+          ~off:((i - first) * Layout.inode_bytes)
+      done;
+      let addr =
+        Segwriter.append st ~privilege ~entry:Summary.Inode_block
+          ~live_bytes:((last - first) * Layout.inode_bytes)
+          block
+      in
+      (* Cache the fresh inode block so immediate re-reads are hits;
+         [append] copied it, so the cache may keep this one. *)
+      Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false block;
+      for i = first to last - 1 do
+        let e = dirty.(i) in
+        let inum = e.State.ino.Inode.inum in
+        release st (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
+        Imap.set_location st.imap inum ~addr ~slot:(i - first);
+        e.State.ino_dirty <- false
+      done;
+      pack last
+    end
   in
-  let flush_group group =
-    let block = Bytes.make bs '\000' in
-    List.iteri
-      (fun slot (e : State.itable_entry) ->
-        Inode.encode_into e.ino block ~off:(slot * Layout.inode_bytes))
-      group;
-    let live = List.length group * Layout.inode_bytes in
-    let addr =
-      Segwriter.append st ~privilege ~entry:Summary.Inode_block
-        ~live_bytes:live block
-    in
-    (* Cache the fresh inode block so immediate re-reads are hits;
-       [append] copied it, so the cache may keep this one. *)
-    Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false block;
-    List.iteri
-      (fun slot (e : State.itable_entry) ->
-        let inum = e.ino.Inode.inum in
-        (match Imap.location st.imap inum with
-        | Some (old_addr, _) -> release st old_addr ~bytes:Layout.inode_bytes
-        | None -> ());
-        Imap.set_location st.imap inum ~addr ~slot;
-        e.ino_dirty <- false)
-      group
-  in
-  List.iter flush_group (chunks dirty)
+  pack 0
 
 (* Pointer blocks and inodes only — the part of the backlog that is
    small and bounded (no file data).  Used by the cleaner to persist its
@@ -152,10 +145,10 @@ let flush_inodes (st : State.t) ~privilege dirty =
    cleaner-marked pointer blocks...).  One walk of the dirty set serves
    both steps: flushing a listed file's pointer blocks leaves it
    [ino_dirty] and dirties no other file, so a second walk would return
-   the same list. *)
+   the same entries. *)
 let flush_metadata (st : State.t) ~privilege =
   let dirty = Inode_store.dirty_inodes st in
-  List.iter
+  Array.iter
     (fun (e : State.itable_entry) -> flush_pointer_blocks st ~privilege e)
     dirty;
   flush_inodes st ~privilege dirty
@@ -213,9 +206,7 @@ let flush_file (st : State.t) ~privilege inum =
           ~live_bytes:Layout.inode_bytes block
       in
       Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false block;
-      (match Imap.location st.imap inum with
-      | Some (old_addr, _) -> release st old_addr ~bytes:Layout.inode_bytes
-      | None -> ());
+      release st (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
       Imap.set_location st.imap inum ~addr ~slot:0;
       e.State.ino_dirty <- false
   | Some _ | None -> ()

@@ -229,7 +229,12 @@ let rec store t ~pos src ~off ~len =
       match t.chunks.(i) with
       | Some c -> c
       | None ->
-          let c = Bytes.make (chunk_len t i) '\000' in
+          (* A write covering the whole chunk leaves no byte to zero. *)
+          let clen = chunk_len t i in
+          let c =
+            if o = 0 && n = clen then Bytes.create clen
+            else Bytes.make clen '\000'
+          in
           t.chunks.(i) <- Some c;
           c
     in

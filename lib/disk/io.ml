@@ -159,30 +159,38 @@ let serve_write t lane ~start ~sync ~sector ~len data =
     ~service_us ~sequential:(Disk.last_was_streamed lane.l_disk);
   lane.l_busy_until_us <- start + service_us
 
+(* When a request may start on [lane]: once the member is free and the
+   request has arrived.  A queued request arrived when it was enqueued;
+   an immediate one ([arrival < 0]) arrives now, so a retried read
+   arrives again after its backoff. *)
+let request_start t lane ~arrival =
+  if arrival < 0 then start_time t lane
+  else max lane.l_busy_until_us arrival
+
 (* The one retry loop, shared by the immediate and queued read paths;
    the data lands in the caller's slices [dst].  A failed attempt costs
    only the retry backoff: the fault hook rejects the request before the
    device computes a service time, so the head never moves and the clock
-   advances by the (exponentially growing) wait between attempts. *)
-let read_with_retries t lane ~start ~sector ~count ~dst ~sync =
-  let rec attempt n =
-    match Disk.read_into ~start_us:(start ()) lane.l_disk ~sector dst with
-    | service_us ->
-        let sequential = Disk.last_was_streamed lane.l_disk in
-        record t ~kind:`Read ~sync ~sector ~sectors:count ~service_us
-          ~sequential;
-        lane.l_busy_until_us <- start () + service_us
-    | exception Disk.Read_fault _ ->
-        if n >= t.read_attempts then raise (Read_failed { sector; attempts = n })
-        else begin
-          Metrics.incr t.c_retries;
-          let backoff = t.retry_backoff_us * (1 lsl (n - 1)) in
-          Metrics.add t.c_backoff_us backoff;
-          Clock.advance_us t.clock backoff;
-          attempt (n + 1)
-        end
-  in
-  attempt 1
+   advances by the (exponentially growing) wait between attempts.
+   [attempt] counts from 1. *)
+let rec read_with_retries t lane ~arrival ~sector ~count ~dst ~sync attempt =
+  let start = request_start t lane ~arrival in
+  match Disk.read_into ~start_us:start lane.l_disk ~sector dst with
+  | service_us ->
+      let sequential = Disk.last_was_streamed lane.l_disk in
+      record t ~kind:`Read ~sync ~sector ~sectors:count ~service_us ~sequential;
+      lane.l_busy_until_us <- start + service_us
+  | exception Disk.Read_fault _ ->
+      if attempt >= t.read_attempts then
+        raise (Read_failed { sector; attempts = attempt })
+      else begin
+        Metrics.incr t.c_retries;
+        let backoff = t.retry_backoff_us * (1 lsl (attempt - 1)) in
+        Metrics.add t.c_backoff_us backoff;
+        Clock.advance_us t.clock backoff;
+        read_with_retries t lane ~arrival ~sector ~count ~dst ~sync
+          (attempt + 1)
+      end
 
 (* Service one queued request.  The member worked through its queue in
    the background: the request starts when the member is free and the
@@ -192,18 +200,19 @@ let read_with_retries t lane ~start ~sector ~count ~dst ~sync =
    read is only ever dispatched by its own synchronous caller
    ({!dispatch_until}), which supplies its destination. *)
 let dispatch_entry ?dst t lane q (e : Sched.entry) =
-  let start () = max lane.l_busy_until_us e.Sched.arrival_us in
-  let wait_us = start () - e.Sched.arrival_us in
+  let start = request_start t lane ~arrival:e.Sched.arrival_us in
+  let wait_us = start - e.Sched.arrival_us in
   let depth = Sched.length q in
   (match e.Sched.kind with
   | `Write ->
-      serve_write t lane ~start:(start ()) ~sync:e.Sched.sync
+      serve_write t lane ~start ~sync:e.Sched.sync
         ~sector:e.Sched.sector
         ~len:(e.Sched.count * sector_size t)
         (Option.get e.Sched.data)
   | `Read ->
-      read_with_retries t lane ~start ~sector:e.Sched.sector
-        ~count:e.Sched.count ~dst:(Option.get dst) ~sync:e.Sched.sync);
+      read_with_retries t lane ~arrival:e.Sched.arrival_us
+        ~sector:e.Sched.sector ~count:e.Sched.count ~dst:(Option.get dst)
+        ~sync:e.Sched.sync 1);
   Metrics.observe t.h_queue_wait wait_us;
   emit_queue t ~action:`Dispatch ~kind:e.Sched.kind ~sector:e.Sched.sector
     ~sectors:e.Sched.count ~depth ~wait_us
@@ -267,17 +276,21 @@ let gather ~ss ~len data run =
         pieces;
       out
 
-(* The destination slices covering bytes [pos, pos + len) of a logical
-   request whose consecutive buffers all have length [blen]. *)
+(* The destination slices covering bytes [pos, stop) of a logical
+   request whose consecutive buffers all have length [blen], buffer [i]
+   and those before it consed onto [acc]: built back to front, so in
+   order without a reversal. *)
+let rec slices_down bufs ~blen ~pos ~stop i acc =
+  if i < pos / blen then acc
+  else
+    let lo = max pos (i * blen) and hi = min stop ((i + 1) * blen) in
+    slices_down bufs ~blen ~pos ~stop (i - 1)
+      ({ Disk.buf = bufs.(i); off = lo - (i * blen); len = hi - lo } :: acc)
+
+(* The slices covering bytes [pos, pos + len). *)
 let slices bufs ~blen ~pos ~len =
-  let rec go pos len acc =
-    if len = 0 then List.rev acc
-    else
-      let i = pos / blen and off = pos mod blen in
-      let n = min len (blen - off) in
-      go (pos + n) (len - n) ({ Disk.buf = bufs.(i); off; len = n } :: acc)
-  in
-  go pos len []
+  if len = 0 then []
+  else slices_down bufs ~blen ~pos ~stop:(pos + len) ((pos + len - 1) / blen) []
 
 (* ---- per-run service, shared by every request path ---- *)
 
@@ -286,8 +299,7 @@ let slices bufs ~blen ~pos ~len =
 let lane_read_run t lane ~sector ~count ~dst ~sync =
   match lane.l_sched with
   | None ->
-      read_with_retries t lane ~start:(fun () -> start_time t lane) ~sector
-        ~count ~dst ~sync
+      read_with_retries t lane ~arrival:(-1) ~sector ~count ~dst ~sync 1
   | Some q ->
       let e = enqueue t q ~kind:`Read ~sync ~sector ~count ~data:None in
       dispatch_until ~dst t lane q ~id:e.Sched.id
@@ -388,56 +400,61 @@ let mirror_read t ~sector ~count ~dst ~sync =
 
 (* ---- public request paths ---- *)
 
+(* One read of [count] sectors into [bufs], each [blen] bytes. *)
+let read_request t ~sector ~count ~blen bufs =
+  let ss = sector_size t in
+  match Volume.policy t.volume with
+  | Volume.Mirror ->
+      emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
+      let dst = slices bufs ~blen ~pos:0 ~len:(count * ss) in
+      let lane = mirror_read t ~sector ~count ~dst ~sync:true in
+      Clock.advance_to_us t.clock lane.l_busy_until_us
+  | Volume.Stripe _ | Volume.Log_stripe _ ->
+      let runs = Volume.map_read t.volume ~sector ~count in
+      emit_volume_op t ~op:"read" ~sector ~sectors:count
+        ~runs:(List.length runs);
+      let finish = ref 0 in
+      List.iter
+        (fun (r : Volume.run) ->
+          let lane = t.lanes.(r.Volume.member) in
+          (* Each member run fills its pieces of the destination
+             directly: no member-contiguous buffer to scatter. *)
+          let dst =
+            List.concat_map
+              (fun (off, n) -> slices bufs ~blen ~pos:(off * ss) ~len:(n * ss))
+              r.Volume.pieces
+          in
+          lane_read_run t lane ~sector:r.Volume.sector ~count:r.Volume.count
+            ~dst ~sync:true;
+          finish := max !finish lane.l_busy_until_us)
+        runs;
+      (* The runs were issued together and serviced in parallel: the
+         caller resumes when the slowest member finishes. *)
+      Clock.advance_to_us t.clock !finish
+
+let rec all_length bufs blen i =
+  i >= Array.length bufs
+  || (Bytes.length bufs.(i) = blen && all_length bufs blen (i + 1))
+
 let sync_read_into ?len t ~sector bufs =
   let ss = sector_size t in
   let blen = if Array.length bufs = 0 then 0 else Bytes.length bufs.(0) in
-  if
-    blen = 0 || blen mod ss <> 0
-    || Array.exists (fun b -> Bytes.length b <> blen) bufs
-  then
+  if blen = 0 || blen mod ss <> 0 || not (all_length bufs blen 1) then
     invalid_arg
       "Io.sync_read_into: buffers must share one positive multiple of the \
        sector size";
   let total = Array.length bufs * blen in
-  let len = Option.value len ~default:total in
+  let len = match len with Some len -> len | None -> total in
   if len <= 0 || len mod ss <> 0 || len > total then
     invalid_arg
       "Io.sync_read_into: len must be a positive multiple of the sector \
        size within the buffers";
   let count = len / ss in
-  let go () =
-    match Volume.policy t.volume with
-    | Volume.Mirror ->
-        emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
-        let dst = slices bufs ~blen ~pos:0 ~len:(count * ss) in
-        let lane = mirror_read t ~sector ~count ~dst ~sync:true in
-        Clock.advance_to_us t.clock lane.l_busy_until_us
-    | Volume.Stripe _ | Volume.Log_stripe _ ->
-        let runs = Volume.map_read t.volume ~sector ~count in
-        emit_volume_op t ~op:"read" ~sector ~sectors:count
-          ~runs:(List.length runs);
-        let finish = ref 0 in
-        List.iter
-          (fun (r : Volume.run) ->
-            let lane = t.lanes.(r.Volume.member) in
-            (* Each member run fills its pieces of the destination
-               directly: no member-contiguous buffer to scatter. *)
-            let dst =
-              List.concat_map
-                (fun (off, n) ->
-                  slices bufs ~blen ~pos:(off * ss) ~len:(n * ss))
-                r.Volume.pieces
-            in
-            lane_read_run t lane ~sector:r.Volume.sector
-              ~count:r.Volume.count ~dst ~sync:true;
-            finish := max !finish lane.l_busy_until_us)
-          runs;
-        (* The runs were issued together and serviced in parallel: the
-           caller resumes when the slowest member finishes. *)
-        Clock.advance_to_us t.clock !finish
-  in
   (* The span covers the retry loop too: backoff waits are disk time. *)
-  if Bus.enabled t.bus then Bus.with_span t.bus "io_read" go else go ()
+  if Bus.enabled t.bus then
+    Bus.with_span t.bus "io_read" (fun () ->
+        read_request t ~sector ~count ~blen bufs)
+  else read_request t ~sector ~count ~blen bufs
 
 let sync_read t ~sector ~count =
   let buf = Bytes.create (count * sector_size t) in

@@ -42,7 +42,7 @@ let direction_of metric =
   if has "_per_sec" || has "_kbs" || has "ratio" || has "hit" then Higher
   else if
     has "_us" || has "cost" || has "reads" || has "writes" || has "sectors"
-    || has "wasted" || has "dropped"
+    || has "wasted" || has "dropped" || has "_words"
   then Lower
   else Unknown
 
@@ -51,7 +51,16 @@ let pct_change ~base ~cur =
   else if base = 0.0 then infinity *. (if cur > 0.0 then 1.0 else -1.0)
   else (cur -. base) /. Float.abs base *. 100.0
 
+(* Host words allocated are exact counts, not measurements, so their
+   band is this narrow whatever the general tolerance: a rise far below
+   5% of a figure's allocation still gates. *)
+let words_tolerance_pct = 0.1
+
 let status_of ~tolerance_pct ~metric ~base ~cur =
+  let tolerance_pct =
+    if contains metric "_words" then Float.min tolerance_pct words_tolerance_pct
+    else tolerance_pct
+  in
   let pct = pct_change ~base ~cur in
   if Float.abs pct <= tolerance_pct then (pct, Same)
   else
@@ -224,8 +233,10 @@ let render rep =
   let buf = Buffer.create 256 in
   if interesting = [] && rep.missing = [] && rep.unbaselined = [] then
     Buffer.add_string buf
-      (Printf.sprintf "benchdiff: %d metrics compared, all within %.1f%%\n"
-         (List.length rep.deltas) rep.tolerance_pct)
+      (Printf.sprintf
+         "benchdiff: %d metrics compared, all within %.1f%% (host words \
+          %.1f%%)\n"
+         (List.length rep.deltas) rep.tolerance_pct words_tolerance_pct)
   else begin
     let rows =
       List.map
@@ -256,13 +267,13 @@ let render rep =
     Buffer.add_string buf
       (Printf.sprintf
          "benchdiff: %d metrics compared, %d changed, %d regressed, %d \
-          missing, %d unbaselined (tolerance %.1f%%)\n"
+          missing, %d unbaselined (tolerance %.1f%%, host words %.1f%%)\n"
          (List.length rep.deltas)
          (List.length interesting)
          n_reg
          (List.length rep.missing)
          (List.length rep.unbaselined)
-         rep.tolerance_pct)
+         rep.tolerance_pct words_tolerance_pct)
   end;
   Buffer.contents buf
 

@@ -3,9 +3,10 @@
     Every figure entry's shallow numeric fields in the baseline are
     matched (by figure name and entry index) against the current file
     and classified by a per-metric direction heuristic: throughputs,
-    ratios and hit counts should not fall; times, costs and I/O volumes
-    should not rise; metrics with no known direction gate on any
-    out-of-tolerance change, since the simulation is deterministic.
+    ratios and hit counts should not fall; times, costs, I/O volumes
+    and host words allocated ([_words]) should not rise; metrics with
+    no known direction gate on any out-of-tolerance change, since the
+    simulation is deterministic.
     Nested objects (per-phase breakdowns) are not compared.  Figures,
     entries or metrics present in the baseline but missing from the
     current file also gate, and so do ones present in the current file
@@ -33,6 +34,11 @@ type report = {
       (** figures/entries/metric paths in current but not in base;
           nested names are ["/"]-joined *)
 }
+
+val words_tolerance_pct : float
+(** The band for host words allocated (metrics named [_words]), 0.1%:
+    they are exact counts, so they are held to it whenever it is
+    narrower than the tolerance given. *)
 
 val compare :
   ?tolerance_pct:float -> base:Json.t -> cur:Json.t -> unit -> report

@@ -3,47 +3,72 @@ module Io = Lfs_disk.Io
 
 type view = {
   src : bytes;  (* the buffer decoded; reused only while it is the cache's *)
-  entries : (string * int) list;
   used : int;
   index : (string, int) Hashtbl.t;
       (* Hashtbl.add shadows and Hashtbl.remove unshadows, so the top
-         binding is always the first occurrence in [entries]. *)
+         binding is always the name's first entry in [src]. *)
 }
+
+(* Directory inums and block indices hash as themselves. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i land max_int
+end)
 
 (* directory inum -> block index -> view *)
-type t = {
-  io : Io.t;
-  block_size : int;
-  views : (int, (int, view) Hashtbl.t) Hashtbl.t;
-}
+type t = { io : Io.t; block_size : int; views : view Itbl.t Itbl.t }
 
-let create ~io ~block_size = { io; block_size; views = Hashtbl.create 64 }
-let forget t inum = Hashtbl.remove t.views inum
-let clear t = Hashtbl.reset t.views
-let held t = Hashtbl.fold (fun inum _ acc -> inum :: acc) t.views []
-
-let make src entries used =
-  let index = Hashtbl.create 16 in
-  List.iter (fun (name, inum) -> Hashtbl.add index name inum) (List.rev entries);
-  { src; entries; used; index }
+let create ~io ~block_size = { io; block_size; views = Itbl.create 64 }
+let forget t inum = Itbl.remove t.views inum
+let clear t = Itbl.reset t.views
+let held t = Itbl.fold (fun inum _ acc -> inum :: acc) t.views []
 
 (* A hole (or the block past the end) reads as an empty block. *)
-let hole () = make Bytes.empty [] (Dir_block.used_bytes [])
+let hole () =
+  {
+    src = Bytes.empty;
+    used = Dir_block.used_bytes [];
+    index = Hashtbl.create 16;
+  }
+
+let truncated () = raise (Codec.Error "Codec: truncated input")
+
+(* Index the entries [k .. count - 1] of [src], entry [k] at [off], in
+   the layout {!Dir_block.parse} reads, and return the bytes used.  The
+   bindings go in on the way back, last entry first, so a name's first
+   entry ends on top. *)
+let rec index_from src index ~count k off =
+  if k = count then off
+  else begin
+    if off + 6 > Bytes.length src then truncated ();
+    let len = Bytes.get_uint16_le src (off + 4) in
+    if off + 6 + len > Bytes.length src then truncated ();
+    let used = index_from src index ~count (k + 1) (off + 6 + len) in
+    Hashtbl.add index (Bytes.sub_string src (off + 6) len)
+      (Codec.get_u32 src off);
+    used
+  end
 
 let decode ~dir ~blk src =
-  match Dir_block.parse src with
-  | entries -> make src entries (Dir_block.used_bytes entries)
-  | exception Lfs_util.Codec.Error m ->
+  let index = Hashtbl.create 16 in
+  match
+    if Bytes.length src < 2 then truncated ();
+    index_from src index ~count:(Bytes.get_uint16_le src 0) 0 2
+  with
+  | used -> { src; used; index }
+  | exception Codec.Error m ->
       Errors.raise_
         (Errors.Ecorrupt (Printf.sprintf "directory inum %d block %d: %s" dir blk m))
 
 let store t dir blk v =
-  match Hashtbl.find_opt t.views dir with
-  | Some blocks -> Hashtbl.replace blocks blk v
+  match Itbl.find_opt t.views dir with
+  | Some blocks -> Itbl.replace blocks blk v
   | None ->
-      let blocks = Hashtbl.create 8 in
-      Hashtbl.replace blocks blk v;
-      Hashtbl.replace t.views dir blocks
+      let blocks = Itbl.create 8 in
+      Itbl.replace blocks blk v;
+      Itbl.replace t.views dir blocks
 
 type ('fs, 'dir) backing = {
   views : 'fs -> t;
@@ -59,8 +84,8 @@ let view b fs d blk =
   | Some src -> (
       let t = b.views fs and dir = b.inum d in
       let cached =
-        match Hashtbl.find_opt t.views dir with
-        | Some blocks -> Hashtbl.find_opt blocks blk
+        match Itbl.find_opt t.views dir with
+        | Some blocks -> Itbl.find_opt blocks blk
         | None -> None
       in
       match cached with
@@ -79,19 +104,18 @@ let examine b fs d blk =
    caller patches [index] only once the write has gone through: the
    superseded view's buffer is no longer the cache's, so its table moves
    to the new view. *)
-let rewrite b fs d blk src entries used index =
+let rewrite b fs d blk src used index =
   b.write fs d blk src;
-  store (b.views fs) (b.inum d) blk { src; entries; used; index }
+  store (b.views fs) (b.inum d) blk { src; used; index }
 
 (* The block with [name, inum] put at the head of [v]'s entries, made
    from [v.src] rather than re-encoded: the header with one more entry,
    the new entry at offset 2, the old entries shifted up by one blit,
    and a zeroed tail.  Byte for byte what [Dir_block.encode] gives for
-   the new entry list, since [v.src] holds the encoding of [v.entries]
-   in [\[2, v.used)].  A hole has no bytes to patch. *)
+   the new entry list, since [v.src] holds an encoding in [\[2, v.used)].
+   A hole has no bytes to patch. *)
 let patched_add ~block_size v name inum size =
-  if v.src == Bytes.empty then
-    Dir_block.encode ~block_size ((name, inum) :: v.entries)
+  if v.src == Bytes.empty then Dir_block.encode ~block_size [ (name, inum) ]
   else begin
     let dst = Bytes.create block_size and used = v.used + size in
     ignore (Codec.put_u16 dst 0 (Bytes.get_uint16_le v.src 0 + 1) : int);
@@ -103,26 +127,27 @@ let patched_add ~block_size v name inum size =
     dst
   end
 
-(* Byte offset of [name]'s first entry in a block of [entries], counting
-   from [off]. *)
-let rec entry_offset name off = function
-  | [] -> raise Not_found
-  | (n, _) :: rest ->
-      if String.equal n name then off
-      else entry_offset name (off + Dir_block.entry_bytes n) rest
+(* Whether the [String.length name] bytes of [src] at [off] spell
+   [name], from its [i]th byte on. *)
+let rec spells src off name i =
+  i = String.length name
+  || Char.equal (Bytes.get src (off + i)) (String.get name i)
+     && spells src off name (i + 1)
 
-(* [List.remove_assoc] without the polymorphic compare. *)
-let rec remove_first name = function
-  | [] -> []
-  | ((n, _) as e) :: rest ->
-      if String.equal n name then rest else e :: remove_first name rest
+(* Byte offset of [name]'s first entry in [v.src], scanning from the
+   entry at [off]. *)
+let rec entry_offset v name off =
+  if off >= v.used then raise Not_found
+  else
+    let len = Bytes.get_uint16_le v.src (off + 4) in
+    if len = String.length name && spells v.src (off + 6) name 0 then off
+    else entry_offset v name (off + 6 + len)
 
 (* The block with [name]'s first entry dropped from [v]: the bytes on
    either side of the entry closed up by two blits, one fewer in the
    header, and a zeroed tail. *)
 let patched_remove ~block_size v name =
-  let off = entry_offset name 2 v.entries
-  and size = Dir_block.entry_bytes name in
+  let off = entry_offset v name 2 and size = Dir_block.entry_bytes name in
   let dst = Bytes.create block_size and used = v.used - size in
   Bytes.blit v.src 0 dst 0 off;
   ignore (Codec.put_u16 dst 0 (Bytes.get_uint16_le v.src 0 - 1) : int);
@@ -130,7 +155,10 @@ let patched_remove ~block_size v name =
   Bytes.fill dst used (block_size - used) '\000';
   dst
 
-let block_entries b fs d blk = (view b fs d blk).entries
+(* A view's entries, parsed from its buffer on demand. *)
+let parsed v = if v.src == Bytes.empty then [] else Dir_block.parse v.src
+
+let block_entries b fs d blk = parsed (view b fs d blk)
 
 let lookup b fs d name =
   let n = b.nblocks fs d in
@@ -153,7 +181,6 @@ let add b fs d name inum =
     if blk >= n || v.used + size <= block_size then begin
       rewrite b fs d blk
         (patched_add ~block_size v name inum size)
-        ((name, inum) :: v.entries)
         (v.used + size) v.index;
       Hashtbl.add v.index name inum
     end
@@ -170,7 +197,6 @@ let remove b fs d name =
       if Hashtbl.mem v.index name then begin
         rewrite b fs d blk
           (patched_remove ~block_size:(b.views fs).block_size v name)
-          (remove_first name v.entries)
           (v.used - Dir_block.entry_bytes name)
           v.index;
         Hashtbl.remove v.index name
@@ -181,4 +207,5 @@ let remove b fs d name =
   hunt 0
 
 let entries b fs d =
-  List.concat (List.init (b.nblocks fs d) (fun blk -> (examine b fs d blk).entries))
+  List.concat
+    (List.init (b.nblocks fs d) (fun blk -> parsed (examine b fs d blk)))

@@ -2,9 +2,11 @@
     name-indexed views of directory blocks, and the namei scans over
     them.
 
-    A view is one block's entries in on-disk order, its used byte count
-    and a name -> inum table (first occurrence wins, as with
-    [List.assoc]).  Each mount owns one table of views keyed by
+    A view is the buffer of one block, its used byte count and a
+    name -> inum table (first occurrence wins, as with [List.assoc]); it
+    keeps no entry list.  Removal finds an entry's bytes by scanning the
+    buffer, and {!entries} and {!block_entries} parse the buffer when
+    asked, in block order.  Each mount owns one table of views keyed by
     [(directory inum, block index)], and every view records the exact
     buffer it decoded.  A view is reused only while the block cache
     still hands back that same buffer ([==]); any other buffer (a block
@@ -12,7 +14,8 @@
     stored.  This relies on one invariant: directory blocks are never
     mutated in place — every change writes a fresh block, patched from
     the view's buffer and byte for byte what {!Dir_block.encode} gives
-    for the new entries.
+    for the new entries — so the buffer always parses to the entries the
+    table indexes.
 
     The scans keep the paper's cost model (§5.1): one
     {!Lfs_disk.Io.charge_lookup} per block examined, in block order, so

@@ -113,6 +113,207 @@ let test_summary_rejects_corruption () =
   Alcotest.(check bool) "zeros rejected" true
     (Summary.decode (Bytes.make 1024 '\000') = None)
 
+(* The list codec the segment summary had before it was written and
+   walked in place, kept as the model: a growable encoder over the whole
+   entry list, and a decoder that builds the list. *)
+module Summary_model = struct
+  module Codec = Lfs_util.Codec
+
+  let magic = 0x4C53554D
+  let crc_off = 26
+
+  let encode ~size_bytes (h : Summary.header) entries =
+    let e = Codec.encoder ~capacity:size_bytes () in
+    Codec.u32 e magic;
+    Codec.int_as_i64 e h.Summary.seq;
+    Codec.int_as_i64 e h.Summary.timestamp_us;
+    Codec.u16 e h.Summary.nblocks;
+    Codec.u32 e (Int32.to_int h.Summary.payload_crc land 0xFFFFFFFF);
+    Codec.u32 e 0;
+    List.iter
+      (fun entry ->
+        let tag, a, b, c =
+          match entry with
+          | Summary.Data { inum; blkno; version } -> (1, inum, blkno, version)
+          | Summary.Indirect { inum; idx } -> (2, inum, idx, 0)
+          | Summary.Dindirect { inum } -> (3, inum, 0, 0)
+          | Summary.Inode_block -> (4, 0, 0, 0)
+          | Summary.Imap_block { idx } -> (5, idx, 0, 0)
+          | Summary.Usage_block { idx } -> (6, idx, 0, 0)
+        in
+        Codec.u8 e tag;
+        Codec.u32 e a;
+        Codec.u32 e b;
+        Codec.u32 e c)
+      entries;
+    Codec.pad_to e size_bytes;
+    let block = Codec.to_bytes e in
+    Bytes.set_int32_le block crc_off (Lfs_util.Crc32.digest_bytes block);
+    block
+
+  let decode block =
+    match
+      let stored = Bytes.get_int32_le block crc_off in
+      Bytes.set_int32_le block crc_off 0l;
+      let crc = Lfs_util.Crc32.digest_bytes block in
+      Bytes.set_int32_le block crc_off stored;
+      if crc <> stored then None
+      else begin
+        let d = Codec.decoder block in
+        if Codec.read_u32 d <> magic then None
+        else begin
+          let seq = Codec.read_int_as_i64 d in
+          let timestamp_us = Codec.read_int_as_i64 d in
+          let nblocks = Codec.read_u16 d in
+          let payload_crc = Int32.of_int (Codec.read_u32 d) in
+          Codec.skip d 4;
+          let entry _ =
+            let tag = Codec.read_u8 d in
+            let a = Codec.read_u32 d in
+            let b = Codec.read_u32 d in
+            let c = Codec.read_u32 d in
+            match tag with
+            | 1 -> Summary.Data { inum = a; blkno = b; version = c }
+            | 2 -> Summary.Indirect { inum = a; idx = b }
+            | 3 -> Summary.Dindirect { inum = a }
+            | 4 -> Summary.Inode_block
+            | 5 -> Summary.Imap_block { idx = a }
+            | 6 -> Summary.Usage_block { idx = a }
+            | n -> raise (Codec.Error (Printf.sprintf "bad tag %d" n))
+          in
+          let entries = List.init nblocks entry in
+          Some ({ Summary.seq; timestamp_us; nblocks; payload_crc }, entries)
+        end
+      end
+    with
+    | v -> v
+    | exception Codec.Error _ -> None
+    | exception Invalid_argument _ -> None
+
+  (* Re-seal a region after a field was patched, so only the patched
+     field can make it invalid. *)
+  let reseal block =
+    Bytes.set_int32_le block crc_off 0l;
+    Bytes.set_int32_le block crc_off (Lfs_util.Crc32.digest_bytes block)
+end
+
+(* Entries whose fields span the whole u32 range. *)
+let wide_entry_gen =
+  QCheck.Gen.(
+    let u32 = oneof [ int_bound 1000; int_bound 0xFFFF_FFFF ] in
+    oneof
+      [
+        map3
+          (fun inum blkno version -> Summary.Data { inum; blkno; version })
+          u32 u32 u32;
+        map2 (fun inum idx -> Summary.Indirect { inum; idx }) u32 u32;
+        map (fun inum -> Summary.Dindirect { inum }) u32;
+        pure Summary.Inode_block;
+        map (fun idx -> Summary.Imap_block { idx }) u32;
+        map (fun idx -> Summary.Usage_block { idx }) u32;
+      ])
+
+let header_gen nblocks =
+  QCheck.Gen.(
+    map3
+      (fun seq timestamp_us crc ->
+        { Summary.seq; timestamp_us; nblocks; payload_crc = Int32.of_int crc })
+      (int_bound 1_000_000_000) (int_bound max_int) (int_bound 0xFFFF_FFFF))
+
+let take n l = List.filteri (fun i _ -> i < n) l
+
+(* [put_entry] and [seal] write a region byte for byte as the list
+   encoder did: any number of entries up to a partial or full region,
+   in a segment buffer that still holds an earlier summary (longer or
+   shorter) and whose bytes past the region must stay as they were. *)
+let prop_summary_in_place =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 512; 1024; 4096 ] >>= fun size_bytes ->
+      let max = Summary.max_entries ~size_bytes in
+      let entries = list_size (int_bound max) wide_entry_gen in
+      pair (pair entries entries) (pair (int_bound 255) (pure size_bytes))
+      >>= fun ((earlier, entries), (fill, size_bytes)) ->
+      let earlier = take max earlier and entries = take max entries in
+      map2
+        (fun he h -> (size_bytes, fill, (he, earlier), (h, entries)))
+        (header_gen (List.length earlier))
+        (header_gen (List.length entries)))
+  in
+  QCheck.Test.make ~name:"summary written in place equals the list encoder"
+    ~count:300 (QCheck.make gen)
+    (fun (size_bytes, fill, (he, earlier), (h, entries)) ->
+      let buf = Bytes.make (size_bytes + 512) (Char.chr fill) in
+      let write h entries =
+        List.iteri (Summary.put_entry buf) entries;
+        Summary.seal buf ~size_bytes h
+      in
+      write he earlier;
+      write h entries;
+      let want = Summary_model.encode ~size_bytes h entries in
+      Bytes.equal (Bytes.sub buf 0 size_bytes) want
+      && Bytes.equal
+           (Bytes.sub buf size_bytes 512)
+           (Bytes.make 512 (Char.chr fill))
+      && Bytes.equal (Summary.encode ~size_bytes h entries) want)
+
+(* [decode_header] and [entry_at] accept exactly the regions the list
+   decoder accepts and read the same header and entries: valid regions,
+   bit flips, a bad tag or an out-of-range entry count under a valid
+   CRC, and random bytes of any length. *)
+let prop_summary_walk =
+  let gen =
+    QCheck.Gen.(
+      let size_bytes = 512 in
+      let max = Summary.max_entries ~size_bytes in
+      list_size (int_bound max) wide_entry_gen >>= fun entries ->
+      header_gen (List.length entries) >>= fun h ->
+      let valid () = Summary_model.encode ~size_bytes h entries in
+      let n = List.length entries in
+      oneof
+        [
+          map (fun () -> valid ()) unit;
+          map2
+            (fun pos bit ->
+              let r = valid () in
+              Bytes.set_uint8 r pos (Bytes.get_uint8 r pos lxor (1 lsl bit));
+              r)
+            (int_bound (size_bytes - 1)) (int_bound 7);
+          map2
+            (fun i tag ->
+              let r = valid () in
+              if n > 0 then begin
+                Bytes.set_uint8 r (30 + (13 * (i mod n))) tag;
+                Summary_model.reseal r
+              end;
+              r)
+            (int_bound max)
+            (oneof [ pure 0; pure 7; int_range 8 255; int_range 1 6 ]);
+          map
+            (fun count ->
+              let r = valid () in
+              Bytes.set_uint16_le r 20 count;
+              Summary_model.reseal r;
+              r)
+            (int_bound 0xFFFF);
+          map Bytes.of_string (string_size (int_bound 600));
+        ])
+  in
+  QCheck.Test.make ~name:"summary walked in place equals the list decoder"
+    ~count:500
+    (QCheck.make
+       ~print:(fun r -> Printf.sprintf "%d bytes" (Bytes.length r))
+       gen)
+    (fun region ->
+      let want = Summary_model.decode region in
+      let walked =
+        match Summary.decode_header region with
+        | None -> None
+        | Some h ->
+            Some (h, List.init h.Summary.nblocks (Summary.entry_at region))
+      in
+      walked = want && Summary.decode region = want)
+
 let test_summary_blocks_needed () =
   (* 1 KB blocks: one block describes (1024-30)/13 = 76 payload blocks. *)
   Alcotest.(check int) "small segment" 1
@@ -330,6 +531,8 @@ let suite =
     qcheck prop_inode_roundtrip;
     Alcotest.test_case "inode empty slot" `Quick test_inode_empty_slot;
     qcheck prop_summary_roundtrip;
+    qcheck prop_summary_in_place;
+    qcheck prop_summary_walk;
     Alcotest.test_case "summary rejects corruption" `Quick
       test_summary_rejects_corruption;
     Alcotest.test_case "summary region sizing" `Quick test_summary_blocks_needed;

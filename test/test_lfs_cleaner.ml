@@ -318,8 +318,50 @@ let test_loaded_live_inode_slot_not_decoded () =
        ~slot:(off / Lfs_core.Layout.inode_bytes));
   check_kept_files fs
 
+(* Minor words the cleaner spends per live 4 KB block it moves: the
+   slope between cleaning a victim of [n] live blocks and one of [3n],
+   each a fresh file system holding one file, so the pass's fixed cost
+   (metadata flush, checkpoint) cancels.  The victim's summary is walked
+   where it was read and each entry is written straight into the new
+   segment's summary, so a move costs the decoded entry, the cache key,
+   the append's [~off] and the re-pointed block map.  Measured 13.1
+   words per block (OCaml 5.1, no flambda), against 28.1 when the log
+   writer kept an entry list and the cleaner decoded one; either list
+   shows here. *)
+let test_clean_allocation_per_block () =
+  let words_to_clean n =
+    let config = { Config.default with Config.auto_clean = false } in
+    let fs = make_lfs ~size_bytes:(16 * 1024 * 1024) ~config () in
+    write_file fs "/f" (pattern ~seed:n (n * 4096));
+    Fs.sync fs;
+    let inum = (check_ok "stat" (Fs.stat fs "/f")).Lfs_vfs.Fs_intf.inum in
+    let seg =
+      match Lfs_core.Inode_store.find_loaded fs inum with
+      | Some e ->
+          Lfs_core.Layout.segment_of_block (Fs.layout fs)
+            (Lfs_core.Inode_store.bmap_read fs e 0)
+      | None -> Alcotest.fail "/f not loaded after its write"
+    in
+    Fs.flush_caches fs;
+    let before = Gc.minor_words () in
+    let freed = Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ] in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "victim cleaned" 1 freed;
+    check_bytes "moved file" (pattern ~seed:n (n * 4096)) (read_all fs "/f");
+    words
+  in
+  let n = 40 in
+  let per_block =
+    (words_to_clean (3 * n) -. words_to_clean n) /. float (2 * n)
+  in
+  if per_block > 14. then
+    Alcotest.failf "cleaning allocates %.1f words per moved block (bound 14)"
+      per_block
+
 let suite =
   [
+    Alcotest.test_case "cleaning allocates per block only what it moves"
+      `Quick test_clean_allocation_per_block;
     Alcotest.test_case "usage accounting matches ground truth" `Quick
       test_usage_accounting_exact;
     Alcotest.test_case "structurally sound after cleaning" `Quick

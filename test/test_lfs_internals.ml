@@ -274,9 +274,10 @@ let test_dirty_set_matches_scan () =
     | _ -> ignore (Fs.clean_now ~target:max_int fs : int));
     let want = scan () in
     let got =
-      List.map
-        (fun (e : State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
-        (Lfs_core.Inode_store.dirty_inodes fs)
+      Array.to_list
+        (Array.map
+           (fun (e : State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
+           (Lfs_core.Inode_store.dirty_inodes fs))
     in
     if got <> want then
       Alcotest.failf "step %d: dirty set [%s], table scan [%s]" step
@@ -302,9 +303,10 @@ let test_every_raise_records_inum () =
     | None -> Alcotest.fail "/f not loaded after its write"
   in
   let dirty () =
-    List.map
-      (fun (e : Lfs_core.State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
-      (Store.dirty_inodes fs)
+    Array.to_list
+      (Array.map
+         (fun (e : Lfs_core.State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
+         (Store.dirty_inodes fs))
   in
   Alcotest.(check (list int)) "clean after sync" [] (dirty ());
   let rewrite blkno =

@@ -147,6 +147,42 @@ let test_benchdiff_tolerance () =
   Alcotest.(check bool) "outside tight tolerance" true
     (B.gates (B.compare ~tolerance_pct:1.0 ~base ~cur ()))
 
+(* Host words allocated are a cost held to their own narrow band: half
+   a percent more gates under the default 5% tolerance, fewer passes as
+   an improvement. *)
+let test_benchdiff_host_words () =
+  let doc words =
+    Json.Obj
+      [
+        ("schema", Json.String "lfs-bench/1");
+        ("quick", Json.Bool true);
+        ( "figures",
+          Json.Obj
+            [
+              ( "host",
+                Json.List
+                  [
+                    Json.Obj
+                      [
+                        ("label", Json.String "fig5");
+                        ("alloc_words", Json.Int words);
+                      ];
+                  ] );
+            ] );
+      ]
+  in
+  let status words =
+    match (B.compare ~base:(doc 1_000_000) ~cur:(doc words) ()).B.deltas with
+    | [ d ] -> d.B.status
+    | ds -> Alcotest.failf "expected one delta, got %d" (List.length ds)
+  in
+  Alcotest.(check bool) "0.5% more words regress" true
+    (status 1_005_000 = B.Regressed);
+  Alcotest.(check bool) "0.5% fewer words improve" true
+    (status 995_000 = B.Improved);
+  Alcotest.(check bool) "0.05% more words are within the band" true
+    (status 1_000_500 = B.Same)
+
 let test_benchdiff_missing_gates () =
   let base = bench_doc ~create_per_sec:400.0 ~write_cost:1.2 in
   let cur =
@@ -224,6 +260,8 @@ let suite =
       test_benchdiff_gates_regression;
     Alcotest.test_case "benchdiff tolerance band" `Quick
       test_benchdiff_tolerance;
+    Alcotest.test_case "benchdiff host words are a cost" `Quick
+      test_benchdiff_host_words;
     Alcotest.test_case "benchdiff missing gates" `Quick
       test_benchdiff_missing_gates;
     Alcotest.test_case "benchdiff unbaselined gates" `Quick
