@@ -1,21 +1,18 @@
-(** Byte-granularity file data operations over the cache and block maps.
+(** LFS file data over the cache and block maps: the system's read-path
+    backing and the pieces of truncation that are LFS's own.  The write
+    and truncate loops are {!Lfs_vfs.Fs_ops}'s.
 
     Writes only touch the cache (dirty blocks); they reach the log when
     the write path flushes.  Reads prefer the cache, then the in-memory
-    active segment, then the disk.  Access times are maintained in the
-    inode map, not the inode (paper, footnote 2). *)
+    active segment, then the disk. *)
 
-val read : State.t -> inum:int -> off:int -> len:int -> bytes
-(** Read up to [len] bytes at [off] (short at end of file; holes read as
-    zeros).  Updates the file's atime.
-    @raise Errors.Error [Einval] on negative offset or length. *)
+val backing : (State.t, State.itable_entry) Lfs_cache.File_read.backing
 
-val write : State.t -> inum:int -> off:int -> bytes -> unit
-(** Write, extending the file as needed.
-    @raise Errors.Error [Efbig] past the maximum file size,
-    [Einval] on a negative offset. *)
+val free_block : State.t -> State.itable_entry -> int -> unit
+(** Unmap one logical block and release its live bytes in the segment
+    usage table. *)
 
-val truncate : State.t -> inum:int -> size:int -> unit
-(** Shrink or (sparsely) extend to [size].  Truncating to zero bumps the
+val emptied : State.t -> int -> State.itable_entry -> unit
+(** After a truncate to size 0: release the pointer blocks and bump the
     file's inode-map version, instantly invalidating its old log blocks
     for the cleaner (§4.2.1). *)

@@ -33,9 +33,7 @@ let make_sound () =
   Alcotest.(check (list string)) "sound before corruption" [] (Fs.integrity fs);
   fs
 
-let inum_of fs path =
-  Namespace.resolve fs
-    (List.filter (fun c -> c <> "") (String.split_on_char '/' path))
+let inum_of fs path = (Result.get_ok (Fs.stat fs path)).Lfs_vfs.Fs_intf.inum
 
 let rendered issues =
   List.map (fun i -> Format.asprintf "%a" Check.pp_issue i) issues

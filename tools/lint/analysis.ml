@@ -64,9 +64,11 @@
    element, in lib/ or test/)
    plus scenario-entry (test, CLI and lib code must reach Crashpoint
    sweeps / Faulty.attach through the Lfs_scenario DSL, whose compiler
-   is the allowlisted sole caller) run over the same parse, with
-   identifier paths alias-expanded, so `module D = Disk` no longer
-   hides a raw access.
+   is the allowlisted sole caller) and op-entry (Profile.with_op only
+   in the shared front end, lib/vfs/fs_ops.ml, the allowlisted sole
+   caller; test/ exercises the profiler directly) run over the same
+   parse, with identifier paths alias-expanded, so `module D = Disk` no
+   longer hides a raw access.
    The analysis also collects the observability catalog: every metric
    name, span name (including the op_* literals owned by
    Profile.op_name) and bus event constructor, with its source site. *)
@@ -182,6 +184,12 @@ let is_scenario_entry s =
   List.exists
     (fun t -> s = t || String.ends_with ~suffix:("." ^ t) s)
     scenario_entries
+
+(* An operation's span opens in the shared file-system front end
+   (Lfs_vfs.Fs_ops), with its syscall charge and its error wrap, so the
+   two systems cannot drift apart in how an operation is entered. *)
+let is_op_entry s =
+  s = "Profile.with_op" || String.ends_with ~suffix:".Profile.with_op" s
 
 (* Buffer builders whose per-element function draws [Rng.int] take one
    boxed generator step per byte; [Rng.fill_bytes] makes the same bytes
@@ -883,6 +891,13 @@ let syntactic_checks program =
                  "%s: raw fault/sweep entry point; drive it through \
                   Lfs_scenario (Scenario.run or Scenario.with_faults) so \
                   the run is seed-managed and replayable"
+                 s)
+          else if is_op_entry s && not (test_ctx file) then
+            report "op-entry" file line
+              (Printf.sprintf
+                 "%s: operation spans open only in Lfs_vfs.Fs_ops; run the \
+                  operation through it (Fs_ops.syscall for a per-system \
+                  body)"
                  s)
           else if is_disk_io s && not (test_ctx file) then
             report "disk-io" file line

@@ -10,7 +10,7 @@
 
      syntactic (per raw site, identifier paths alias-expanded):
        disk-io, nondet, stdout, lru-to-list, workload-disk,
-       workload-clock, scenario-entry, metric-name, metric-dup,
+       workload-clock, scenario-entry, op-entry, metric-name, metric-dup,
        span-name, span-dup, per-byte-rng
      span exception-safety:
        span-unsafe   a raw Bus.span_begin whose span_end is not on the
@@ -31,7 +31,9 @@
    get-or-create API).  scenario-entry runs the other way round: it
    covers test/, bin/ and lib/ (the workload tree owns the raw
    machinery and is exempt), keeping Crashpoint sweeps and
-   Faulty.attach behind the seed-managed Lfs_scenario DSL.
+   Faulty.attach behind the seed-managed Lfs_scenario DSL.  op-entry
+   keeps Profile.with_op in the file-system front end
+   (lib/vfs/fs_ops.ml, allowlisted) everywhere but test/.
    per-byte-rng covers lib/ and test/: a Bytes.init/String.init whose
    element function draws Rng.int is flagged, since Rng.fill_bytes
    makes the same bytes without a boxed step per byte.

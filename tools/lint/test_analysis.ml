@@ -214,6 +214,23 @@ let () =
   check "scenario-entry: DSL compiler fires (allowlisted)"
     (List.mem "scenario-entry" (rules_of program "lib/scenario/scenario.ml"))
 
+(* --- op-entry: operation spans open only in the front end --- *)
+
+let op_source path =
+  [
+    ( path,
+      "module P = Lfs_obs.Profile\n\n\
+       let stat fs path = P.with_op (bus fs) `Stat (fun () -> find fs path)\n"
+    );
+  ]
+
+let () =
+  let fires path = List.mem "op-entry" (rules_of (A.analyze (op_source path)) path) in
+  check "op-entry: file system flagged (alias expanded)" (fires "lib/ffs/fs.ml");
+  check "op-entry: bench caller flagged" (fires "bench/main.ml");
+  check "op-entry: test exempt" (not (fires "test/test_profile.ml"));
+  check "op-entry: front end fires (allowlisted)" (fires "lib/vfs/fs_ops.ml")
+
 (* --- lru-to-list: whole-table walks stay out of lib code --- *)
 
 let walk_source path walk =
