@@ -43,7 +43,5 @@ let read_at (st : State.t) key addr =
 
 let read_raw st addr = read_at st (key_raw addr) addr
 
-let read_file_block st ~inum ~blkno ~addr = read_at st (key_data ~inum ~blkno) addr
-
 let fetch_file_block st ~inum ~blkno ~addr =
   fetch_at st (key_data ~inum ~blkno) addr

@@ -19,12 +19,9 @@ val read_raw : State.t -> int -> bytes
 (** Read the block at a disk address.  @raise Invalid_argument on the
     null address. *)
 
-val read_file_block : State.t -> inum:int -> blkno:int -> addr:int -> bytes
-(** Read a file's logical block stored at [addr], caching it under the
-    file key. *)
-
 val fetch_file_block : State.t -> inum:int -> blkno:int -> addr:int -> bytes
-(** Like {!read_file_block} but without the cache lookup: for callers
-    that already missed and would otherwise double-count the miss. *)
+(** Read a file's logical block stored at [addr] after a cache miss,
+    caching it clean under the file key; there is no second lookup, so
+    the miss counts once. *)
 
 val sector_of_block : State.t -> int -> int
