@@ -65,7 +65,12 @@ let find (st : State.t) inum =
           | Some _ | None ->
               Errors.raise_
                 (Errors.Enoent
-                   (Printf.sprintf "inum %d (stale inode map entry)" inum))))
+                   (Printf.sprintf "inum %d (stale inode map entry)" inum))
+          | exception Lfs_util.Codec.Error m ->
+              Errors.raise_
+                (Errors.Ecorrupt
+                   (Printf.sprintf "inum %d (block %d slot %d): %s" inum addr
+                      slot m))))
 
 let ppb (st : State.t) = Layout.ptrs_per_block st.layout
 

@@ -12,7 +12,9 @@ val add_new : State.t -> Inode.t -> State.itable_entry
 
 val find : State.t -> int -> State.itable_entry
 (** Get a file's entry, reading its inode block from the log if needed.
-    @raise Errors.Error [Enoent] if the inum is not allocated. *)
+    @raise Errors.Error [Enoent] if the inum is not allocated,
+    [Ecorrupt] (naming inum, block and slot) if its slot does not
+    decode. *)
 
 val find_loaded : State.t -> int -> State.itable_entry option
 (** Only consult the in-memory table: one array load, no allocation;
