@@ -5,16 +5,28 @@ module Metrics = Lfs_obs.Metrics
 
 type key = { owner : int; blkno : int }
 
-(* Keys hash and compare as two ints, without [caml_hash] or
-   [caml_compare].  Nothing iterates the table, so its bucket order
-   never shows. *)
+(* The table is keyed by the key packed into one int, its owner above
+   32 bits of block number, so a lookup by owner and block number builds
+   no record.  Only keys that pack without loss are inserted (see
+   {!check_packable}), and a lookup compares the entry's own key, so a
+   key outside that range that packs onto a cached one misses.  Nothing
+   iterates the table, so its bucket order never shows. *)
+let pack owner blkno = (owner lsl 32) lor blkno
+
+let check_packable key =
+  if
+    key.blkno < 0 || key.blkno > 0xFFFF_FFFF
+    || key.owner < -(1 lsl 30)
+    || key.owner >= 1 lsl 30
+  then invalid_arg "Block_cache.insert: key out of range"
+
 module Table = Hashtbl.Make (struct
-  type t = key
+  type t = int
 
-  let equal a b = a.owner = b.owner && a.blkno = b.blkno
+  let equal = Int.equal
 
-  let hash k =
-    let h = (k.owner * 0x2545F491) + k.blkno in
+  let hash p =
+    let h = ((p asr 32) * 0x2545F491) + (p land 0xFFFF_FFFF) in
     h lxor (h lsr 17)
 end)
 
@@ -46,6 +58,11 @@ type entry = {
   mutable down : entry;
 }
 
+(* How many block buffers the spare stack may hold beyond the cache's
+   capacity.  The cache itself can overflow its capacity with dirty
+   blocks; spares plus entries never exceed [capacity + spare_slack]. *)
+let spare_slack = 64
+
 type t = {
   clock : Clock.t;
   bus : Bus.t option;
@@ -54,6 +71,10 @@ type t = {
   dirty : entry;  (** sentinel of the dirty list *)
   capacity : int;
   mutable ndirty : int;
+  mutable spares : bytes array;
+      (** buffers of dropped clean entries, [nspares] of them at the
+          bottom; grown on demand *)
+  mutable nspares : int;
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
   c_evictions : Metrics.counter;
@@ -124,6 +145,8 @@ let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
       dirty = sentinel ();
       capacity = capacity_blocks;
       ndirty = 0;
+      spares = [||];
+      nspares = 0;
       c_hits = Metrics.counter metrics "cache.hits";
       c_misses = Metrics.counter metrics "cache.misses";
       c_evictions = Metrics.counter metrics "cache.evictions";
@@ -143,7 +166,6 @@ let emit t mk key =
   | Some _ | None -> ()
 
 let hit k = Event.Cache_hit { owner = k.owner; blkno = k.blkno }
-let miss k = Event.Cache_miss { owner = k.owner; blkno = k.blkno }
 let evicted k = Event.Cache_evict { owner = k.owner; blkno = k.blkno }
 let written_back k = Event.Cache_writeback { owner = k.owner; blkno = k.blkno }
 
@@ -151,32 +173,75 @@ let capacity_blocks t = t.capacity
 let length t = Table.length t.table
 let dirty_count t = t.ndirty
 
-let find t key =
-  match Table.find t.table key with
+(* The entry for [owner]/[blkno]. *)
+let lookup t owner blkno =
+  let e = Table.find t.table (pack owner blkno) in
+  if e.key.owner = owner && e.key.blkno = blkno then e else raise Not_found
+
+let find_block t ~owner ~blkno =
+  match lookup t owner blkno with
   | e ->
       promote t e;
       Metrics.incr t.c_hits;
-      emit t hit key;
+      emit t hit e.key;
       Some e.data
   | exception Not_found ->
       Metrics.incr t.c_misses;
-      emit t miss key;
+      (match t.bus with
+      | Some bus when Bus.enabled bus ->
+          Bus.emit bus (Event.Cache_miss { owner; blkno })
+      | Some _ | None -> ());
       None
 
-let mem t key = Table.mem t.table key
+let find t key = find_block t ~owner:key.owner ~blkno:key.blkno
+
+let mem t key =
+  match lookup t key.owner key.blkno with
+  | _ -> true
+  | exception Not_found -> false
 
 let dirty t key =
-  match Table.find t.table key with
+  match lookup t key.owner key.blkno with
   | e -> e.is_dirty
   | exception Not_found -> false
 
 let drop t e =
-  Table.remove t.table e.key;
+  Table.remove t.table (pack e.key.owner e.key.blkno);
   unlink_recent e;
   if e.is_dirty then begin
     unlink_dirty e;
     t.ndirty <- t.ndirty - 1
   end
+
+let spare_limit t = t.capacity + spare_slack
+
+(* Keep the buffer of a dropped clean entry for {!take}, unless spares
+   and entries together already fill the limit.  The stack starts empty
+   and doubles as it fills. *)
+let recycle t data =
+  let limit = spare_limit t in
+  if t.nspares + Table.length t.table < limit then begin
+    let n = t.nspares in
+    if n = Array.length t.spares then begin
+      let grown = Array.make (min limit (max 8 (2 * n))) Bytes.empty in
+      Array.blit t.spares 0 grown 0 n;
+      t.spares <- grown
+    end;
+    t.spares.(n) <- data;
+    t.nspares <- n + 1
+  end
+
+let pop_spare t =
+  let n = t.nspares - 1 in
+  let data = t.spares.(n) in
+  t.spares.(n) <- Bytes.empty;
+  t.nspares <- n;
+  data
+
+let take t len =
+  let n = t.nspares in
+  if n > 0 && Bytes.length t.spares.(n - 1) = len then pop_spare t
+  else Bytes.create len
 
 (* Reclaim clean entries from the bottom of the recency list while over
    capacity.  Dirty entries are skipped: they are the write buffer and
@@ -190,6 +255,7 @@ let rec sweep_excess t keep e excess =
     if e.is_dirty || e == keep then sweep_excess t keep up excess
     else begin
       drop t e;
+      recycle t e.data;
       Metrics.incr t.c_evictions;
       emit t evicted e.key;
       sweep_excess t keep up (excess - 1)
@@ -204,9 +270,10 @@ let evict_clean t = evict_clean_keeping t.recent t
 (* A replaced entry keeps its record: it leaves the dirty list if it was
    on it, takes the new bytes and state, and moves to the top. *)
 let insert t key ~dirty data =
+  check_packable key;
   let now = Clock.now_us t.clock in
   let e =
-    match Table.find t.table key with
+    match lookup t key.owner key.blkno with
     | e ->
         if e.is_dirty then begin
           unlink_dirty e;
@@ -219,8 +286,12 @@ let insert t key ~dirty data =
         e
     | exception Not_found ->
         let e = make_entry key data ~is_dirty:dirty ~since_us:now in
-        Table.add t.table key e;
+        Table.add t.table (pack key.owner key.blkno) e;
         link_top t e;
+        (* Dirty blocks can grow the cache past its capacity: a new
+           entry then displaces a spare. *)
+        if t.nspares > 0 && t.nspares + Table.length t.table > spare_limit t
+        then ignore (pop_spare t : bytes);
         e
   in
   if dirty then begin
@@ -230,7 +301,7 @@ let insert t key ~dirty data =
   evict_clean_keeping e t
 
 let mark_dirty t key =
-  let e = Table.find t.table key in
+  let e = lookup t key.owner key.blkno in
   if not e.is_dirty then begin
     e.is_dirty <- true;
     e.dirty_since_us <- Clock.now_us t.clock;
@@ -238,8 +309,8 @@ let mark_dirty t key =
     t.ndirty <- t.ndirty + 1
   end
 
-let mark_clean t key =
-  match Table.find t.table key with
+let mark_clean_block t ~owner ~blkno =
+  match lookup t owner blkno with
   | exception Not_found -> ()
   | e ->
       if e.is_dirty then begin
@@ -247,11 +318,13 @@ let mark_clean t key =
         unlink_dirty e;
         t.ndirty <- t.ndirty - 1;
         Metrics.incr t.c_writebacks;
-        emit t written_back key
+        emit t written_back e.key
       end
 
+let mark_clean t key = mark_clean_block t ~owner:key.owner ~blkno:key.blkno
+
 let remove t key =
-  match Table.find t.table key with
+  match lookup t key.owner key.blkno with
   | exception Not_found -> ()
   | e -> drop t e
 
@@ -273,7 +346,10 @@ let over_capacity t = t.ndirty > t.capacity
 let rec drop_clean_from t e =
   if e != t.recent then begin
     let up = e.up in
-    if not e.is_dirty then drop t e;
+    if not e.is_dirty then begin
+      drop t e;
+      recycle t e.data
+    end;
     drop_clean_from t up
   end
 
@@ -284,7 +360,11 @@ let clear t =
   t.recent.up <- t.recent;
   t.recent.down <- t.recent;
   unlink_dirty t.dirty;
-  t.ndirty <- 0
+  t.ndirty <- 0;
+  t.spares <- [||];
+  t.nspares <- 0
+
+let spare_count t = t.nspares
 
 let stats_hits t = Metrics.value t.c_hits
 let stats_misses t = Metrics.value t.c_misses

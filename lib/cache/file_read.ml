@@ -18,16 +18,18 @@ type ('fs, 'file) backing = {
   prefetch_span : Bus.t -> (unit -> unit) -> unit;
 }
 
-(* [n] physically contiguous blocks in one disk request, one fresh
-   buffer per block, each cached clean.  The caller guarantees none is
-   cached or unreadable from disk.  Returns the cached buffers. *)
+(* [n] physically contiguous blocks in one disk request, one buffer per
+   block taken from the cache's spares, each cached clean.  The caller
+   guarantees none is cached or unreadable from disk.  Returns the
+   cached buffers; a run longer than the cache evicts its own first
+   blocks, so they are read before the next {!Block_cache.take}. *)
 let read_run b fs ~inum ~first_blkno ~addr ~n =
   let bs = b.block_size fs in
-  let blocks = Array.init n (fun _ -> Bytes.create bs) in
+  let cache = b.cache fs in
+  let blocks = Array.init n (fun _ -> Block_cache.take cache bs) in
   let io = b.io fs in
   Io.sync_read_into io ~sector:(b.sector_of_block fs addr) blocks;
   if n > 1 then Io.note_clustered_read io ~blocks:n;
-  let cache = b.cache fs in
   for i = 0 to n - 1 do
     Block_cache.insert cache
       { Block_cache.owner = inum; blkno = first_blkno + i }

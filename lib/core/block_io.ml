@@ -16,21 +16,16 @@ let in_active_segment (st : State.t) addr =
   in
   addr >= payload_first && addr < payload_first + seg.nblocks
 
-let copy_from_active (st : State.t) addr =
-  let first = Layout.segment_first_block st.layout st.seg.seg in
-  let bs = st.layout.Layout.block_size in
-  Bytes.sub st.seg.buf ((addr - first) * bs) bs
-
-(* Fetch one block from the active segment or the disk and cache it
-   clean.  The caller has already missed in the cache. *)
+(* Fetch one block from the active segment or the disk into a buffer
+   the cache hands out, and cache it clean.  The caller has already
+   missed in the cache. *)
 let fetch_at (st : State.t) key addr =
-  let data =
-    if in_active_segment st addr then copy_from_active st addr
-    else
-      Io.sync_read st.io
-        ~sector:(sector_of_block st addr)
-        ~count:st.layout.Layout.block_sectors
-  in
+  let bs = st.layout.Layout.block_size in
+  let data = Cache.take st.cache bs in
+  (if in_active_segment st addr then
+     let first = Layout.segment_first_block st.layout st.seg.seg in
+     Bytes.blit st.seg.buf ((addr - first) * bs) data 0 bs
+   else Io.sync_read_into st.io ~sector:(sector_of_block st addr) [| data |]);
   Cache.insert st.cache key ~dirty:false data;
   data
 

@@ -77,23 +77,23 @@ let live_data_owner (st : State.t) ~inum ~blkno ~version ~addr =
   else None
 
 (* Relocate one live data block of [e] (the block at [off] in
-   [payload], described by the summary [entry], which is the moved
-   copy's entry too): append it to the log immediately and re-point the
-   file at the copy.  A dirty cache copy is newer than the on-disk one,
-   so it is what gets written (and becomes clean). *)
-let move_data_block (st : State.t) e ~entry ~inum ~blkno payload ~off =
+   [payload], described by entry [idx] of the victim's [summary], which
+   is the moved copy's entry too): append it to the log immediately and
+   re-point the file at the copy.  A dirty cache copy is newer than the
+   on-disk one, so it is what gets written (and becomes clean). *)
+let move_data_block (st : State.t) e ~summary ~idx ~inum ~blkno payload ~off =
   let bs = st.layout.Layout.block_size in
-  let key = Block_io.key_data ~inum ~blkno in
   let addr' =
-    match Cache.find st.cache key with
-    | Some b -> Segwriter.append st ~privilege:`System ~entry ~live_bytes:bs b
+    match Cache.find_block st.cache ~owner:inum ~blkno with
+    | Some b ->
+        Segwriter.append_moved st ~summary ~entry:idx ~live_bytes:bs ~off:0 b
     | None ->
-        Segwriter.append st ~privilege:`System ~entry ~live_bytes:bs ~off
+        Segwriter.append_moved st ~summary ~entry:idx ~live_bytes:bs ~off
           payload
   in
   let old = Inode_store.bmap_write st e blkno addr' in
   release st old ~bytes:bs;
-  Cache.mark_clean st.cache key
+  Cache.mark_clean_block st.cache ~owner:inum ~blkno
 
 (* Hand the copy of a pointer block we already read to the cache, so
    loading the map does not re-read the disk.  The cache keeps what it is
@@ -102,17 +102,13 @@ let cache_block (st : State.t) ~addr payload ~off =
   Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false
     (Bytes.sub payload off st.layout.Layout.block_size)
 
-(* The block at [addr] is the [block_size] bytes at [off] in [payload].
-   [moved] accumulates the *bytes* of live data being relocated. *)
+(* The block at [addr] is the [block_size] bytes at [off] in [payload],
+   described by a non-data [entry].  [moved] accumulates the *bytes* of
+   live data being relocated. *)
 let process_entry (st : State.t) ~addr payload ~off entry ~moved =
   let bs = st.layout.Layout.block_size in
   match (entry : Summary.entry) with
-  | Summary.Data { inum; blkno; version } -> (
-      match live_data_owner st ~inum ~blkno ~version ~addr with
-      | Some e ->
-          move_data_block st e ~entry ~inum ~blkno payload ~off;
-          moved := !moved + bs
-      | None -> ())
+  | Summary.Data _ -> assert false (* read in place by [process_block] *)
   | Summary.Indirect { inum; idx } ->
       if Imap.is_allocated st.imap inum then begin
         match find_entry st inum with
@@ -181,8 +177,28 @@ let process_entry (st : State.t) ~addr payload ~off entry ~moved =
         moved := !moved + bs
       end
 
+(* Block [idx] of a victim, at [addr] and at [off] in [payload].  Most
+   entries are data entries, so theirs are read in place rather than
+   decoded into a record. *)
+let process_block (st : State.t) ~addr payload ~off summary idx ~moved =
+  if Summary.is_data_at summary idx then begin
+    let inum = Summary.data_inum_at summary idx
+    and blkno = Summary.data_blkno_at summary idx in
+    match
+      live_data_owner st ~inum ~blkno
+        ~version:(Summary.data_version_at summary idx)
+        ~addr
+    with
+    | Some e ->
+        move_data_block st e ~summary ~idx ~inum ~blkno payload ~off;
+        moved := !moved + st.layout.Layout.block_size
+    | None -> ()
+  end
+  else
+    process_entry st ~addr payload ~off (Summary.entry_at summary idx) ~moved
+
 (* Every victim is read into the same two buffers: nothing keeps a
-   reference into them past [clean_segment] ([Segwriter.append] copies
+   reference into them past [clean_segment] ([Segwriter.append_moved] copies
    the blocks it moves, [cache_block] copies what it caches). *)
 let victim_buffers (st : State.t) =
   let layout = st.layout in
@@ -216,8 +232,7 @@ let clean_segment (st : State.t) seg ~moved ~max_seq =
       Metrics.add st.counters.State.c_cleaner_bytes_read (nblocks * bs);
       for idx = 0 to nblocks - 1 do
         let addr = Layout.segment_payload_block layout ~seg ~idx in
-        process_entry st ~addr payload ~off:(idx * bs)
-          (Summary.entry_at summary_region idx)
+        process_block st ~addr payload ~off:(idx * bs) summary_region idx
           ~moved
       done
   | Some _ | None ->

@@ -73,28 +73,22 @@ let claim (st : State.t) ~privilege =
       st.seg.seg <- seg_index;
       st.seg.nblocks <- 0
 
-let append (st : State.t) ~privilege ~entry ~live_bytes ?off data =
-  let layout = st.layout in
-  let bs = layout.Layout.block_size in
-  let off =
-    match off with
-    | None ->
-        if Bytes.length data <> bs then
-          invalid_arg "Segwriter.append: data must be exactly one block";
-        0
-    | Some off ->
-        if off < 0 || off + bs > Bytes.length data then
-          invalid_arg "Segwriter.append: block outside the buffer";
-        off
-  in
+(* Make room for one more block, flushing a full active segment and
+   claiming a clean one as needed; the new block's index. *)
+let next_slot (st : State.t) ~privilege =
   if st.seg.seg < 0 then claim st ~privilege
-  else if st.seg.nblocks >= layout.Layout.payload_blocks then begin
+  else if st.seg.nblocks >= st.layout.Layout.payload_blocks then begin
     flush_active st;
     claim st ~privilege
   end;
+  st.seg.nblocks
+
+(* Fill slot [idx], whose summary entry is in place, with the block at
+   [off] in [data]. *)
+let place (st : State.t) ~live_bytes data ~off idx =
+  let layout = st.layout in
+  let bs = layout.Layout.block_size in
   let seg = st.seg in
-  let idx = seg.nblocks in
-  Summary.put_entry seg.buf idx entry;
   Bytes.blit data off seg.buf ((layout.Layout.summary_blocks + idx) * bs) bs;
   seg.nblocks <- idx + 1;
   let addr = Layout.segment_payload_block layout ~seg:seg.seg ~idx in
@@ -102,3 +96,17 @@ let append (st : State.t) ~privilege ~entry ~live_bytes ?off data =
     ~now_us:(Io.now_us st.io);
   Metrics.incr st.counters.State.c_blocks_logged;
   addr
+
+let append (st : State.t) ~privilege ~entry ~live_bytes data =
+  if Bytes.length data <> st.layout.Layout.block_size then
+    invalid_arg "Segwriter.append: data must be exactly one block";
+  let idx = next_slot st ~privilege in
+  Summary.put_entry st.seg.buf idx entry;
+  place st ~live_bytes data ~off:0 idx
+
+let append_moved (st : State.t) ~summary ~entry ~live_bytes ~off data =
+  if off < 0 || off + st.layout.Layout.block_size > Bytes.length data then
+    invalid_arg "Segwriter.append_moved: block outside the buffer";
+  let idx = next_slot st ~privilege:`System in
+  Summary.copy_entry summary entry st.seg.buf idx;
+  place st ~live_bytes data ~off idx

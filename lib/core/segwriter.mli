@@ -15,19 +15,25 @@ val append :
   privilege:State.privilege ->
   entry:Summary.entry ->
   live_bytes:int ->
-  ?off:int ->
   bytes ->
   int
 (** Append one block to the log; returns its disk block address.  The
-    block is [data] itself, which must then be exactly [block_size]
-    bytes, or with [~off] the [block_size] bytes of [data] starting at
-    [off] (so a caller holding a multi-block buffer need not copy the
-    block out).  The bytes are copied into the segment buffer before
-    [append] returns; [data] is not retained.  Accounts [live_bytes] of
-    live data to the segment.  Flushes the active segment and claims a
-    clean one as needed.
+    block is [data], which must be exactly [block_size] bytes.  The
+    bytes are copied into the segment buffer before [append] returns;
+    [data] is not retained.  Accounts [live_bytes] of live data to the
+    segment.  Flushes the active segment and claims a clean one as
+    needed.
     @raise Errors.Error [Enospc] when no segment is available at this
     privilege.
+    @raise Invalid_argument when [data] is not one block long. *)
+
+val append_moved :
+  State.t -> summary:bytes -> entry:int -> live_bytes:int -> off:int -> bytes -> int
+(** The cleaner's {!append} at [`System] privilege: the block is the
+    [block_size] bytes of [data] at [off] (so a caller holding a
+    multi-block buffer need not copy the block out), and its summary
+    entry is entry [entry] of the summary region [summary], copied byte
+    for byte — a moved block keeps the entry it had in its victim.
     @raise Invalid_argument when the block does not lie within [data]. *)
 
 val flush_active : State.t -> unit

@@ -64,7 +64,14 @@ let put_entry region i entry =
   | Imap_block { idx } -> put_fields region off 5 idx 0 0
   | Usage_block { idx } -> put_fields region off 6 idx 0 0
 
+let copy_entry src i dst j =
+  Bytes.blit src (entry_off i) dst (entry_off j) entry_bytes
+
 let valid_tag tag = tag >= 1 && tag <= 6
+let is_data_at region i = Bytes.get_uint8 region (entry_off i) = 1
+let data_inum_at region i = Codec.get_u32 region (entry_off i + 1)
+let data_blkno_at region i = Codec.get_u32 region (entry_off i + 5)
+let data_version_at region i = Codec.get_u32 region (entry_off i + 9)
 
 let entry_at region i =
   let off = entry_off i in

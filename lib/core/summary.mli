@@ -69,6 +69,21 @@ val entry_at : bytes -> int -> entry
 (** Entry [i] of a region {!decode_header} accepted, for
     [0 <= i < nblocks]. *)
 
+val copy_entry : bytes -> int -> bytes -> int -> unit
+(** [copy_entry src i dst j] copies entry [i] of region [src] over entry
+    [j] of region [dst], byte for byte. *)
+
+(** A data entry's fields, read without building the {!Data} record:
+    the cleaner walks every entry of a victim, live or dead. *)
+
+val is_data_at : bytes -> int -> bool
+(** Whether entry [i] of an accepted region is a {!Data} entry. *)
+
+val data_inum_at : bytes -> int -> int
+val data_blkno_at : bytes -> int -> int
+val data_version_at : bytes -> int -> int
+(** The [inum], [blkno] and [version] of {!Data} entry [i]. *)
+
 (** {1 Whole regions} *)
 
 val encode : size_bytes:int -> header -> entry list -> bytes

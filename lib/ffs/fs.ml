@@ -303,10 +303,8 @@ let dir_nblocks t (e : entry) =
 
 (* One block after a cache miss, cached clean: no second lookup. *)
 let fetch_file_block t ~inum ~blkno ~addr =
-  let block =
-    Io.sync_read t.io ~sector:(sector_of_block t addr)
-      ~count:t.layout.Layout.block_sectors
-  in
+  let block = Cache.take t.cache t.layout.Layout.block_size in
+  Io.sync_read_into t.io ~sector:(sector_of_block t addr) [| block |];
   Cache.insert t.cache (key_data ~inum ~blkno) ~dirty:false block;
   block
 
@@ -400,6 +398,23 @@ let free_block t (e : entry) blkno =
     end
   end
 
+let release_raw t addr =
+  if addr <> Layout.null_addr then begin
+    Alloc.free_block t.alloc addr;
+    Cache.remove t.cache (key_raw addr)
+  end
+
+(* Free the file's indirect and double-indirect blocks, children first. *)
+let release_pointer_blocks t (e : entry) =
+  (match e.ino.Inode.dindirect with
+  | a when a = Layout.null_addr -> ()
+  | dind ->
+      for child = 0 to Layout.ptrs_per_block t.layout - 1 do
+        release_raw t (read_ptr t dind child)
+      done);
+  release_raw t e.ino.Inode.indirect;
+  release_raw t e.ino.Inode.dindirect
+
 let release_file_blocks t (e : entry) =
   let bs = t.layout.Layout.block_size in
   let inum = e.ino.Inode.inum in
@@ -411,20 +426,15 @@ let release_file_blocks t (e : entry) =
       Cache.remove t.cache (key_data ~inum ~blkno)
     end
   done;
-  let release_raw addr =
-    if addr <> Layout.null_addr then begin
-      Alloc.free_block t.alloc addr;
-      Cache.remove t.cache (key_raw addr)
-    end
-  in
-  (match e.ino.Inode.dindirect with
-  | a when a = Layout.null_addr -> ()
-  | dind ->
-      for child = 0 to Layout.ptrs_per_block t.layout - 1 do
-        release_raw (read_ptr t dind child)
-      done);
-  release_raw e.ino.Inode.indirect;
-  release_raw e.ino.Inode.dindirect
+  release_pointer_blocks t e
+
+(* Truncation to zero has freed every data block, so the pointer blocks
+   map nothing: free them too, as BSD's itrunc does. *)
+let emptied t (e : entry) =
+  release_pointer_blocks t e;
+  e.ino.Inode.indirect <- Layout.null_addr;
+  e.ino.Inode.dindirect <- Layout.null_addr;
+  e.dirty <- true
 
 let alloc_inode t ~(dir : entry) kind =
   let group = Layout.group_of_inum t.layout dir.ino.Inode.inum in
@@ -477,7 +487,7 @@ let ops : (t, entry) Fs_ops.backing =
     touch = (fun _ e -> e.dirty <- true);
     claim = Some claim;
     free_block;
-    emptied = (fun _ _ _ -> ());
+    emptied = (fun t _ e -> emptied t e);
     housekeep = (fun t ~can_fail:_ -> housekeep t);
   }
 

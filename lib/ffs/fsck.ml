@@ -8,6 +8,7 @@ type report = {
   blocks_referenced : int;
   directories_walked : int;
   orphan_inodes : int;
+  bad_inodes : int;
   bitmap_errors : int;
   elapsed_us : int;
 }
@@ -46,6 +47,7 @@ let run io =
           done)
         want_blocks;
       let inodes_scanned = ref 0 in
+      let bad_inodes = ref 0 in
       let blocks_referenced = ref 0 in
       let reference addr =
         if addr <> Layout.null_addr then begin
@@ -66,6 +68,7 @@ let run io =
           let block = read_block (it_first + blk) in
           for slot = 0 to Layout.inodes_per_block layout - 1 do
             match Inode.decode_at block ~off:(slot * Layout.inode_bytes) with
+            | exception Lfs_util.Codec.Error _ -> incr bad_inodes
             | None -> ()
             | Some ino ->
                 incr inodes_scanned;
@@ -94,9 +97,13 @@ let run io =
       (* Pass 2: directory connectivity from the root. *)
       let reachable = Hashtbl.create 256 in
       let dirs_walked = ref 0 in
+      (* A slot that does not decode was counted by pass 1; it leads
+         nowhere. *)
       let read_inode inum =
         let addr, slot = Layout.inode_location layout inum in
-        Inode.decode_at (read_block addr) ~off:(slot * Layout.inode_bytes)
+        match Inode.decode_at (read_block addr) ~off:(slot * Layout.inode_bytes) with
+        | ino -> ino
+        | exception Lfs_util.Codec.Error _ -> None
       in
       let rec walk inum =
         if not (Hashtbl.mem reachable inum) then begin
@@ -145,6 +152,7 @@ let run io =
           blocks_referenced = !blocks_referenced;
           directories_walked = !dirs_walked;
           orphan_inodes = max 0 orphan_inodes;
+          bad_inodes = !bad_inodes;
           bitmap_errors = !bitmap_errors;
           elapsed_us = Io.now_us io - t0;
         }

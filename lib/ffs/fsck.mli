@@ -16,6 +16,9 @@ type report = {
   blocks_referenced : int;
   directories_walked : int;
   orphan_inodes : int;  (** allocated inodes unreachable from the root *)
+  bad_inodes : int;
+      (** inode-table slots that do not decode (a bad kind tag, say):
+          reported here rather than raised, and walked no further *)
   bitmap_errors : int;  (** on-disk bitmap bits that disagree with reality *)
   elapsed_us : int;  (** simulated time the scan cost *)
 }

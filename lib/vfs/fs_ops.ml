@@ -214,9 +214,12 @@ let write b fs path ~off data =
       | None -> b.file.null_addr
     in
     let key = { Cache.owner = inum; blkno } in
-    if chunk = bs then
+    if chunk = bs then begin
       (* Whole-block overwrite: no read needed. *)
-      Cache.insert cache key ~dirty:true (Bytes.sub data !pos bs)
+      let block = Cache.take cache bs in
+      Bytes.blit data !pos block 0 bs;
+      Cache.insert cache key ~dirty:true block
+    end
     else begin
       match Cache.find cache key with
       | Some block ->

@@ -414,6 +414,141 @@ let test_hit_allocation () =
   if per_hit > 2. then
     Alcotest.failf "a cache hit allocates %.2f words (bound 2)" per_hit
 
+(* Evicted and dropped clean buffers come back from [take], newest
+   first; dirty entries and removed ones keep theirs; a spare of another
+   length is left alone. *)
+let test_take_reuses_dropped_buffers () =
+  let t, _ = make ~capacity_blocks:2 () in
+  let a = block 'a' and b = block 'b' and c = block 'c' in
+  Cache.insert t (key 1 0) ~dirty:false a;
+  Cache.insert t (key 1 1) ~dirty:true b;
+  Cache.insert t (key 1 2) ~dirty:false c;
+  Alcotest.(check int) "evicted clean block is spare" 1 (Cache.spare_count t);
+  Alcotest.(check bool) "a fresh buffer for another length" true
+    (Bytes.length (Cache.take t 8) = 8);
+  Alcotest.(check bool) "the evicted buffer comes back" true (Cache.take t 16 == a);
+  Alcotest.(check bool) "then a fresh one" true
+    (let d = Cache.take t 16 in d != a && d != b && d != c);
+  Cache.remove t (key 1 2);
+  Alcotest.(check int) "removed blocks keep their buffers" 0 (Cache.spare_count t);
+  Cache.insert t (key 1 3) ~dirty:false c;
+  Cache.drop_clean t;
+  Alcotest.(check int) "dropped clean block is spare" 1 (Cache.spare_count t);
+  Alcotest.(check bool) "dirty block kept" true (Cache.mem t (key 1 1));
+  Alcotest.(check bool) "dropped buffer comes back" true (Cache.take t 16 == c);
+  Cache.clear t;
+  Alcotest.(check int) "clear drops spares" 0 (Cache.spare_count t)
+
+(* Spares never take spares plus entries past the capacity plus the
+   fixed slack, however many clean blocks are evicted or dropped; dirty
+   blocks beyond the capacity displace spares.  The buffers handed out
+   are those kept. *)
+let test_spares_bounded () =
+  let capacity = 8 in
+  let bound = capacity + 64 in
+  let t, _ = make ~capacity_blocks:capacity () in
+  let check what =
+    if Cache.spare_count t > 0 && Cache.spare_count t + Cache.length t > bound
+    then
+      Alcotest.failf "%s: %d spares + %d entries > %d" what (Cache.spare_count t)
+        (Cache.length t) bound
+  in
+  for i = 0 to 999 do
+    Cache.insert t (key (i mod 5) i) ~dirty:(i mod 7 = 0) (block 'x');
+    check (Printf.sprintf "insert %d" i);
+    if i mod 100 = 99 then begin
+      List.iter (Cache.mark_clean t) (Cache.dirty_keys t);
+      Cache.drop_clean t;
+      check (Printf.sprintf "drop_clean %d" i)
+    end
+  done;
+  Alcotest.(check bool) "spares kept" true (Cache.spare_count t > 0);
+  let n = Cache.spare_count t in
+  for _ = 1 to n do
+    ignore (Cache.take t 16 : bytes)
+  done;
+  Alcotest.(check int) "every spare taken" 0 (Cache.spare_count t)
+
+(* Keys outside the packed range are refused on insert; looking one up
+   misses even where it packs onto a cached key. *)
+let test_key_range () =
+  let t, _ = make () in
+  Cache.insert t (key (-3) 0xFFFF_FFFF) ~dirty:false (block 'a');
+  Cache.insert t (key 0 0) ~dirty:false (block 'b');
+  let refused k =
+    match Cache.insert t k ~dirty:false (block 'z') with
+    | () -> Alcotest.failf "key (%d, %d) accepted" k.Cache.owner k.Cache.blkno
+    | exception Invalid_argument _ -> ()
+  in
+  refused (key 0 (-1));
+  refused (key 0 (1 lsl 32));
+  refused (key (1 lsl 30) 0);
+  refused (key (-(1 lsl 30) - 1) 0);
+  Alcotest.(check bool) "(-2, -1) packs onto (-3, 2^32 - 1) but misses" false
+    (Cache.mem t (key (-2) (-1)));
+  Alcotest.(check bool) "(0, 0) found" true (Cache.mem t (key 0 0));
+  Alcotest.(check bool) "by owner and block number" true
+    (Cache.find_block t ~owner:(-3) ~blkno:0xFFFF_FFFF <> None)
+
+(* Host words, minor plus major less promoted: a 4 KB buffer is
+   allocated straight in the major heap, where [Gc.minor_words] does
+   not see it. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* On a full cache, a cold one-block miss and a whole-block overwrite
+   each take the buffer an eviction left instead of allocating a 4 KB
+   block (513 words).  LFS with 4 KB blocks and a 256-block cache, full
+   of clean blocks of a 1,024-block file; the measured blocks are never
+   cached.  A read asks for one byte, so its result is one word.
+   Measured 124 words per miss and 78 per overwrite (OCaml 5.1, no
+   flambda): the op envelope, the path walk, the key and the read-ahead
+   bookkeeping.  With a [take] that always allocates: 646 and 592. *)
+let test_full_cache_reuses_buffers () =
+  let config =
+    { Lfs_core.Config.default with Lfs_core.Config.cache_blocks = 256 }
+  in
+  let fs = Common.make_lfs ~size_bytes:(16 * 1024 * 1024) ~config () in
+  let bs = config.Lfs_core.Config.block_size in
+  let nblocks = 1024 in
+  Common.write_file fs "/f" (Common.pattern ~seed:5 (nblocks * bs));
+  Lfs_core.Fs.sync fs;
+  ignore (Common.read_all fs "/f" : bytes);
+  (* Blocks [0, 512) are cold: the scan left the last 256 cached. *)
+  let cold i = i * 389 mod 512 in
+  let n = 64 in
+  let per_op f =
+    let before = allocated_words () in
+    for i = 0 to n - 1 do
+      f i
+    done;
+    (allocated_words () -. before) /. float n
+  in
+  let miss =
+    per_op (fun i ->
+        ignore
+          (Common.check_ok "read" (Lfs_core.Fs.read fs "/f" ~off:(cold i * bs) ~len:1)
+            : bytes))
+  in
+  let data = Common.pattern ~seed:6 bs in
+  let overwrite =
+    per_op (fun i ->
+        Common.check_ok "write"
+          (Lfs_core.Fs.write fs "/f" ~off:(cold (i + n) * bs) data))
+  in
+  if miss > 200. || overwrite > 200. then
+    Alcotest.failf
+      "a cold miss allocates %.0f words, a whole-block overwrite %.0f (bound 200)"
+      miss overwrite;
+  Lfs_core.Fs.sync fs;
+  Lfs_core.Fs.flush_caches fs;
+  let expect = Common.pattern ~seed:5 (nblocks * bs) in
+  for i = n to (2 * n) - 1 do
+    Bytes.blit data 0 expect (cold i * bs) bs
+  done;
+  Common.check_bytes "file after the overwrites" expect (Common.read_all fs "/f")
+
 let suite =
   [
     Alcotest.test_case "insert/find" `Quick test_insert_find;
@@ -431,4 +566,10 @@ let suite =
     Common.qcheck lru_model_differential;
     Alcotest.test_case "hits allocate only their result" `Quick
       test_hit_allocation;
+    Alcotest.test_case "take reuses dropped buffers" `Quick
+      test_take_reuses_dropped_buffers;
+    Alcotest.test_case "spares stay bounded" `Quick test_spares_bounded;
+    Alcotest.test_case "keys outside the packed range" `Quick test_key_range;
+    Alcotest.test_case "a full cache misses and overwrites without a new block"
+      `Quick test_full_cache_reuses_buffers;
   ]

@@ -286,10 +286,54 @@ struct
         in
         List.sort compare names = List.sort compare !live)
 
+  (* A one-block cache: each block read evicts the one before, so a
+     directory block's buffer is reused for file blocks and comes back
+     for a later read of the directory.  Its view is reused only when
+     the cache hands back the buffer it was decoded from, which then
+     holds the block's current bytes; lookups, adds and removes must
+     see exactly the model's names throughout. *)
+  let test_view_after_buffer_reuse () =
+    let fs =
+      Env.make ~cache_blocks:1 ~size_bytes:(8 * 1024 * 1024)
+        ~cpu:Cpu_model.free ~block_size:1024
+    in
+    ok "mkdir" (F.mkdir fs "/d");
+    (* 120 names: two directory blocks. *)
+    let live = ref (List.init 120 name) in
+    List.iter (fun n -> ok "create" (F.create fs ("/d/" ^ n))) !live;
+    let big = Common.pattern ~seed:8 (16 * 1024) in
+    ok "create big" (F.create fs "/big");
+    ok "write big" (F.write fs "/big" ~off:0 big);
+    F.sync fs;
+    F.flush_caches fs;
+    let check what =
+      Alcotest.(check (list string)) what (List.sort compare !live)
+        (ok "readdir" (F.readdir fs "/d"));
+      List.iter (fun n -> ignore (ok ("stat " ^ n) (F.stat fs ("/d/" ^ n)))) !live
+    in
+    for round = 0 to 5 do
+      Common.check_bytes "big" big (ok "read big" (F.read fs "/big" ~off:0 ~len:(16 * 1024)));
+      check (Printf.sprintf "round %d" round);
+      let gone = name (round * 7) in
+      ok "delete" (F.delete fs ("/d/" ^ gone));
+      live := List.filter (( <> ) gone) !live;
+      (match F.stat fs ("/d/" ^ gone) with
+      | Ok _ -> Alcotest.failf "%s still found" gone
+      | Error _ -> ());
+      let added = Printf.sprintf "g%03d" round in
+      ok "create" (F.create fs ("/d/" ^ added));
+      live := added :: !live;
+      if round mod 2 = 1 then F.sync fs
+    done;
+    F.flush_caches fs;
+    check "cold"
+
   let cases =
     [
       Alcotest.test_case (Env.label ^ " corrupt block is Ecorrupt") `Quick
         test_corrupt_block;
+      Alcotest.test_case (Env.label ^ " view after its buffer is reused") `Quick
+        test_view_after_buffer_reuse;
       Alcotest.test_case (Env.label ^ " lookup charge per block") `Quick
         test_charge_model;
       Alcotest.test_case (Env.label ^ " stat allocation bound") `Quick

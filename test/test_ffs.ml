@@ -215,8 +215,59 @@ let test_fsck_detects_orphan () =
       Alcotest.(check bool) "orphan reported" true
         (r.Lfs_ffs.Fsck.orphan_inodes >= 1)
 
+(* A slot whose kind tag does not decode is an fsck finding, not an
+   exception out of [Fsck.run]. *)
+let test_fsck_reports_bad_inode_slot () =
+  let fs = make () in
+  check_ok "create" (Fs.create fs "/f");
+  check_ok "write" (Fs.write fs "/f" ~off:0 (Common.pattern ~seed:3 100));
+  Fs.sync fs;
+  let inum = (check_ok "stat" (Fs.stat fs "/f")).Lfs_vfs.Fs_intf.inum in
+  let io = Fs.io fs in
+  let layout = Fs.layout fs in
+  let addr, slot = Layout.inode_location layout inum in
+  let sector = Layout.sector_of_block layout addr in
+  let block = Io.sync_read io ~sector ~count:layout.Layout.block_sectors in
+  (* The kind tag follows the slot's 4-byte inum. *)
+  Bytes.set_uint8 block ((slot * Layout.inode_bytes) + 4) 9;
+  Io.sync_write io ~sector block;
+  match Lfs_ffs.Fsck.run io with
+  | Error e -> Alcotest.failf "fsck: %s" e
+  | Ok r ->
+      Alcotest.(check int) "bad slot reported" 1 r.Lfs_ffs.Fsck.bad_inodes;
+      Alcotest.(check int) "root still scanned" 1 r.Lfs_ffs.Fsck.inodes_scanned
+
+(* Truncation to zero frees the single-indirect block with the data, as
+   BSD's itrunc does: an 80 KB file of 1 KB blocks needs one. *)
+let test_truncate_frees_pointer_blocks () =
+  let fs = make () in
+  check_ok "create" (Fs.create fs "/f");
+  Fs.sync fs;
+  let before = Fs.free_blocks fs in
+  check_ok "write" (Fs.write fs "/f" ~off:0 (Common.pattern ~seed:4 (80 * 1024)));
+  Fs.sync fs;
+  Alcotest.(check int) "80 data blocks and one indirect" (before - 81)
+    (Fs.free_blocks fs);
+  check_ok "truncate" (Fs.truncate fs "/f" ~size:0);
+  Fs.sync fs;
+  Alcotest.(check int) "every block returned" before (Fs.free_blocks fs);
+  check_ok "rewrite" (Fs.write fs "/f" ~off:0 (Common.pattern ~seed:5 (80 * 1024)));
+  Fs.sync fs;
+  Alcotest.(check int) "re-extension allocates afresh" (before - 81)
+    (Fs.free_blocks fs);
+  let data = check_ok "read" (Fs.read fs "/f" ~off:0 ~len:(80 * 1024)) in
+  Alcotest.(check bool) "re-extended content" true
+    (Bytes.equal data (Common.pattern ~seed:5 (80 * 1024)));
+  match Lfs_ffs.Fsck.run (Fs.io fs) with
+  | Error e -> Alcotest.failf "fsck: %s" e
+  | Ok r -> Alcotest.(check int) "bitmaps agree" 0 r.Lfs_ffs.Fsck.bitmap_errors
+
 let suite =
   [
+    Alcotest.test_case "fsck reports a bad inode slot" `Quick
+      test_fsck_reports_bad_inode_slot;
+    Alcotest.test_case "truncate to zero frees pointer blocks" `Quick
+      test_truncate_frees_pointer_blocks;
     Alcotest.test_case "fsck on healthy fs" `Quick test_fsck_healthy;
     Alcotest.test_case "fsck detects bitmap corruption" `Quick
       test_fsck_detects_bitmap_corruption;

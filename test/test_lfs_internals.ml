@@ -81,26 +81,34 @@ let test_segwriter_append_off () =
   let layout = Lfs_core.Fs.layout fs in
   let bs = layout.Lfs_core.Layout.block_size in
   let buf = pattern ~seed:2 (2 * bs) in
-  let append ?off data =
+  let append data =
     Segwriter.append fs ~privilege:`System ~entry:Summary.Inode_block
-      ~live_bytes:0 ?off data
+      ~live_bytes:0 data
+  in
+  let entry = Summary.Data { inum = 7; blkno = 3; version = 2 } in
+  let summary = Bytes.make (layout.Lfs_core.Layout.summary_blocks * bs) '\000' in
+  Summary.put_entry summary 1 entry;
+  let moved ~off data =
+    Segwriter.append_moved fs ~summary ~entry:1 ~live_bytes:0 ~off data
   in
   let rejects what f =
     match f () with
     | _ -> Alcotest.failf "%s: expected Invalid_argument" what
     | exception Invalid_argument _ -> ()
   in
-  rejects "negative off" (fun () -> append ~off:(-1) buf);
-  rejects "block past the end" (fun () -> append ~off:(bs + 1) buf);
-  rejects "short buffer" (fun () -> append ~off:0 (Bytes.create (bs - 1)));
-  rejects "no off, two blocks" (fun () -> append buf);
+  rejects "negative off" (fun () -> moved ~off:(-1) buf);
+  rejects "block past the end" (fun () -> moved ~off:(bs + 1) buf);
+  rejects "short buffer" (fun () -> append (Bytes.create (bs - 1)));
+  rejects "two blocks" (fun () -> append buf);
   Alcotest.(check int) "nothing appended" 0 (Segwriter.active_blocks fs);
-  ignore (append ~off:bs buf : int);
+  ignore (moved ~off:bs buf : int);
   let st : Lfs_core.State.t = fs in
   let pos = layout.Lfs_core.Layout.summary_blocks * bs in
   Alcotest.(check string) "second block copied"
     (Bytes.sub_string buf bs bs)
-    (Bytes.sub_string st.seg.buf pos bs)
+    (Bytes.sub_string st.seg.buf pos bs);
+  Alcotest.(check bool) "summary entry copied" true
+    (Summary.equal_entry entry (Summary.entry_at st.seg.buf 0))
 
 (* Namespace: directory growth across blocks *)
 

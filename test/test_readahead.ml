@@ -118,6 +118,65 @@ let test_equivalence_ffs () =
   exercise inst;
   check_invariant inst
 
+(* A cache smaller than one clustered run and the read-ahead window: a
+   run evicts its own first blocks while it is being cached, and every
+   miss and whole-block write takes a buffer an eviction just left.
+   After the gauntlet, whole-block overwrites interleave with reads,
+   then everything is re-read cold. *)
+let churn inst =
+  let path = "/g" in
+  let bs = 1024 and nblocks = 48 in
+  let model = Driver.content ~seed:11 (nblocks * bs) in
+  Driver.create inst path;
+  Driver.write inst path ~off:0 model;
+  Driver.sync inst;
+  Driver.flush_caches inst;
+  let check what ~off ~len =
+    if not (Bytes.equal (Driver.read inst path ~off ~len) (Bytes.sub model off len))
+    then Alcotest.failf "%s: data mismatch (off=%d len=%d)" what off len
+  in
+  let rng = Rng.create 7 in
+  for k = 0 to 59 do
+    let blk = Rng.int rng nblocks in
+    let data = Driver.content ~seed:(100 + k) bs in
+    Driver.write inst path ~off:(blk * bs) data;
+    Bytes.blit data 0 model (blk * bs) bs;
+    let off = Rng.int rng (nblocks * bs) in
+    check (Printf.sprintf "churn%d" k) ~off
+      ~len:(min (1 + Rng.int rng (12 * bs)) ((nblocks * bs) - off))
+  done;
+  Driver.sync inst;
+  Driver.flush_caches inst;
+  check "cold re-read" ~off:0 ~len:(nblocks * bs)
+
+let tiny_lfs () =
+  W.Setup.lfs ~disk_mb ~cpu
+    ~config:
+      {
+        Lfs_core.Config.small with
+        Lfs_core.Config.cache_blocks = 4;
+        read_clustering = true;
+        readahead_blocks = 8;
+      }
+    ()
+
+let tiny_ffs () =
+  W.Setup.ffs ~disk_mb ~cpu
+    ~config:
+      {
+        Lfs_ffs.Config.small with
+        Lfs_ffs.Config.cache_blocks = 4;
+        read_clustering = true;
+        readahead_blocks = 8;
+      }
+    ()
+
+let test_tiny_cache make () =
+  let inst = make () in
+  exercise inst;
+  churn inst;
+  check_invariant inst
+
 (* ------------------------------------------------------------------ *)
 (* Read-ahead accounting                                               *)
 (* ------------------------------------------------------------------ *)
@@ -277,6 +336,10 @@ let suite =
       test_equivalence_lfs;
     Alcotest.test_case "FFS equivalence with clustering+read-ahead" `Quick
       test_equivalence_ffs;
+    Alcotest.test_case "LFS reads through a cache smaller than a run" `Quick
+      (test_tiny_cache tiny_lfs);
+    Alcotest.test_case "FFS reads through a cache smaller than a run" `Quick
+      (test_tiny_cache tiny_ffs);
     Alcotest.test_case "read-ahead counter accounting" `Quick test_counters;
     Alcotest.test_case "read-ahead disabled issues nothing" `Quick
       test_disabled_issues_nothing;
