@@ -9,7 +9,7 @@ let active_blocks (st : State.t) = if st.seg.seg < 0 then 0 else st.seg.nblocks
 let room (st : State.t) =
   if st.seg.seg < 0 then 0 else st.layout.Layout.payload_blocks - st.seg.nblocks
 
-let flush_active (st : State.t) =
+let flush_active ?continues (st : State.t) =
   let seg = st.seg in
   if seg.seg >= 0 && seg.nblocks > 0 then begin
     let layout = st.layout in
@@ -27,7 +27,7 @@ let flush_active (st : State.t) =
     in
     (* [append] put each entry in place; the header and CRC close the
        region. *)
-    Summary.seal seg.buf ~size_bytes:summary_bytes header;
+    Summary.seal seg.buf ~size_bytes:summary_bytes ?continues header;
     let first_block = Layout.segment_first_block layout seg.seg in
     let len = summary_bytes + payload_len in
     (* Io never keeps the caller's buffer past the call without copying

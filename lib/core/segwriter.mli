@@ -36,9 +36,10 @@ val append_moved :
     for byte — a moved block keeps the entry it had in its victim.
     @raise Invalid_argument when the block does not lie within [data]. *)
 
-val flush_active : State.t -> unit
+val flush_active : ?continues:bool -> State.t -> unit
 (** Write out the active segment (possibly partial) and close it; no-op
-    when the buffer is empty.  The write is asynchronous. *)
+    when the buffer is empty.  The write is asynchronous.  [continues]
+    marks the summary ({!Summary.continues}). *)
 
 val active_blocks : State.t -> int
 (** Payload blocks currently buffered. *)

@@ -28,6 +28,10 @@ type header = {
 }
 
 let magic = 0x4C53554D (* "LSUM" *)
+
+(* Bit 15 of the stored entry count marks a segment written in the
+   middle of a run of inode blocks. *)
+let continues_bit = 0x8000
 let header_bytes = 30
 let entry_bytes = 13
 
@@ -95,15 +99,18 @@ let entry_at region i =
    computed with that field zeroed. *)
 let crc_off = header_bytes - 4
 
-let seal region ~size_bytes header =
+let seal region ~size_bytes ?(continues = false) header =
   if size_bytes > Bytes.length region then
     invalid_arg "Summary.seal: region longer than the buffer";
-  if header.nblocks > max_entries ~size_bytes then
-    invalid_arg "Summary.seal: too many entries for the summary region";
+  if header.nblocks > max_entries ~size_bytes || header.nblocks >= continues_bit
+  then invalid_arg "Summary.seal: too many entries for the summary region";
   let off = Codec.put_u32 region 0 magic in
   let off = Codec.put_int_as_i64 region off header.seq in
   let off = Codec.put_int_as_i64 region off header.timestamp_us in
-  let off = Codec.put_u16 region off header.nblocks in
+  let off =
+    Codec.put_u16 region off
+      (if continues then header.nblocks lor continues_bit else header.nblocks)
+  in
   let off =
     Codec.put_u32 region off (Int32.to_int header.payload_crc land 0xFFFFFFFF)
   in
@@ -135,7 +142,7 @@ let decode_header region =
     Bytes.set_int32_le region crc_off stored;
     if crc <> stored || Codec.get_u32 region 0 <> magic then None
     else begin
-      let nblocks = Bytes.get_uint16_le region 20 in
+      let nblocks = Bytes.get_uint16_le region 20 land (continues_bit - 1) in
       if entry_off nblocks > Bytes.length region
          || not (tags_valid region 0 nblocks)
       then None
@@ -149,6 +156,8 @@ let decode_header region =
           }
     end
   end
+
+let continues region = Bytes.get_uint16_le region 20 land continues_bit <> 0
 
 let decode region =
   match decode_header region with

@@ -50,20 +50,28 @@ val put_entry : bytes -> int -> entry -> unit
 (** [put_entry region i e] writes [e] as entry [i] of the region.
     @raise Invalid_argument if the entry lies outside [region]. *)
 
-val seal : bytes -> size_bytes:int -> header -> unit
+val seal : bytes -> size_bytes:int -> ?continues:bool -> header -> unit
 (** [seal region ~size_bytes h] completes a region whose entries
     [0 .. h.nblocks - 1] are already in place: it writes the header,
     zero-fills the rest of the first [size_bytes] bytes and sets the
     CRC.  The bytes are those {!encode} gives for the same header and
-    entries, whatever the region held before.
+    entries, whatever the region held before.  [continues] (default
+    false) marks a segment written in the middle of a run of inode
+    blocks (see {!continues}).
     @raise Invalid_argument if [h.nblocks] exceeds {!max_entries} or
-    [size_bytes] the buffer. *)
+    32767, or [size_bytes] the buffer. *)
 
 val decode_header : bytes -> header option
 (** The header of a valid summary region (the whole of the buffer given),
     after every check {!decode} makes: CRC, magic, entry count within
     the region, and a valid tag on each of the [nblocks] entries.  [None]
     exactly when {!decode} gives [None]. *)
+
+val continues : bytes -> bool
+(** Whether a region {!decode_header} accepted was sealed with
+    [~continues:true]: the run of inode blocks it holds goes on in the
+    next segment of the log, and roll-forward applies the segment only
+    together with the rest of the run. *)
 
 val entry_at : bytes -> int -> entry
 (** Entry [i] of a region {!decode_header} accepted, for

@@ -110,8 +110,13 @@ let flush_inodes (st : State.t) ~privilege dirty =
   let bs = layout.Layout.block_size in
   let per_block = Layout.inodes_per_block layout in
   let n = Array.length dirty in
+  (* A run of inode blocks that outgrows the active segment goes on in
+     the next one; the full segment is marked as continuing, so that
+     roll-forward applies the run, and with it every op since the last
+     flush, all or none. *)
   let rec pack first =
     if first < n then begin
+      if Segwriter.room st = 0 then Segwriter.flush_active ~continues:true st;
       let last = min n (first + per_block) in
       let block = Bytes.make bs '\000' in
       for i = first to last - 1 do

@@ -82,8 +82,10 @@ let entry_gen =
 
 let prop_summary_roundtrip =
   QCheck.Test.make ~name:"summary codec roundtrip" ~count:200
-    (QCheck.make QCheck.Gen.(pair (list_size (int_bound 14) entry_gen) (pair small_nat small_nat)))
-    (fun (entries, (seq, ts)) ->
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_size (int_bound 14) entry_gen) (pair small_nat small_nat) bool))
+    (fun (entries, (seq, ts), continues) ->
       let size_bytes = 1024 in
       QCheck.assume (List.length entries <= Summary.max_entries ~size_bytes);
       let header =
@@ -95,10 +97,13 @@ let prop_summary_roundtrip =
         }
       in
       let region = Summary.encode ~size_bytes header entries in
+      if continues then Summary.seal region ~size_bytes ~continues header;
       match Summary.decode region with
       | None -> false
       | Some (h, es) ->
-          h = header && List.for_all2 Summary.equal_entry es entries)
+          h = header
+          && List.for_all2 Summary.equal_entry es entries
+          && Summary.continues region = continues)
 
 let test_summary_rejects_corruption () =
   let header =
@@ -164,7 +169,8 @@ module Summary_model = struct
         else begin
           let seq = Codec.read_int_as_i64 d in
           let timestamp_us = Codec.read_int_as_i64 d in
-          let nblocks = Codec.read_u16 d in
+          (* Bit 15 marks a continuing segment (Summary.continues). *)
+          let nblocks = Codec.read_u16 d land 0x7FFF in
           let payload_crc = Int32.of_int (Codec.read_u32 d) in
           Codec.skip d 4;
           let entry _ =

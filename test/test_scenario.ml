@@ -32,7 +32,7 @@ let test_shrink_pure () =
 (* ---------- stream compilation ---------- *)
 
 let test_steps_deterministic () =
-  let render spec = List.map Scenario.pp_step (Scenario.steps_of spec) in
+  let render spec = List.map Lfs_workload.Op.pp (Scenario.steps_of spec) in
   let spec = Scenario.(make |> seed 99) in
   Alcotest.(check (list string)) "same spec, same steps" (render spec)
     (render spec);

@@ -2,7 +2,8 @@
 
 module W = Lfs_workload
 module Trace = Lfs_workload.Trace
-module Model_fs = Lfs_scenario.Model_fs
+module Model_fs = Lfs_workload.Model_fs
+module Op = Lfs_workload.Op
 
 let qcheck = Common.qcheck
 
@@ -11,23 +12,20 @@ let test_generation_well_formed () =
   (* Replay against the pure model: a well-formed trace never produces a
      failing operation. *)
   let model = Model_fs.create () in
-  let split p = List.tl (String.split_on_char '/' p) in
   List.iteri
     (fun i ev ->
+      let apply = Model_fs.apply model in
       let outcome =
         match ev with
-        | Trace.Mkdir { path } -> Model_fs.mkdir model (split path)
+        | Trace.Mkdir { path } -> apply (Op.Mkdir path)
         | Trace.Create { path; size } ->
-            (match Model_fs.create_file model (split path) with
-            | Model_fs.Done -> Model_fs.write model (split path) ~off:0 (Bytes.create size)
+            (match apply (Op.Create path) with
+            | Model_fs.Done -> apply (Op.Write { path; off = 0; seed = 0; len = size })
             | other -> other)
         | Trace.Overwrite { path; size } ->
-            Model_fs.write model (split path) ~off:0 (Bytes.create size)
-        | Trace.Read { path } -> (
-            match Model_fs.read model (split path) ~off:0 ~len:1 with
-            | Model_fs.Data _ -> Model_fs.Done
-            | other -> other)
-        | Trace.Delete { path } -> Model_fs.delete model (split path)
+            apply (Op.Write { path; off = 0; seed = 0; len = size })
+        | Trace.Read { path } -> apply (Op.Read { path; off = 0; len = 1 })
+        | Trace.Delete { path } -> apply (Op.Delete path)
       in
       if outcome = Model_fs.Failed then
         Alcotest.failf "event %d (%s) fails on the model" i
