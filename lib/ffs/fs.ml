@@ -216,11 +216,13 @@ let bmap_alloc t (e : entry) blkno =
     end
   end
 
-(* Write one elevator window, already address-sorted, one request per
-   block. *)
+let meta_blocks_per_group (l : Layout.t) =
+  l.Layout.bb_blocks + l.Layout.ib_blocks + l.Layout.it_blocks
+
+(* Write one elevator window, already sorted, one request per block. *)
 let write_window t window =
   List.filter_map
-    (fun (addr, key) ->
+    (fun (_, addr, key) ->
       if addr = Layout.null_addr then None
       else
         match Cache.find t.cache key with
@@ -231,29 +233,43 @@ let write_window t window =
          Io.async_write t.io ~sector:(sector_of_block t addr) data;
          Cache.mark_clean t.cache key)
 
-(* Delayed write-back: dirty inodes are folded into their table blocks,
-   then every dirty block goes to its fixed address, sorted so the
+(* Write back the dirty blocks [pick] selects.  A block goes out no
+   earlier than the blocks it points at, so a crash part-way never
+   leaves a pointer to a block the disk does not yet hold (which, after
+   a delete or truncate, would be another file's bytes): file data
+   first, then indirect blocks, then double-indirect blocks, then the
+   inode table.  Within that order the blocks are address-sorted so the
    elevator gets its best shot — FFS's problem is where the blocks are,
    not the order they are issued in. *)
-let flush t =
+let write_back t pick =
+  let l = t.layout in
+  let dindirect = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun inum (e : entry) ->
-      if e.dirty then begin
-        store_inode t (Some e.ino) ~inum ~mode:`Async;
-        e.dirty <- false
-      end)
+    (fun _ (e : entry) ->
+      if e.ino.Inode.dindirect <> Layout.null_addr then
+        Hashtbl.replace dindirect e.ino.Inode.dindirect ())
     t.itable;
+  let rank addr =
+    if
+      addr
+      < Layout.group_first_block l (Layout.group_of_block l addr)
+        + meta_blocks_per_group l
+    then 3
+    else if Hashtbl.mem dindirect addr then 2
+    else 1
+  in
   let writes =
     Cache.fold_dirty
       (fun key _ acc ->
-        let addr =
-          if key.Cache.owner = owner_raw then key.Cache.blkno
-          else
-            bmap_read t (get_entry t key.Cache.owner) key.Cache.blkno
-        in
-        (addr, key) :: acc)
+        if not (pick key) then acc
+        else if key.Cache.owner = owner_raw then
+          (rank key.Cache.blkno, key.Cache.blkno, key) :: acc
+        else
+          (0, bmap_read t (get_entry t key.Cache.owner) key.Cache.blkno, key)
+          :: acc)
       t.cache []
     |> List.rev
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
   (* The disk driver's elevator reorders a bounded queue, not the whole
      backlog: sort within windows of the era's tagged-queue depth. *)
@@ -271,6 +287,18 @@ let flush t =
         windows rest
   in
   windows writes
+
+(* Delayed write-back: dirty inodes are folded into their table blocks,
+   then every dirty block goes to its fixed address. *)
+let flush t =
+  Hashtbl.iter
+    (fun inum (e : entry) ->
+      if e.dirty then begin
+        store_inode t (Some e.ino) ~inum ~mode:`Async;
+        e.dirty <- false
+      end)
+    t.itable;
+  write_back t (fun _ -> true)
 
 let persist_bitmaps t =
   List.concat_map
@@ -317,6 +345,25 @@ let read_dir_block t (e : entry) blk =
       if addr = Layout.null_addr then None
       else Some (fetch_file_block t ~inum ~blkno:blk ~addr)
 
+(* Inode changes on the namespace path are synchronous, as in BSD.  The
+   file's own delayed blocks go out first, so the inode on disk never
+   points at a block the disk does not yet hold. *)
+let persist t (e : entry) =
+  let ino = e.ino in
+  let pointers =
+    ino.Inode.indirect :: ino.Inode.dindirect
+    :: (if ino.Inode.dindirect = Layout.null_addr then []
+        else
+          List.init (Layout.ptrs_per_block t.layout)
+            (read_ptr t ino.Inode.dindirect))
+    |> List.filter (( <> ) Layout.null_addr)
+  in
+  write_back t (fun key ->
+      key.Cache.owner = ino.Inode.inum
+      || (key.Cache.owner = owner_raw && List.mem key.Cache.blkno pointers));
+  store_inode t (Some ino) ~inum:ino.Inode.inum ~mode:`Sync;
+  e.dirty <- false
+
 (* Writing a directory block on the create/delete path is synchronous —
    the behaviour the paper blames for coupling FFS to disk latency. *)
 let write_dir_block t (e : entry) blk block ~sync_write =
@@ -329,12 +376,15 @@ let write_dir_block t (e : entry) blk block ~sync_write =
     Cache.insert t.cache (key_data ~inum ~blkno:blk) ~dirty:false block
   end
   else Cache.insert t.cache (key_data ~inum ~blkno:blk) ~dirty:true block;
+  e.ino.Inode.mtime_us <- Io.now_us t.io;
+  e.dirty <- true;
   if (blk + 1) * t.layout.Layout.block_size > e.ino.Inode.size then begin
     e.ino.Inode.size <- (blk + 1) * t.layout.Layout.block_size;
-    e.dirty <- true
-  end;
-  e.ino.Inode.mtime_us <- Io.now_us t.io;
-  e.dirty <- true
+    (* A directory grown by a synchronous entry write has its size made
+       durable too, as BSD's [ufs_direnter] does: else a crash recovers
+       the entry beyond the directory's end. *)
+    if sync_write then persist t e
+  end
 
 let dir_backing : (t, entry) Dir.backing =
   {
@@ -444,10 +494,18 @@ let alloc_inode t ~(dir : entry) kind =
     | None -> Errors.raise_ Errors.Enospc
   in
   let ino = Inode.create ~inum ~kind ~now_us:(Io.now_us t.io) in
-  Hashtbl.replace t.itable inum { ino; dirty = false };
+  let e = { ino; dirty = false } in
+  Hashtbl.replace t.itable inum e;
   (* The first of Figure 1's two synchronous writes: the new inode's
-     table block, before the directory data block. *)
-  store_inode t (Some ino) ~inum ~mode:`Sync;
+     table block, before the directory data block.  A new directory
+     starts with one empty block, as BSD's starts with "." and "..", so
+     its first entry does not grow it; writing the block writes the
+     inode. *)
+  if kind = Fs_intf.Directory then
+    write_dir_block t e 0
+      (Dir_block.encode ~block_size:t.layout.Layout.block_size [])
+      ~sync_write:true
+  else store_inode t (Some ino) ~inum ~mode:`Sync;
   inum
 
 let free_inode t inum (e : entry) =
@@ -457,11 +515,6 @@ let free_inode t inum (e : entry) =
   Hashtbl.remove t.itable inum;
   Dir.forget t.dirs inum;
   Alloc.free_inode t.alloc inum
-
-(* Inode changes on the namespace path are synchronous, as in BSD. *)
-let persist t (e : entry) =
-  store_inode t (Some e.ino) ~inum:e.ino.Inode.inum ~mode:`Sync;
-  e.dirty <- false
 
 let ops : (t, entry) Fs_ops.backing =
   {
@@ -646,9 +699,6 @@ let pp_issue ppf = function
   | Address_out_of_range { owner; addr } ->
       Format.fprintf ppf "%s references out-of-range address %d" owner addr
 
-let meta_blocks_per_group (l : Layout.t) =
-  l.Layout.bb_blocks + l.Layout.ib_blocks + l.Layout.it_blocks
-
 let fsck t =
   let l = t.layout in
   let bs = l.Layout.block_size in
@@ -828,26 +878,35 @@ let repair t =
             rewrite blk [];
             []
         in
-        let keep, drop =
-          List.partition
-            (fun (_, inum) ->
-              inum > 0 && inum < l.Layout.max_files && valid.(inum))
+        (* Prune entries to dead inodes.  A directory has one name: a
+           crash in the middle of renaming one can leave it under both,
+           and, as BSD's fsck does, the name met first stays. *)
+        let keep =
+          List.filter
+            (fun (name, inum) ->
+              if not (inum > 0 && inum < l.Layout.max_files && valid.(inum))
+              then begin
+                note "inum %d: pruned dangling entry %S -> inum %d" dir name inum;
+                false
+              end
+              else
+                let is_dir =
+                  (get_entry t inum).ino.Inode.kind = Fs_intf.Directory
+                in
+                if is_dir && Hashtbl.mem links inum then begin
+                  note "inum %d: dropped second name %S of directory inum %d"
+                    dir name inum;
+                  false
+                end
+                else begin
+                  Hashtbl.replace links inum
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
+                  if is_dir then walk inum;
+                  true
+                end)
             entries
         in
-        if drop <> [] then begin
-          List.iter
-            (fun (name, inum) ->
-              note "inum %d: pruned dangling entry %S -> inum %d" dir name inum)
-            drop;
-          rewrite blk keep
-        end;
-        List.iter
-          (fun (_, inum) ->
-            Hashtbl.replace links inum
-              (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
-            if (get_entry t inum).ino.Inode.kind = Fs_intf.Directory then
-              walk inum)
-          keep
+        if List.compare_lengths keep entries <> 0 then rewrite blk keep
       done
     end
   in

@@ -262,6 +262,97 @@ let test_truncate_frees_pointer_blocks () =
   | Error e -> Alcotest.failf "fsck: %s" e
   | Ok r -> Alcotest.(check int) "bitmaps agree" 0 r.Lfs_ffs.Fsck.bitmap_errors
 
+(* Crash ordering (DESIGN.md §8): a write never reaches the disk before
+   a block it points at, so a crash part-way cannot recover a pointer to
+   a block that holds another file's old bytes. *)
+
+let inum fs path = (check_ok "stat" (Fs.stat fs path)).Lfs_vfs.Fs_intf.inum
+
+let inode_sector fs path =
+  let l = Fs.layout fs in
+  Layout.sector_of_block l (fst (Layout.inode_location l (inum fs path)))
+
+let data_sectors fs path =
+  let l = Fs.layout fs in
+  Array.to_list (Fs.inode_of fs (inum fs path)).Lfs_ffs.Inode.direct
+  |> List.filter (fun a -> a <> Layout.null_addr)
+  |> List.map (Layout.sector_of_block l)
+
+(* Position of the write to [sector] in [writes]. *)
+let position writes sector =
+  let rec go i = function
+    | [] -> Alcotest.failf "no write to sector %d" sector
+    | (r : Common.request) :: rest ->
+        if r.Common.sector = sector then i else go (i + 1) rest
+  in
+  go 0 writes
+
+let check_data_first what fs path writes =
+  let itable = position writes (inode_sector fs path) in
+  List.iter
+    (fun s ->
+      if position writes s > itable then
+        Alcotest.failf "%s: data sector %d written after the inode" what s)
+    (data_sectors fs path)
+
+let test_flush_writes_data_first () =
+  let fs = make () in
+  check_ok "create" (Fs.create fs "/f");
+  Fs.sync fs;
+  check_ok "write" (Fs.write fs "/f" ~off:0 (Common.pattern ~seed:1 3000));
+  let writes = Common.writes_during (Fs.io fs) (fun () -> Fs.sync fs) in
+  check_data_first "sync" fs "/f" writes
+
+let test_persist_writes_data_first () =
+  let fs = make () in
+  check_ok "create" (Fs.create fs "/f");
+  Fs.sync fs;
+  check_ok "write" (Fs.write fs "/f" ~off:0 (Common.pattern ~seed:2 3000));
+  (* link writes the inode synchronously, with the file's new blocks. *)
+  let writes =
+    Common.writes_during (Fs.io fs) (fun () -> check_ok "link" (Fs.link fs "/f" "/g"))
+  in
+  check_data_first "link" fs "/f" writes
+
+let test_truncate_writes_inode_first () =
+  let fs = make () in
+  check_ok "create" (Fs.create fs "/f");
+  check_ok "write" (Fs.write fs "/f" ~off:0 (Common.pattern ~seed:3 3000));
+  Fs.sync fs;
+  let writes =
+    Common.writes_during (Fs.io fs) (fun () ->
+        check_ok "truncate" (Fs.truncate fs "/f" ~size:100))
+  in
+  let r = List.nth writes (position writes (inode_sector fs "/f")) in
+  Alcotest.(check bool) "shrunk inode written synchronously" true r.Common.sync
+
+let test_directory_growth_is_synchronous () =
+  let fs = make () in
+  check_ok "mkdir" (Fs.mkdir fs "/a");
+  let writes =
+    Common.writes_during (Fs.io fs) (fun () -> check_ok "mkdir" (Fs.mkdir fs "/d"))
+  in
+  (* The new directory's first block, its inode, the parent's block. *)
+  Alcotest.(check int) "mkdir: three writes" 3 (List.length writes);
+  let size () = (Fs.inode_of fs (inum fs "/d")).Lfs_ffs.Inode.size in
+  let first = size () in
+  let rec grow i =
+    let path = Printf.sprintf "/d/file%d" i in
+    let writes =
+      Common.writes_during (Fs.io fs) (fun () -> check_ok "create" (Fs.create fs path))
+    in
+    if size () = first then grow (i + 1)
+    else begin
+      (* The new inode, the new directory block, the grown directory's
+         inode. *)
+      Alcotest.(check int) "growing create: three writes" 3 (List.length writes);
+      List.iter
+        (fun r -> Alcotest.(check bool) "synchronous" true r.Common.sync)
+        writes
+    end
+  in
+  grow 0
+
 let suite =
   [
     Alcotest.test_case "fsck reports a bad inode slot" `Quick
@@ -269,6 +360,14 @@ let suite =
     Alcotest.test_case "truncate to zero frees pointer blocks" `Quick
       test_truncate_frees_pointer_blocks;
     Alcotest.test_case "fsck on healthy fs" `Quick test_fsck_healthy;
+    Alcotest.test_case "flush writes data before the inode" `Quick
+      test_flush_writes_data_first;
+    Alcotest.test_case "synchronous inode write follows its data" `Quick
+      test_persist_writes_data_first;
+    Alcotest.test_case "truncate writes the shrunk inode first" `Quick
+      test_truncate_writes_inode_first;
+    Alcotest.test_case "directory growth is synchronous" `Quick
+      test_directory_growth_is_synchronous;
     Alcotest.test_case "fsck detects bitmap corruption" `Quick
       test_fsck_detects_bitmap_corruption;
     Alcotest.test_case "fsck detects orphans" `Quick test_fsck_detects_orphan;
