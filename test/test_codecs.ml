@@ -532,6 +532,39 @@ let prop_usage_block_model =
         (model (fun tag -> if tag = 2 then 1 else tag))
         (Seg_usage.encode_block u ~idx))
 
+(* Media digests: the CRC-32 of every byte a seeded 200-op scenario
+   stream leaves on the disk, once with the default payload and once with
+   payloads large enough to reach the double-indirect range (1 KB
+   blocks).  A change that must not move the on-disk image (a refactor of
+   the inode, the block map or the write paths) keeps these; a change
+   that means to move it updates them and says why. *)
+let media_digest sys ~payload:pl =
+  let module Scenario = Lfs_scenario.Scenario in
+  let io, inst = Lfs_workload.Crashpoint.small_stack sys in
+  let spec = Scenario.(make |> system sys |> count 200 |> payload pl |> seed 7) in
+  List.iter
+    (fun op -> ignore (Lfs_workload.Op.apply inst op))
+    (Scenario.steps_of spec);
+  Lfs_workload.Driver.sync inst;
+  Printf.sprintf "%08lx"
+    (Lfs_util.Crc32.digest_bytes (Lfs_disk.Io.snapshot_media io))
+
+let test_media_digests () =
+  List.iter
+    (fun (sys, payload, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s, payload %d"
+           (Lfs_workload.Crashpoint.system_name sys)
+           payload)
+        expected
+        (media_digest sys ~payload))
+    [
+      (`Lfs, 2500, "fb6e7e64");
+      (`Ffs, 2500, "f7d0fbe9");
+      (`Lfs, 100_000, "382f0b44");
+      (`Ffs, 100_000, "6e2d8d5c");
+    ]
+
 let suite =
   [
     qcheck prop_inode_roundtrip;
@@ -549,4 +582,6 @@ let suite =
     Alcotest.test_case "usage block roundtrip" `Quick test_usage_block_roundtrip;
     qcheck prop_imap_block_model;
     qcheck prop_usage_block_model;
+    Alcotest.test_case "media digests of seeded streams" `Quick
+      test_media_digests;
   ]
