@@ -232,6 +232,11 @@ let cmd_fsck image json =
   let problem fmt =
     Printf.ksprintf (fun s -> problems := s :: !problems) fmt
   in
+  (* Directories already walked, by inum: an entry naming one of them
+     again (a second parent, or a cycle back to an ancestor) is reported
+     by the structural pass below and not walked twice. *)
+  let walked = Hashtbl.create 64 in
+  Hashtbl.replace walked Lfs_core.State.root_inum ();
   let rec walk path =
     match Fs.readdir fs path with
     | Error e -> problem "readdir %s: %s" path (Lfs_vfs.Errors.to_string e)
@@ -245,8 +250,12 @@ let cmd_fsck image json =
             | Ok stat -> (
                 match stat.Lfs_vfs.Fs_intf.kind with
                 | Lfs_vfs.Fs_intf.Directory ->
-                    incr dirs;
-                    walk full
+                    let inum = stat.Lfs_vfs.Fs_intf.inum in
+                    if not (Hashtbl.mem walked inum) then begin
+                      Hashtbl.replace walked inum ();
+                      incr dirs;
+                      walk full
+                    end
                 | Lfs_vfs.Fs_intf.Regular -> (
                     incr files;
                     match
@@ -261,7 +270,7 @@ let cmd_fsck image json =
   walk "/";
   List.iter
     (fun issue ->
-      problem "%s" (Format.asprintf "%a" Lfs_core.Check.pp_issue issue))
+      problem "%s" (Format.asprintf "%a" Lfs_vfs.Audit.pp_issue issue))
     (Lfs_core.Check.fsck fs);
   (* Segment-usage accounting vs ground truth.  Small drift is expected
      (the usage array cannot count its own blocks exactly while they are

@@ -1,3 +1,7 @@
+module Inode = Lfs_vfs.Inode
+module Audit = Lfs_vfs.Audit
+module Bmap = Lfs_vfs.Bmap
+
 let recompute_usage (st : State.t) =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
@@ -18,17 +22,9 @@ let recompute_usage (st : State.t) =
       match Inode_store.find st inum with
       | exception Lfs_vfs.Errors.Error _ -> ()
       | e ->
-          let nblocks = Inode.nblocks ~block_size:bs e.State.ino in
-          for blkno = 0 to nblocks - 1 do
-            add (Inode_store.bmap_read st e blkno) bs
-          done;
-          add e.State.ino.Inode.indirect bs;
-          if e.State.ino.Inode.dindirect <> Layout.null_addr then begin
-            add e.State.ino.Inode.dindirect bs;
-            for child = 0 to Layout.ptrs_per_block layout - 1 do
-              add (Inode_store.dind_child_addr st e child) bs
-            done
-          end
+          Bmap.iter Inode_store.map st e
+            ~pointer:(fun _ addr -> add addr bs)
+            ~data:(fun _ addr -> add addr bs)
     end
   done;
   Array.iter (fun addr -> add addr bs) st.imap_block_addr;
@@ -44,76 +40,22 @@ let usage_drift (st : State.t) =
   done;
   !drift
 
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-  | Orphan_inode of { inum : int }
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
-
-let pp_issue ppf = function
-  | Double_reference { addr; owners } ->
-      Format.fprintf ppf "block %d referenced by: %s" addr
-        (String.concat ", " owners)
-  | Bad_dir_entry { dir; name; inum } ->
-      Format.fprintf ppf "directory %d entry %S points at unallocated inum %d"
-        dir name inum
-  | Bad_nlink { inum; nlink; entries } ->
-      Format.fprintf ppf "inum %d: nlink %d but %d directory entries" inum
-        nlink entries
-  | Orphan_inode { inum } ->
-      Format.fprintf ppf "inum %d allocated but unreachable" inum
-  | Unreadable { inum; reason } ->
-      Format.fprintf ppf "inum %d unreadable: %s" inum reason
-  | Address_out_of_range { owner; addr } ->
-      Format.fprintf ppf "%s references out-of-range address %d" owner addr
-
 let fsck (st : State.t) =
   let layout = st.layout in
-  let bs = layout.Layout.block_size in
   let issues = ref [] in
   let report i = issues := i :: !issues in
-  (* Block-reference map: every live block must have exactly one owner.
-     The active in-memory segment is excluded: its blocks are not yet on
-     disk. *)
-  let owners : (int, string list) Hashtbl.t = Hashtbl.create 1024 in
-  let reference ~owner addr =
-    if addr <> Layout.null_addr then begin
-      if
-        addr < layout.Layout.first_segment_block
-        || addr >= layout.Layout.total_blocks
-      then report (Address_out_of_range { owner; addr })
-      else begin
-        let prev = Option.value ~default:[] (Hashtbl.find_opt owners addr) in
-        Hashtbl.replace owners addr (owner :: prev)
-      end
-    end
+  (* Block-reference map: every live block must have exactly one owner
+     and lie in the segment area. *)
+  let owners = Hashtbl.create 1024 in
+  let reference =
+    Audit.reference owners report ~in_range:(fun addr ->
+        addr >= layout.Layout.first_segment_block
+        && addr < layout.Layout.total_blocks)
   in
   (* Walk every allocated inode's pointers. *)
-  for inum = 1 to Imap.max_files st.imap - 1 do
-    if Imap.is_allocated st.imap inum then begin
-      match Inode_store.find st inum with
-      | exception Lfs_vfs.Errors.Error e ->
-          report (Unreadable { inum; reason = Lfs_vfs.Errors.to_string e })
-      | e ->
-          let tag kind = Printf.sprintf "inum %d %s" inum kind in
-          let nblocks = Inode.nblocks ~block_size:bs e.State.ino in
-          for blkno = 0 to nblocks - 1 do
-            reference ~owner:(tag (Printf.sprintf "block %d" blkno))
-              (Inode_store.bmap_read st e blkno)
-          done;
-          reference ~owner:(tag "indirect") e.State.ino.Inode.indirect;
-          if e.State.ino.Inode.dindirect <> Layout.null_addr then begin
-            reference ~owner:(tag "dindirect") e.State.ino.Inode.dindirect;
-            for child = 0 to Layout.ptrs_per_block layout - 1 do
-              reference
-                ~owner:(tag (Printf.sprintf "dind child %d" child))
-                (Inode_store.dind_child_addr st e child)
-            done
-          end
-    end
-  done;
+  Audit.files Inode_store.map st ~max_files:(Imap.max_files st.imap)
+    ~allocated:(Imap.is_allocated st.imap) ~find:(Inode_store.find st)
+    reference report;
   (* Inode blocks may be shared by many inodes (one reference per block is
      enough); metadata blocks are single-owner. *)
   let inode_blocks = Hashtbl.create 64 in
@@ -133,48 +75,12 @@ let fsck (st : State.t) =
   Array.iteri
     (fun idx addr -> reference ~owner:(Printf.sprintf "usage block %d" idx) addr)
     st.usage_block_addr;
-  Hashtbl.iter
-    (fun addr os ->
-      if List.length os > 1 then report (Double_reference { addr; owners = os }))
-    owners;
-  (* Namespace walk: every entry must resolve, every allocated inode must
-     be referenced exactly once. *)
-  let links = Hashtbl.create 256 in
-  let rec walk dir =
-    List.iter
-      (fun (name, inum) ->
-        if
-          inum <= 0
-          || inum >= Imap.max_files st.imap
-          || not (Imap.is_allocated st.imap inum)
-        then report (Bad_dir_entry { dir; name; inum })
-        else begin
-          Hashtbl.replace links inum
-            (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
-          match Inode_store.find st inum with
-          | exception Lfs_vfs.Errors.Error e ->
-              report (Unreadable { inum; reason = Lfs_vfs.Errors.to_string e })
-          | e ->
-              if e.State.ino.Inode.kind = Lfs_vfs.Fs_intf.Directory then
-                walk inum
-        end)
-      (Namespace.entries st ~dir)
-  in
-  Hashtbl.replace links State.root_inum 1;
-  walk State.root_inum;
-  Hashtbl.iter
-    (fun inum count ->
-      match Inode_store.find st inum with
-      | e ->
-          if e.State.ino.Inode.nlink <> count then
-            report
-              (Bad_nlink { inum; nlink = e.State.ino.Inode.nlink; entries = count })
-      | exception Lfs_vfs.Errors.Error _ -> ())
-    links;
-  for inum = 1 to Imap.max_files st.imap - 1 do
-    if Imap.is_allocated st.imap inum && not (Hashtbl.mem links inum) then
-      report (Orphan_inode { inum })
-  done;
+  Audit.double_references owners report;
+  Audit.namespace ~root:State.root_inum ~max_files:(Imap.max_files st.imap)
+    ~allocated:(Imap.is_allocated st.imap)
+    ~entries:(fun dir -> Namespace.entries st ~dir)
+    ~inode:(fun inum -> (Inode_store.find st inum).State.ino)
+    report;
   List.rev !issues
 
 (* --- Checkpoint/recovery cross-validation ---------------------------- *)

@@ -17,26 +17,13 @@ val usage_drift : State.t -> (int * int * int) list
 (** [(segment, recorded, recomputed)] for every segment where the
     incremental estimate differs from ground truth. *)
 
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-      (** one disk block claimed live by two different structures *)
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-      (** directory entry pointing at an unallocated inode *)
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-      (** an inode whose link count disagrees with its directory
-          entries *)
-  | Orphan_inode of { inum : int }
-      (** allocated inode with no directory entry *)
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
-
-val pp_issue : Format.formatter -> issue -> unit
-
-val fsck : State.t -> issue list
+val fsck : State.t -> Lfs_vfs.Audit.issue list
 (** Full structural verification: walk the namespace from the root,
     cross-check it against the inode map, and walk every live block
-    pointer checking for double references and wild addresses.  An empty
-    list means the file system is structurally sound. *)
+    pointer checking for double references and wild addresses.  Each
+    directory is walked once, so a cycle in the tree ends the walk (and
+    is reported as a directory under two names).  An empty list means
+    the file system is structurally sound. *)
 
 val recovery_divergence :
   expected:State.t -> recovered:State.t -> string list

@@ -1,3 +1,4 @@
+module Inode = Lfs_vfs.Inode
 module Cache = Lfs_cache.Block_cache
 module Errors = Lfs_vfs.Errors
 module Io = Lfs_disk.Io
@@ -50,10 +51,6 @@ let select_victims ?live_budget (st : State.t) ~batch =
   in
   take [] 0 0 sorted
 
-let release (st : State.t) addr ~bytes =
-  if addr <> Layout.null_addr then
-    Seg_usage.sub_live st.usage (Layout.segment_of_block st.layout addr) ~bytes
-
 (* A missing or unreadable inode (possible after recovery from a heavily
    damaged log) means nothing it owned is live.  A loaded inode is
    returned in the table's own [Some], without allocating. *)
@@ -72,7 +69,7 @@ let live_data_owner (st : State.t) ~inum ~blkno ~version ~addr =
   if Imap.is_allocated st.imap inum && version = Imap.version st.imap inum
   then
     match find_entry st inum with
-    | Some e as found when Inode_store.bmap_read st e blkno = addr -> found
+    | Some e as found when Lfs_vfs.Bmap.read Inode_store.map st e blkno = addr -> found
     | Some _ | None -> None
   else None
 
@@ -91,8 +88,9 @@ let move_data_block (st : State.t) e ~summary ~idx ~inum ~blkno payload ~off =
         Segwriter.append_moved st ~summary ~entry:idx ~live_bytes:bs ~off
           payload
   in
-  let old = Inode_store.bmap_write st e blkno addr' in
-  release st old ~bytes:bs;
+  Seg_usage.release st.usage
+    (Lfs_vfs.Bmap.write Inode_store.map st e blkno addr')
+    ~bytes:bs;
   Cache.mark_clean_block st.cache ~owner:inum ~blkno
 
 (* Hand the copy of a pointer block we already read to the cache, so
@@ -117,14 +115,14 @@ let process_entry (st : State.t) ~addr payload ~off entry ~moved =
             cache_block st ~addr payload ~off;
             if idx = 0 then begin
               if e.ino.Inode.indirect = addr then begin
-                Inode_store.cleaner_touch_ind st e;
+                Inode_store.cleaner_touch st e (-1);
                 moved := !moved + bs
               end
             end
             else begin
               let child = idx - 1 in
               if Inode_store.dind_child_addr st e child = addr then begin
-                Inode_store.cleaner_touch_dind_child st e child;
+                Inode_store.cleaner_touch st e child;
                 moved := !moved + bs
               end
             end
@@ -136,7 +134,7 @@ let process_entry (st : State.t) ~addr payload ~off entry ~moved =
         | Some e ->
             if e.ino.Inode.dindirect = addr then begin
               cache_block st ~addr payload ~off;
-              Inode_store.cleaner_touch_dind_top st e;
+              Inode_store.cleaner_touch st e (-2);
               moved := !moved + bs
             end
       end
@@ -160,7 +158,7 @@ let process_entry (st : State.t) ~addr payload ~off entry ~moved =
               Inode_store.mark_dirty st e;
               moved := !moved + Layout.inode_bytes
           | None -> (
-              match Inode.decode_at payload ~off:ino_off with
+              match Inode.decode_at ~atime:false payload ~off:ino_off with
               | None -> ()
               | Some ino ->
                   Inode_store.mark_dirty st (Inode_store.materialize st ino);

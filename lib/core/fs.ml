@@ -1,3 +1,4 @@
+module Inode = Lfs_vfs.Inode
 module Cache = Lfs_cache.Block_cache
 module Errors = Lfs_vfs.Errors
 module Fs_intf = Lfs_vfs.Fs_intf
@@ -68,15 +69,11 @@ let ops : (t, State.itable_entry) Fs_ops.backing =
     dir = Namespace.backing;
     root = State.root_inum;
     find = Inode_store.find;
-    kind = (fun e -> e.ino.Inode.kind);
-    nlink = (fun e -> e.ino.Inode.nlink);
-    set_nlink = (fun e n -> e.ino.Inode.nlink <- n);
-    mtime = (fun e -> e.ino.Inode.mtime_us);
-    set_mtime = (fun e us -> e.ino.Inode.mtime_us <- us);
-    set_size = (fun e size -> e.ino.Inode.size <- size);
     atime = (fun st inum _ -> Imap.atime_us st.imap inum);
     set_atime = (fun st inum _ us -> Imap.set_atime_us st.imap inum us);
-    max_size = (fun st -> Inode.max_size st.layout);
+    max_size =
+      (fun st ->
+        Lfs_vfs.Bmap.max_size ~block_size:st.layout.Layout.block_size);
     alloc_inode =
       (fun st ~dir:_ kind ->
         let now = Io.now_us st.io in
@@ -189,7 +186,7 @@ let drift_tolerance (st : t) = 2 * st.layout.Layout.block_size
 
 let integrity (st : t) =
   let structural =
-    List.map (Format.asprintf "%a" Check.pp_issue) (Check.fsck st)
+    List.map (Format.asprintf "%a" Lfs_vfs.Audit.pp_issue) (Check.fsck st)
   in
   let tolerance = drift_tolerance st in
   let drift =

@@ -2,7 +2,8 @@ module Bitset = Lfs_util.Bitset
 module Cache = Lfs_cache.Block_cache
 module Errors = Lfs_vfs.Errors
 
-let ptrs_of_bytes block n = Array.init n (fun i -> Bytes.get_int32_le block (i * 4) |> Int32.to_int |> ( land ) 0xFFFFFFFF)
+module Bmap = Lfs_vfs.Bmap
+module Inode = Lfs_vfs.Inode
 
 (* Every raise of a dirty flag goes through here, so [dirty_inodes]
    walks the set instead of the whole table. *)
@@ -60,7 +61,7 @@ let find (st : State.t) inum =
           Errors.raise_ (Errors.Enoent (Printf.sprintf "inum %d (no inode)" inum))
       | Some (addr, slot) ->
           let block = Block_io.read_raw st addr in
-          (match Inode.decode_at block ~off:(slot * Layout.inode_bytes) with
+          (match Inode.decode_at ~atime:false block ~off:(slot * Layout.inode_bytes) with
           | Some ino when ino.Inode.inum = inum -> materialize st ino
           | Some _ | None ->
               Errors.raise_
@@ -72,164 +73,114 @@ let find (st : State.t) inum =
                    (Printf.sprintf "inum %d (block %d slot %d): %s" inum addr
                       slot m))))
 
-let ppb (st : State.t) = Layout.ptrs_per_block st.layout
+let ppb (st : State.t) = Bmap.ptrs_per_block ~block_size:st.layout.Layout.block_size
+let load st addr = Bmap.decode (Block_io.read_raw st addr) (ppb st)
 
-(* Loads for reading return [None] when the structure does not exist (the
-   whole range is a hole). *)
+(* The block-map store: decoded pointer arrays, loaded on first use;
+   empty where the block does not exist (the whole range is a hole).  A
+   map created for a write starts as all holes, dirty.  Emptiness is
+   tested by length: empty array literals are not one shared value. *)
 
-let load_ind_for_read st (e : State.itable_entry) =
-  match e.ind_map with
-  | Some m -> Some m
-  | None ->
-      if e.ino.Inode.indirect = Layout.null_addr then None
-      else begin
-        let m = ptrs_of_bytes (Block_io.read_raw st e.ino.Inode.indirect) (ppb st) in
-        e.ind_map <- Some m;
-        Some m
-      end
+let single st (e : State.itable_entry) =
+  if Array.length e.ind_map = 0 && e.ino.Inode.indirect <> Layout.null_addr then
+    e.ind_map <- load st e.ino.Inode.indirect;
+  e.ind_map
 
 let ensure_dind_arrays st (e : State.itable_entry) =
   if Array.length e.dind_children = 0 then begin
-    e.dind_children <- Array.make (ppb st) None;
+    e.dind_children <- Array.make (ppb st) [||];
     e.dind_child_dirty <- Bitset.create (ppb st)
   end
 
-let load_dind_top_for_read st (e : State.itable_entry) =
-  match e.dind_top with
-  | Some m -> Some m
-  | None ->
-      if e.ino.Inode.dindirect = Layout.null_addr then None
-      else begin
-        let m =
-          ptrs_of_bytes (Block_io.read_raw st e.ino.Inode.dindirect) (ppb st)
-        in
-        ensure_dind_arrays st e;
-        e.dind_top <- Some m;
-        Some m
-      end
+let top st (e : State.itable_entry) =
+  if Array.length e.dind_top = 0 && e.ino.Inode.dindirect <> Layout.null_addr then begin
+    e.dind_top <- load st e.ino.Inode.dindirect;
+    ensure_dind_arrays st e
+  end;
+  e.dind_top
 
-let load_dind_child_for_read st (e : State.itable_entry) child =
+let child st (e : State.itable_entry) top c =
   ensure_dind_arrays st e;
-  match e.dind_children.(child) with
-  | Some m -> Some m
-  | None -> (
-      match load_dind_top_for_read st e with
-      | None -> None
-      | Some top ->
-          if top.(child) = Layout.null_addr then None
-          else begin
-            let m = ptrs_of_bytes (Block_io.read_raw st top.(child)) (ppb st) in
-            e.dind_children.(child) <- Some m;
-            Some m
-          end)
+  if Array.length e.dind_children.(c) = 0 && top.(c) <> Layout.null_addr then
+    e.dind_children.(c) <- load st top.(c);
+  e.dind_children.(c)
 
-let bmap_read st (e : State.itable_entry) blkno =
-  if blkno < 0 then invalid_arg "bmap_read: negative block";
-  let p = ppb st in
-  if blkno < Inode.ndirect then e.ino.Inode.direct.(blkno)
-  else if blkno < Inode.ndirect + p then begin
-    match load_ind_for_read st e with
-    | None -> Layout.null_addr
-    | Some m -> m.(blkno - Inode.ndirect)
-  end
+let holes st = Array.make (ppb st) Layout.null_addr
+
+(* Pointer block [c] of a file is the single-indirect block for [c = -1],
+   the double-indirect top for [c = -2], else double-indirect child [c]. *)
+let raise_dirty st (e : State.itable_entry) c =
+  if c = -1 then e.ind_dirty <- true
+  else if c = -2 then e.dind_top_dirty <- true
+  else Bitset.set e.dind_child_dirty c;
+  note_dirty st e
+
+let make_single st (e : State.itable_entry) _blkno =
+  let m = single st e in
+  if Array.length m > 0 then m
   else begin
-    let d = blkno - Inode.ndirect - p in
-    let child = d / p and off = d mod p in
-    if child >= p then Errors.raise_ Errors.Efbig;
-    match load_dind_child_for_read st e child with
-    | None -> Layout.null_addr
-    | Some m -> m.(off)
+    let m = holes st in
+    e.ind_map <- m;
+    raise_dirty st e (-1);
+    m
   end
 
-(* Loads for writing materialize missing structures as all-holes maps. *)
-
-let ensure_ind_for_write st (e : State.itable_entry) =
-  match load_ind_for_read st e with
-  | Some m -> m
-  | None ->
-      let m = Array.make (ppb st) Layout.null_addr in
-      e.ind_map <- Some m;
-      e.ind_dirty <- true;
-      note_dirty st e;
-      m
-
-let ensure_dind_top_for_write st (e : State.itable_entry) =
-  match load_dind_top_for_read st e with
-  | Some m -> m
-  | None ->
-      ensure_dind_arrays st e;
-      let m = Array.make (ppb st) Layout.null_addr in
-      e.dind_top <- Some m;
-      e.dind_top_dirty <- true;
-      note_dirty st e;
-      m
-
-let ensure_dind_child_for_write st (e : State.itable_entry) child =
-  let _top = ensure_dind_top_for_write st e in
-  match load_dind_child_for_read st e child with
-  | Some m -> m
-  | None ->
-      let m = Array.make (ppb st) Layout.null_addr in
-      e.dind_children.(child) <- Some m;
-      Bitset.set e.dind_child_dirty child;
-      note_dirty st e;
-      m
-
-let bmap_write st (e : State.itable_entry) blkno addr =
-  if blkno < 0 then invalid_arg "bmap_write: negative block";
-  let p = ppb st in
-  if blkno < Inode.ndirect then begin
-    let old = e.ino.Inode.direct.(blkno) in
-    e.ino.Inode.direct.(blkno) <- addr;
-    mark_dirty st e;
-    old
-  end
-  else if blkno < Inode.ndirect + p then begin
-    let m = ensure_ind_for_write st e in
-    let old = m.(blkno - Inode.ndirect) in
-    m.(blkno - Inode.ndirect) <- addr;
-    e.ind_dirty <- true;
-    note_dirty st e;
-    old
-  end
+let make_top st (e : State.itable_entry) =
+  let m = top st e in
+  if Array.length m > 0 then m
   else begin
-    let d = blkno - Inode.ndirect - p in
-    let child = d / p and off = d mod p in
-    if child >= p then Errors.raise_ Errors.Efbig;
-    let m = ensure_dind_child_for_write st e child in
-    let old = m.(off) in
-    m.(off) <- addr;
-    Bitset.set e.dind_child_dirty child;
-    note_dirty st e;
-    old
+    ensure_dind_arrays st e;
+    let m = holes st in
+    e.dind_top <- m;
+    raise_dirty st e (-2);
+    m
   end
 
-let dind_child_addr st (e : State.itable_entry) child =
-  if child < 0 || child >= ppb st then invalid_arg "dind_child_addr";
-  match load_dind_top_for_read st e with
-  | None -> Layout.null_addr
-  | Some top -> top.(child)
+let make_child st (e : State.itable_entry) c _blkno =
+  let m = child st e (make_top st e) c in
+  if Array.length m > 0 then m
+  else begin
+    let m = holes st in
+    e.dind_children.(c) <- m;
+    raise_dirty st e c;
+    m
+  end
 
-let cleaner_touch_ind st (e : State.itable_entry) =
-  match load_ind_for_read st e with
-  | None -> ()
-  | Some _ ->
-      e.ind_dirty <- true;
-      note_dirty st e
+let put st (e : State.itable_entry) m c i addr =
+  let old = m.(i) in
+  m.(i) <- addr;
+  raise_dirty st e c;
+  old
 
-let cleaner_touch_dind_top st (e : State.itable_entry) =
-  match load_dind_top_for_read st e with
-  | None -> ()
-  | Some _ ->
-      e.dind_top_dirty <- true;
-      note_dirty st e
+let map : (State.t, State.itable_entry, int array) Bmap.store =
+  {
+    inode = (fun (e : State.itable_entry) -> e.ino);
+    block_size = (fun (st : State.t) -> st.layout.Layout.block_size);
+    present = (fun m -> Array.length m > 0);
+    get = (fun _ m i -> m.(i));
+    single;
+    top;
+    child;
+    make_single;
+    make_child;
+    put;
+    touch = mark_dirty;
+  }
 
-let cleaner_touch_dind_child st (e : State.itable_entry) child =
-  match load_dind_child_for_read st e child with
-  | None -> ()
-  | Some _ ->
-      Bitset.set e.dind_child_dirty child;
-      note_dirty st e
+let dind_child_addr st (e : State.itable_entry) c =
+  if c < 0 || c >= ppb st then invalid_arg "dind_child_addr";
+  let top = top st e in
+  if Array.length top = 0 then Layout.null_addr else top.(c)
+
+let cleaner_touch st (e : State.itable_entry) c =
+  let present =
+    if c = -1 then Array.length (single st e) > 0
+    else
+      let top = top st e in
+      Array.length top > 0
+      && (c = -2 || Array.length (child st e top c) > 0)
+  in
+  if present then raise_dirty st e c
 
 let entry_dirty (e : State.itable_entry) =
   e.ino_dirty || e.ind_dirty || e.dind_top_dirty
@@ -270,37 +221,23 @@ let clear_clean (st : State.t) =
 
 let loaded_count (st : State.t) = st.itable_loaded
 
-let release_block (st : State.t) addr ~bytes =
-  if addr <> Layout.null_addr && addr >= st.layout.Layout.first_segment_block
-  then
-    Seg_usage.sub_live st.usage (Layout.segment_of_block st.layout addr) ~bytes
+let free_pointer (st : State.t) addr =
+  Seg_usage.release st.usage addr ~bytes:st.layout.Layout.block_size;
+  Cache.remove st.cache (Block_io.key_raw addr)
+
+let free_data (st : State.t) (e : State.itable_entry) blkno addr =
+  Seg_usage.release st.usage addr ~bytes:st.layout.Layout.block_size;
+  (* Unconditionally: a block written but never flushed has no disk
+     address yet, but its dirty cache entry must die with the file, or
+     it would haunt the next file to reuse this inum. *)
+  Cache.remove st.cache (Block_io.key_data ~inum:e.ino.Inode.inum ~blkno)
 
 let delete (st : State.t) inum =
   let e = find st inum in
-  let bs = st.layout.Layout.block_size in
-  let nblocks = Inode.nblocks ~block_size:bs e.ino in
-  for blkno = 0 to nblocks - 1 do
-    let addr = bmap_read st e blkno in
-    if addr <> Layout.null_addr then release_block st addr ~bytes:bs;
-    (* Unconditionally: a block written but never flushed has no disk
-       address yet, but its dirty cache entry must die with the file, or
-       it would haunt the next file to reuse this inum. *)
-    Cache.remove st.cache (Block_io.key_data ~inum ~blkno)
-  done;
-  (* Pointer blocks die with the file. *)
-  let release_raw addr =
-    if addr <> Layout.null_addr then begin
-      release_block st addr ~bytes:bs;
-      Cache.remove st.cache (Block_io.key_raw addr)
-    end
-  in
-  release_raw e.ino.Inode.indirect;
-  (match load_dind_top_for_read st e with
-  | None -> ()
-  | Some top -> Array.iter release_raw top);
-  release_raw e.ino.Inode.dindirect;
+  Bmap.release map st e ~data:free_data ~pointer:free_pointer;
   (* The inode's slice of its inode block dies too. *)
-  release_block st (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
+  Seg_usage.release st.usage (Imap.addr_of st.imap inum)
+    ~bytes:Layout.inode_bytes;
   Lfs_cache.Readahead.forget st.readahead ~owner:inum;
   Lfs_vfs.Dir.forget st.dirs inum;
   remove st inum;

@@ -3,11 +3,9 @@
     Inodes enter the table when created or first read from the log (via
     the inode map); their direct and indirect pointer structures are
     loaded lazily.  The table is a write-back cache: dirty inodes and
-    dirty pointer maps are serialized into log blocks by {!Write_path}.
+    dirty pointer maps are serialized into log blocks by {!Write_path}. *)
 
-    Block addresses use {!Layout.null_addr} for holes. *)
-
-val add_new : State.t -> Inode.t -> State.itable_entry
+val add_new : State.t -> Lfs_vfs.Inode.t -> State.itable_entry
 (** Register a freshly created inode (dirty, never yet on disk). *)
 
 val find : State.t -> int -> State.itable_entry
@@ -20,7 +18,7 @@ val find_loaded : State.t -> int -> State.itable_entry option
 (** Only consult the in-memory table: one array load, no allocation;
     [None] for an inum outside [0, max_files). *)
 
-val materialize : State.t -> Inode.t -> State.itable_entry
+val materialize : State.t -> Lfs_vfs.Inode.t -> State.itable_entry
 (** Insert a decoded inode into the table if absent (used by the cleaner
     when it proves liveness from an inode block it is moving). *)
 
@@ -33,26 +31,21 @@ val note_dirty : State.t -> State.itable_entry -> unit
 val mark_dirty : State.t -> State.itable_entry -> unit
 (** Raise [ino_dirty] and {!note_dirty}. *)
 
-val bmap_read : State.t -> State.itable_entry -> int -> int
-(** Address of logical block [blkno] ({!Layout.null_addr} for a hole).
-    May read indirect blocks from the log. *)
-
-val bmap_write : State.t -> State.itable_entry -> int -> int -> int
-(** [bmap_write st e blkno addr] points logical block [blkno] at [addr],
-    dirtying whichever pointer structures changed; returns the previous
-    address ({!Layout.null_addr} if none).
-    @raise Errors.Error [Efbig] past the double-indirect range. *)
+val map : (State.t, State.itable_entry, int array) Lfs_vfs.Bmap.store
+(** The file's block map for {!Lfs_vfs.Bmap}: pointer arrays decoded on
+    first use (reads of pointer blocks go through the cache), created as
+    all holes for a write, and marked dirty for the write path to
+    append to the log.  Block addresses use {!Layout.null_addr} for
+    holes. *)
 
 val dind_child_addr : State.t -> State.itable_entry -> int -> int
 (** Current address of double-indirect child [child]
     ({!Layout.null_addr} if absent).  May read the top block. *)
 
-val cleaner_touch_ind : State.t -> State.itable_entry -> unit
-(** Mark the single-indirect pointer block for rewrite (segment cleaning
-    is evacuating its current copy). *)
-
-val cleaner_touch_dind_top : State.t -> State.itable_entry -> unit
-val cleaner_touch_dind_child : State.t -> State.itable_entry -> int -> unit
+val cleaner_touch : State.t -> State.itable_entry -> int -> unit
+(** Mark a file's pointer block for rewrite, if it has it (segment
+    cleaning is evacuating its current copy): the single-indirect block
+    for [-1], the double-indirect top for [-2], else that child. *)
 
 val dirty_inodes : State.t -> State.itable_entry array
 (** Entries whose inode or pointer maps need writing, sorted by inum.
@@ -61,6 +54,10 @@ val dirty_inodes : State.t -> State.itable_entry array
 val clear_clean : State.t -> unit
 (** Drop every entry with no dirty state (benchmark cache flush).
     @raise Invalid_argument if dirty entries remain. *)
+
+val free_pointer : State.t -> int -> unit
+(** A pointer block died: release its live bytes and drop it from the
+    cache. *)
 
 val delete : State.t -> int -> unit
 (** Free a file: releases all its blocks' live-byte accounting, drops its

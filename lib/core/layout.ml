@@ -21,15 +21,14 @@ type t = {
 
 let imap_entry_bytes = 24
 let usage_entry_bytes = 16
-let inode_bytes = 128
+let inode_bytes = Lfs_vfs.Inode.slot_bytes
 let cp_header_bytes = 64
 
 let imap_entries_per_block t = t.block_size / imap_entry_bytes
 let usage_entries_per_block t = t.block_size / usage_entry_bytes
 let inodes_per_block t = t.block_size / inode_bytes
-let ptrs_per_block t = t.block_size / 4
 
-let null_addr = 0
+let null_addr = Lfs_vfs.Inode.null_addr
 
 let compute (config : Config.t) geometry =
   match Config.validate config with

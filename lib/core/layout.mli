@@ -40,7 +40,6 @@ val inode_bytes : int
 val imap_entries_per_block : t -> int
 val usage_entries_per_block : t -> int
 val inodes_per_block : t -> int
-val ptrs_per_block : t -> int
 
 val compute : Config.t -> Lfs_disk.Geometry.t -> (t, string) result
 (** Derive the layout for a disk; fails if the disk is too small, the

@@ -1,3 +1,4 @@
+module Inode = Lfs_vfs.Inode
 module Dir = Lfs_vfs.Dir
 module Errors = Lfs_vfs.Errors
 module Io = Lfs_disk.Io
@@ -13,7 +14,7 @@ let read (st : State.t) (e : State.itable_entry) blkidx =
   match Lfs_cache.Block_cache.find st.cache (Block_io.key_data ~inum ~blkno:blkidx) with
   | Some _ as block -> block
   | None ->
-      let addr = Inode_store.bmap_read st e blkidx in
+      let addr = Lfs_vfs.Bmap.read Inode_store.map st e blkidx in
       if addr = Layout.null_addr then None
       else Some (Block_io.fetch_file_block st ~inum ~blkno:blkidx ~addr)
 
@@ -32,10 +33,7 @@ let write (st : State.t) (e : State.itable_entry) blkidx block =
 let backing : (State.t, State.itable_entry) Dir.backing =
   {
     views = (fun (st : State.t) -> st.dirs);
-    inum = (fun (e : State.itable_entry) -> e.ino.Inode.inum);
-    nblocks =
-      (fun (st : State.t) (e : State.itable_entry) ->
-        Inode.nblocks ~block_size:st.layout.Layout.block_size e.ino);
+    inode = (fun _ (e : State.itable_entry) -> e.ino);
     read;
     write;
   }

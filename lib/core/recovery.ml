@@ -1,3 +1,4 @@
+module Inode = Lfs_vfs.Inode
 module Io = Lfs_disk.Io
 
 let read_block (st : State.t) addr =
@@ -75,7 +76,7 @@ let replay_segment (st : State.t) seg (header : Summary.header) entries payload 
           let block = slice () in
           let live = ref 0 in
           for slot = 0 to Layout.inodes_per_block layout - 1 do
-            match Inode.decode_at block ~off:(slot * Layout.inode_bytes) with
+            match Inode.decode_at ~atime:false block ~off:(slot * Layout.inode_bytes) with
             | None -> ()
             | Some ino ->
                 let inum = ino.Inode.inum in
@@ -202,63 +203,38 @@ let roll_forward (st : State.t) ~from_seq =
    link counts out of step with the replayed directories.  Sweep once,
    fsck-style: free nameless inodes, repair nlink. *)
 let repair_namespace (st : State.t) =
+  let issues = ref [] in
   match
-    let counts = Hashtbl.create 256 in
-    let dangling = ref [] in
-    let rec walk dir =
-      List.iter
-        (fun (name, inum) ->
-          let resolvable =
-            inum > 0
-            && inum < Imap.max_files st.imap
-            && Imap.is_allocated st.imap inum
-            && (match Inode_store.find st inum with
-               | _ -> true
-               | exception Lfs_vfs.Errors.Error _ -> false)
-          in
-          if not resolvable then
+    Lfs_vfs.Audit.namespace ~root:State.root_inum
+      ~max_files:(Imap.max_files st.imap)
+      ~allocated:(Imap.is_allocated st.imap)
+      ~entries:(fun dir -> Namespace.entries st ~dir)
+      ~inode:(fun inum -> (Inode_store.find st inum).State.ino)
+      (fun i -> issues := i :: !issues);
+    let issues = List.rev !issues in
+    List.iter
+      (function
+        | Lfs_vfs.Audit.Bad_dir_entry { dir; name; _ } -> (
             (* The directory block outlived its file's inode (e.g. an
                fsync persisted the entry but the crash beat the inode to
                the log): prune it. *)
-            dangling := (dir, name) :: !dangling
-          else begin
-            let seen = Hashtbl.mem counts inum in
-            Hashtbl.replace counts inum
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts inum));
-            if not seen then begin
-              match Inode_store.find st inum with
-              | e when e.State.ino.Inode.kind = Lfs_vfs.Fs_intf.Directory ->
-                  walk inum
-              | _ | (exception Lfs_vfs.Errors.Error _) -> ()
-            end
-          end)
-        (Namespace.entries st ~dir)
-    in
-    Hashtbl.replace counts State.root_inum 1;
-    walk State.root_inum;
+            try Namespace.remove st ~dir name
+            with Lfs_vfs.Errors.Error _ -> ())
+        | _ -> ())
+      issues;
     List.iter
-      (fun (dir, name) ->
-        try Namespace.remove st ~dir name
-        with Lfs_vfs.Errors.Error _ -> ())
-      !dangling;
-    for inum = 1 to Imap.max_files st.imap - 1 do
-      if Imap.is_allocated st.imap inum then begin
-        match Hashtbl.find_opt counts inum with
-        | None -> (
+      (function
+        | Lfs_vfs.Audit.Bad_nlink { inum; entries; _ } ->
+            let e = Inode_store.find st inum in
+            e.State.ino.Inode.nlink <- entries;
+            Inode_store.mark_dirty st e
+        | Lfs_vfs.Audit.Orphan_inode { inum } -> (
             (* Nameless: its unlink survived the crash, its inode-map
                free did not. *)
             try Inode_store.delete st inum
             with Lfs_vfs.Errors.Error _ | Failure _ -> Imap.free st.imap inum)
-        | Some entries -> (
-            match Inode_store.find st inum with
-            | e ->
-                if e.State.ino.Inode.nlink <> entries then begin
-                  e.State.ino.Inode.nlink <- entries;
-                  Inode_store.mark_dirty st e
-                end
-            | exception Lfs_vfs.Errors.Error _ -> ())
-      end
-    done
+        | _ -> ())
+      issues
   with
   | () -> ()
   | exception _ ->

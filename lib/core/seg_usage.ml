@@ -81,6 +81,10 @@ let sub_live t seg ~bytes =
   t.live.(seg) <- max 0 (t.live.(seg) - bytes);
   touch t seg
 
+let release t addr ~bytes =
+  if addr <> Layout.null_addr then
+    sub_live t (Layout.segment_of_block t.layout addr) ~bytes
+
 let set_live t seg ~bytes =
   check t seg;
   if t.live.(seg) <> bytes then begin

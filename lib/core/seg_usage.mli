@@ -43,6 +43,11 @@ val add_live : t -> int -> bytes:int -> now_us:int -> unit
 val sub_live : t -> int -> bytes:int -> unit
 (** Data in a segment died (overwritten or deleted); clamps at zero. *)
 
+val release : t -> int -> bytes:int -> unit
+(** [release t addr ~bytes]: [bytes] of the block at [addr] died;
+    {!sub_live} on its segment, nothing for the null address.
+    @raise Invalid_argument for an address outside the segment area. *)
+
 val set_live : t -> int -> bytes:int -> unit
 (** Overwrite a segment's live-byte count with an exact value, leaving
     its age timestamp alone.  Used by recovery to reconcile the array

@@ -18,15 +18,17 @@ let owner_raw = -3
     maps.  The maps mirror the on-disk indirect blocks; dirty flags say
     which of them must be rewritten to the log at the next flush. *)
 type itable_entry = {
-  ino : Inode.t;
+  ino : Lfs_vfs.Inode.t;
   mutable ino_dirty : bool;
-  mutable ind_map : int array option;  (** single-indirect pointers *)
+  mutable ind_map : int array;
+      (** single-indirect pointers; [[||]] until loaded or created *)
   mutable ind_dirty : bool;
-  mutable dind_top : int array option;  (** double-indirect child addresses *)
+  mutable dind_top : int array;  (** double-indirect child addresses *)
   mutable dind_top_dirty : bool;
-  mutable dind_children : int array option array;
-      (** parsed double-indirect children (lazy; empty array until the
-          file grows past the single-indirect range) *)
+  mutable dind_children : int array array;
+      (** parsed double-indirect children (each [[||]] until loaded; the
+          array itself empty until the file grows past the single-indirect
+          range) *)
   mutable dind_child_dirty : Bitset.t;
 }
 
@@ -194,9 +196,9 @@ let fresh_itable_entry ino =
   {
     ino;
     ino_dirty = false;
-    ind_map = None;
+    ind_map = [||];
     ind_dirty = false;
-    dind_top = None;
+    dind_top = [||];
     dind_top_dirty = false;
     dind_children = [||];
     dind_child_dirty = Bitset.create 0;

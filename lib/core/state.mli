@@ -14,13 +14,13 @@ val owner_raw : int
     maps mirroring the on-disk indirect blocks.  Dirty flags mark what
     the next flush must rewrite. *)
 type itable_entry = {
-  ino : Inode.t;
+  ino : Lfs_vfs.Inode.t;
   mutable ino_dirty : bool;
-  mutable ind_map : int array option;
+  mutable ind_map : int array;  (** [[||]] until loaded or created *)
   mutable ind_dirty : bool;
-  mutable dind_top : int array option;
+  mutable dind_top : int array;
   mutable dind_top_dirty : bool;
-  mutable dind_children : int array option array;
+  mutable dind_children : int array array;
   mutable dind_child_dirty : Lfs_util.Bitset.t;
 }
 
@@ -112,4 +112,4 @@ val create : Lfs_disk.Io.t -> Config.t -> Layout.t -> t
 val stats_view : t -> lfs_stats
 (** A fresh snapshot record of the [lfs.*] counters. *)
 
-val fresh_itable_entry : Inode.t -> itable_entry
+val fresh_itable_entry : Lfs_vfs.Inode.t -> itable_entry

@@ -1,76 +1,48 @@
+module Inode = Lfs_vfs.Inode
 module Bitset = Lfs_util.Bitset
 module Cache = Lfs_cache.Block_cache
 module Io = Lfs_disk.Io
 
-let release (st : State.t) addr ~bytes =
-  if addr <> Layout.null_addr then
-    Seg_usage.sub_live st.usage (Layout.segment_of_block st.layout addr) ~bytes
-
-let ptr_block_bytes (st : State.t) ptrs =
-  let b = Bytes.make st.layout.Layout.block_size '\000' in
-  Array.iteri (fun i p -> Bytes.set_int32_le b (i * 4) (Int32.of_int p)) ptrs;
-  b
-
-(* Write one file's dirty pointer blocks: double-indirect children feed
-   the top block, which feeds the inode. *)
-let flush_pointer_blocks (st : State.t) ~privilege (e : State.itable_entry) =
+(* Append pointer block [m] to the log as [entry], releasing the copy at
+   [old]; the new address. *)
+let append_pointers (st : State.t) ~privilege entry m old =
   let bs = st.layout.Layout.block_size in
+  let addr =
+    Segwriter.append st ~privilege ~entry ~live_bytes:bs
+      (Lfs_vfs.Bmap.encode ~block_size:bs m)
+  in
+  Seg_usage.release st.usage old ~bytes:bs;
+  Cache.remove st.cache (Block_io.key_raw old);
+  addr
+
+(* Write one file's dirty pointer blocks: double-indirect children
+   (which imply a top map) feed the top block, which feeds the inode. *)
+let flush_pointer_blocks (st : State.t) ~privilege (e : State.itable_entry) =
   let inum = e.ino.Inode.inum in
   if Bitset.cardinal e.dind_child_dirty > 0 then begin
-    let top =
-      match e.dind_top with
-      | Some t -> t
-      | None -> assert false (* children imply a top map *)
-    in
     Bitset.iter_set
       (fun child ->
-        match e.dind_children.(child) with
-        | None -> assert false
-        | Some m ->
-            let addr =
-              Segwriter.append st ~privilege
-                ~entry:(Summary.Indirect { inum; idx = 1 + child })
-                ~live_bytes:bs (ptr_block_bytes st m)
-            in
-            let old = top.(child) in
-            top.(child) <- addr;
-            release st old ~bytes:bs;
-            Cache.remove st.cache (Block_io.key_raw old);
-            e.dind_top_dirty <- true;
-            Inode_store.note_dirty st e)
+        e.dind_top.(child) <-
+          append_pointers st ~privilege
+            (Summary.Indirect { inum; idx = 1 + child })
+            e.dind_children.(child) e.dind_top.(child);
+        e.dind_top_dirty <- true;
+        Inode_store.note_dirty st e)
       e.dind_child_dirty;
     Bitset.clear_all e.dind_child_dirty
   end;
   if e.dind_top_dirty then begin
-    (match e.dind_top with
-    | None -> assert false
-    | Some top ->
-        let addr =
-          Segwriter.append st ~privilege
-            ~entry:(Summary.Dindirect { inum })
-            ~live_bytes:bs (ptr_block_bytes st top)
-        in
-        let old = e.ino.Inode.dindirect in
-        e.ino.Inode.dindirect <- addr;
-        release st old ~bytes:bs;
-        Cache.remove st.cache (Block_io.key_raw old);
-        Inode_store.mark_dirty st e);
+    e.ino.Inode.dindirect <-
+      append_pointers st ~privilege (Summary.Dindirect { inum }) e.dind_top
+        e.ino.Inode.dindirect;
+    Inode_store.mark_dirty st e;
     e.dind_top_dirty <- false
   end;
   if e.ind_dirty then begin
-    (match e.ind_map with
-    | None -> assert false
-    | Some m ->
-        let addr =
-          Segwriter.append st ~privilege
-            ~entry:(Summary.Indirect { inum; idx = 0 })
-            ~live_bytes:bs (ptr_block_bytes st m)
-        in
-        let old = e.ino.Inode.indirect in
-        e.ino.Inode.indirect <- addr;
-        release st old ~bytes:bs;
-        Cache.remove st.cache (Block_io.key_raw old);
-        Inode_store.mark_dirty st e);
+    e.ino.Inode.indirect <-
+      append_pointers st ~privilege (Summary.Indirect { inum; idx = 0 })
+        e.ind_map e.ino.Inode.indirect;
+    Inode_store.mark_dirty st e;
     e.ind_dirty <- false
   end
 
@@ -95,8 +67,8 @@ let flush_file_data (st : State.t) ~privilege inum blknos =
                   ~entry:(Summary.Data { inum; blkno; version })
                   ~live_bytes:bs data
               in
-              let old = Inode_store.bmap_write st e blkno addr in
-              release st old ~bytes:bs;
+              let old = Lfs_vfs.Bmap.write Inode_store.map st e blkno addr in
+              Seg_usage.release st.usage old ~bytes:bs;
               Cache.mark_clean st.cache key)
         (List.sort compare blknos);
       flush_pointer_blocks st ~privilege e
@@ -120,7 +92,7 @@ let flush_inodes (st : State.t) ~privilege dirty =
       let last = min n (first + per_block) in
       let block = Bytes.make bs '\000' in
       for i = first to last - 1 do
-        Inode.encode_into dirty.(i).State.ino block
+        Inode.encode_into ~atime:false dirty.(i).State.ino block
           ~off:((i - first) * Layout.inode_bytes)
       done;
       let addr =
@@ -134,7 +106,7 @@ let flush_inodes (st : State.t) ~privilege dirty =
       for i = first to last - 1 do
         let e = dirty.(i) in
         let inum = e.State.ino.Inode.inum in
-        release st (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
+        Seg_usage.release st.usage (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
         Imap.set_location st.imap inum ~addr ~slot:(i - first);
         e.State.ino_dirty <- false
       done;
@@ -205,13 +177,13 @@ let flush_file (st : State.t) ~privilege inum =
   | Some e when e.State.ino_dirty ->
       let bs = st.layout.Layout.block_size in
       let block = Bytes.make bs '\000' in
-      Inode.encode_into e.ino block ~off:0;
+      Inode.encode_into ~atime:false e.ino block ~off:0;
       let addr =
         Segwriter.append st ~privilege ~entry:Summary.Inode_block
           ~live_bytes:Layout.inode_bytes block
       in
       Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false block;
-      release st (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
+      Seg_usage.release st.usage (Imap.addr_of st.imap inum) ~bytes:Layout.inode_bytes;
       Imap.set_location st.imap inum ~addr ~slot:0;
       e.State.ino_dirty <- false
   | Some _ | None -> ()
@@ -231,7 +203,7 @@ let flush_meta_blocks (st : State.t) ~privilege =
           ~entry:(Summary.Imap_block { idx })
           ~live_bytes:bs block
       in
-      release st st.imap_block_addr.(idx) ~bytes:bs;
+      Seg_usage.release st.usage st.imap_block_addr.(idx) ~bytes:bs;
       st.imap_block_addr.(idx) <- addr)
     (Imap.dirty_blocks st.imap);
   Imap.clear_dirty st.imap;
@@ -247,7 +219,7 @@ let flush_meta_blocks (st : State.t) ~privilege =
           ~entry:(Summary.Usage_block { idx })
           ~live_bytes:bs block
       in
-      release st st.usage_block_addr.(idx) ~bytes:bs;
+      Seg_usage.release st.usage st.usage_block_addr.(idx) ~bytes:bs;
       st.usage_block_addr.(idx) <- addr)
     dirty_usage;
   Seg_usage.clear_dirty st.usage

@@ -1,3 +1,5 @@
+module Audit = Lfs_vfs.Audit
+module Bmap = Lfs_vfs.Bmap
 module Cache = Lfs_cache.Block_cache
 module Readahead = Lfs_cache.Readahead
 module Dir = Lfs_vfs.Dir
@@ -5,6 +7,7 @@ module Dir_block = Lfs_vfs.Dir_block
 module Errors = Lfs_vfs.Errors
 module Fs_intf = Lfs_vfs.Fs_intf
 module Fs_ops = Lfs_vfs.Fs_ops
+module Inode = Lfs_vfs.Inode
 module Io = Lfs_disk.Io
 module Bus = Lfs_obs.Bus
 module Event = Lfs_obs.Event
@@ -63,7 +66,8 @@ let store_inode t (ino : Inode.t option) ~inum ~mode =
   let addr, slot = Layout.inode_location t.layout inum in
   let block = Bytes.copy (read_raw t addr) in
   (match ino with
-  | Some ino -> Inode.encode_into ino block ~off:(slot * Layout.inode_bytes)
+  | Some ino ->
+      Inode.encode_into ~atime:true ino block ~off:(slot * Layout.inode_bytes)
   | None -> Inode.clear_slot block ~off:(slot * Layout.inode_bytes));
   match mode with
   | `Sync ->
@@ -86,7 +90,10 @@ let get_entry t inum =
              (Printf.sprintf "inum %d (block %d slot %d): %s" inum addr slot
                 reason))
       in
-      (match Inode.decode_at (read_raw t addr) ~off:(slot * Layout.inode_bytes) with
+      (match
+         Inode.decode_at ~atime:true (read_raw t addr)
+           ~off:(slot * Layout.inode_bytes)
+       with
       | Some ino when ino.Inode.inum = inum ->
           let e = { ino; dirty = false } in
           Hashtbl.replace t.itable inum e;
@@ -95,43 +102,25 @@ let get_entry t inum =
       | None -> corrupt "allocated in the bitmap but the slot is empty"
       | exception Lfs_util.Codec.Error m -> corrupt m)
 
-(* Pointer access.  Indirect blocks are ordinary disk blocks updated in
-   place through the cache. *)
+(* The block map.  Pointer blocks are ordinary disk blocks, read and
+   updated in place through the cache by address; a write claims a
+   missing one, allocated near the file's previous block. *)
 
-let read_ptr t addr idx =
-  Int32.to_int (Bytes.get_int32_le (read_raw t addr) (idx * 4)) land 0xFFFFFFFF
+let read_ptr t addr idx = Bmap.get (read_raw t addr) idx
 
 let write_ptr t addr idx v =
   let block = Bytes.copy (read_raw t addr) in
-  Bytes.set_int32_le block (idx * 4) (Int32.of_int v);
-  Cache.insert t.cache (key_raw addr) ~dirty:true block
-
-let bmap_read t (e : entry) blkno =
-  if blkno < 0 then invalid_arg "bmap_read";
-  let p = Layout.ptrs_per_block t.layout in
-  if blkno < Inode.ndirect then e.ino.Inode.direct.(blkno)
-  else if blkno < Inode.ndirect + p then begin
-    if e.ino.Inode.indirect = Layout.null_addr then Layout.null_addr
-    else read_ptr t e.ino.Inode.indirect (blkno - Inode.ndirect)
-  end
-  else begin
-    let d = blkno - Inode.ndirect - p in
-    let child = d / p and off = d mod p in
-    if child >= p then Errors.raise_ Errors.Efbig;
-    if e.ino.Inode.dindirect = Layout.null_addr then Layout.null_addr
-    else begin
-      let child_addr = read_ptr t e.ino.Inode.dindirect child in
-      if child_addr = Layout.null_addr then Layout.null_addr
-      else read_ptr t child_addr off
-    end
-  end
+  let old = Bmap.get block idx in
+  Bmap.set block idx v;
+  Cache.insert t.cache (key_raw addr) ~dirty:true block;
+  old
 
 (* BSD's maxbpg: one file may claim only so many blocks of a cylinder
    group before allocation moves on, so large files spread across the
    disk rather than monopolizing a group. *)
 let maxbpg = 256
 
-let alloc_near t (e : entry) blkno =
+let rec alloc_near t (e : entry) blkno =
   let near =
     if blkno > 0 && blkno mod maxbpg = 0 then begin
       (* Chunk boundary: rotate to the next group. *)
@@ -149,72 +138,61 @@ let alloc_near t (e : entry) blkno =
           Layout.group_data_first t.layout
             (Layout.group_of_inum t.layout e.ino.Inode.inum)
         else begin
-          let a = bmap_read t e i in
+          let a = Bmap.read map t e i in
           if a <> Layout.null_addr then a else back (i - 1)
         end
       in
-      back (min (blkno - 1) (Inode.ndirect - 1 + Layout.ptrs_per_block t.layout))
+      back
+        (min (blkno - 1)
+           (Inode.ndirect - 1
+           + Bmap.ptrs_per_block ~block_size:t.layout.Layout.block_size))
     end
   in
   match Alloc.alloc_block t.alloc ~near with
   | Some addr -> addr
   | None -> Errors.raise_ Errors.Enospc
 
-(* Allocate a zeroed metadata (pointer) block. *)
-let alloc_meta_block t (e : entry) blkno =
+(* Allocate a zeroed pointer block. *)
+and alloc_meta_block t (e : entry) blkno =
   let addr = alloc_near t e blkno in
   Cache.insert t.cache (key_raw addr) ~dirty:true
     (Bytes.make t.layout.Layout.block_size '\000');
   addr
 
-let bmap_alloc t (e : entry) blkno =
-  let p = Layout.ptrs_per_block t.layout in
-  if blkno < Inode.ndirect then begin
-    if e.ino.Inode.direct.(blkno) = Layout.null_addr then begin
-      e.ino.Inode.direct.(blkno) <- alloc_near t e blkno;
-      e.dirty <- true
-    end;
-    e.ino.Inode.direct.(blkno)
-  end
-  else if blkno < Inode.ndirect + p then begin
-    if e.ino.Inode.indirect = Layout.null_addr then begin
-      e.ino.Inode.indirect <- alloc_meta_block t e blkno;
-      e.dirty <- true
-    end;
-    let idx = blkno - Inode.ndirect in
-    let addr = read_ptr t e.ino.Inode.indirect idx in
-    if addr <> Layout.null_addr then addr
-    else begin
-      let addr = alloc_near t e blkno in
-      write_ptr t e.ino.Inode.indirect idx addr;
-      addr
-    end
-  end
+and make_single t (e : entry) blkno =
+  if e.ino.Inode.indirect = Layout.null_addr then begin
+    e.ino.Inode.indirect <- alloc_meta_block t e blkno;
+    e.dirty <- true
+  end;
+  e.ino.Inode.indirect
+
+and make_child t (e : entry) c blkno =
+  if e.ino.Inode.dindirect = Layout.null_addr then begin
+    e.ino.Inode.dindirect <- alloc_meta_block t e blkno;
+    e.dirty <- true
+  end;
+  let a = read_ptr t e.ino.Inode.dindirect c in
+  if a <> Layout.null_addr then a
   else begin
-    let d = blkno - Inode.ndirect - p in
-    let child = d / p and off = d mod p in
-    if child >= p then Errors.raise_ Errors.Efbig;
-    if e.ino.Inode.dindirect = Layout.null_addr then begin
-      e.ino.Inode.dindirect <- alloc_meta_block t e blkno;
-      e.dirty <- true
-    end;
-    let child_addr =
-      let a = read_ptr t e.ino.Inode.dindirect child in
-      if a <> Layout.null_addr then a
-      else begin
-        let a = alloc_meta_block t e blkno in
-        write_ptr t e.ino.Inode.dindirect child a;
-        a
-      end
-    in
-    let addr = read_ptr t child_addr off in
-    if addr <> Layout.null_addr then addr
-    else begin
-      let addr = alloc_near t e blkno in
-      write_ptr t child_addr off addr;
-      addr
-    end
+    let a = alloc_meta_block t e blkno in
+    ignore (write_ptr t e.ino.Inode.dindirect c a);
+    a
   end
+
+and map : (t, entry, int) Bmap.store =
+  {
+    inode = (fun (e : entry) -> e.ino);
+    block_size = (fun t -> t.layout.Layout.block_size);
+    present = (fun addr -> addr <> Layout.null_addr);
+    get = read_ptr;
+    single = (fun _ (e : entry) -> e.ino.Inode.indirect);
+    top = (fun _ (e : entry) -> e.ino.Inode.dindirect);
+    child = (fun t _ top c -> read_ptr t top c);
+    make_single;
+    make_child;
+    put = (fun t _ addr _ idx v -> write_ptr t addr idx v);
+    touch = (fun _ (e : entry) -> e.dirty <- true);
+  }
 
 let meta_blocks_per_group (l : Layout.t) =
   l.Layout.bb_blocks + l.Layout.ib_blocks + l.Layout.it_blocks
@@ -265,7 +243,7 @@ let write_back t pick =
         else if key.Cache.owner = owner_raw then
           (rank key.Cache.blkno, key.Cache.blkno, key) :: acc
         else
-          (0, bmap_read t (get_entry t key.Cache.owner) key.Cache.blkno, key)
+          (0, Bmap.read map t (get_entry t key.Cache.owner) key.Cache.blkno, key)
           :: acc)
       t.cache []
     |> List.rev
@@ -320,15 +298,6 @@ let housekeep t =
 
 (* Directories *)
 
-let dir_entry_of t inum =
-  let e = get_entry t inum in
-  if e.ino.Inode.kind <> Fs_intf.Directory then
-    Errors.raise_ (Errors.Enotdir (Printf.sprintf "inum %d" inum));
-  e
-
-let dir_nblocks t (e : entry) =
-  Inode.nblocks ~block_size:t.layout.Layout.block_size e.ino
-
 (* One block after a cache miss, cached clean: no second lookup. *)
 let fetch_file_block t ~inum ~blkno ~addr =
   let block = Cache.take t.cache t.layout.Layout.block_size in
@@ -341,7 +310,7 @@ let read_dir_block t (e : entry) blk =
   match Cache.find t.cache (key_data ~inum ~blkno:blk) with
   | Some _ as block -> block
   | None ->
-      let addr = bmap_read t e blk in
+      let addr = Bmap.read map t e blk in
       if addr = Layout.null_addr then None
       else Some (fetch_file_block t ~inum ~blkno:blk ~addr)
 
@@ -350,17 +319,11 @@ let read_dir_block t (e : entry) blk =
    points at a block the disk does not yet hold. *)
 let persist t (e : entry) =
   let ino = e.ino in
-  let pointers =
-    ino.Inode.indirect :: ino.Inode.dindirect
-    :: (if ino.Inode.dindirect = Layout.null_addr then []
-        else
-          List.init (Layout.ptrs_per_block t.layout)
-            (read_ptr t ino.Inode.dindirect))
-    |> List.filter (( <> ) Layout.null_addr)
-  in
+  let pointers = ref [] in
+  Bmap.pointers map t e (fun _ addr -> pointers := addr :: !pointers);
   write_back t (fun key ->
       key.Cache.owner = ino.Inode.inum
-      || (key.Cache.owner = owner_raw && List.mem key.Cache.blkno pointers));
+      || (key.Cache.owner = owner_raw && List.mem key.Cache.blkno !pointers));
   store_inode t (Some ino) ~inum:ino.Inode.inum ~mode:`Sync;
   e.dirty <- false
 
@@ -368,7 +331,7 @@ let persist t (e : entry) =
    the behaviour the paper blames for coupling FFS to disk latency. *)
 let write_dir_block t (e : entry) blk block ~sync_write =
   let inum = e.ino.Inode.inum in
-  let addr = bmap_alloc t e blk in
+  let addr = Bmap.fill map t e blk alloc_near in
   if sync_write then begin
     trace_sync_write t.io ~what:"directory" ~sector:(sector_of_block t addr)
       ~sectors:t.layout.Layout.block_sectors;
@@ -389,13 +352,11 @@ let write_dir_block t (e : entry) blk block ~sync_write =
 let dir_backing : (t, entry) Dir.backing =
   {
     views = (fun t -> t.dirs);
-    inum = (fun (e : entry) -> e.ino.Inode.inum);
-    nblocks = dir_nblocks;
+    inode = (fun _ (e : entry) -> e.ino);
     read = read_dir_block;
     write = (fun t e blk block -> write_dir_block t e blk block ~sync_write:true);
   }
 
-let dir_entries t ~dir = Dir.entries dir_backing t (dir_entry_of t dir)
 
 (* Data blocks *)
 
@@ -408,7 +369,7 @@ let file_backing : (t, entry) Lfs_cache.File_read.backing =
     clustering = (fun t -> t.config.Config.read_clustering);
     size = (fun (e : entry) -> e.ino.Inode.size);
     null_addr = Layout.null_addr;
-    bmap = bmap_read;
+    bmap = (fun t e blkno -> Bmap.read map t e blkno);
     (* Update in place: every mapped block is on disk. *)
     on_disk = (fun _ _ -> true);
     fetch = fetch_file_block;
@@ -422,66 +383,31 @@ let file_backing : (t, entry) Lfs_cache.File_read.backing =
    block whose on-disk content belonged to someone else: its old bytes
    are zeros, never read back. *)
 let claim t (e : entry) blkno =
-  let existed = bmap_read t e blkno <> Layout.null_addr in
-  let addr = bmap_alloc t e blkno in
+  let existed = Bmap.read map t e blkno <> Layout.null_addr in
+  let addr = Bmap.fill map t e blkno alloc_near in
   (* Read-modify-write whenever the pre-existing block holds bytes
      inside the current file size — even when this write's own offset
      lies past them. *)
   if existed && blkno * t.layout.Layout.block_size < e.ino.Inode.size then addr
   else Layout.null_addr
 
+(* In-place FS: the pointer is cleared so the block is not seen on
+   re-extension. *)
 let free_block t (e : entry) blkno =
-  let addr = bmap_read t e blkno in
+  let addr = Bmap.read map t e blkno in
   if addr <> Layout.null_addr then begin
     Alloc.free_block t.alloc addr;
-    (* In-place FS: clear the pointer so the block is not seen on
-       re-extension. *)
-    let p = Layout.ptrs_per_block t.layout in
-    if blkno < Inode.ndirect then e.ino.Inode.direct.(blkno) <- Layout.null_addr
-    else if blkno < Inode.ndirect + p then
-      write_ptr t e.ino.Inode.indirect (blkno - Inode.ndirect) Layout.null_addr
-    else begin
-      let d = blkno - Inode.ndirect - p in
-      let child = read_ptr t e.ino.Inode.dindirect (d / p) in
-      if child <> Layout.null_addr then
-        write_ptr t child (d mod p) Layout.null_addr
-    end
+    ignore (Bmap.write map t e blkno Layout.null_addr)
   end
 
 let release_raw t addr =
-  if addr <> Layout.null_addr then begin
-    Alloc.free_block t.alloc addr;
-    Cache.remove t.cache (key_raw addr)
-  end
-
-(* Free the file's indirect and double-indirect blocks, children first. *)
-let release_pointer_blocks t (e : entry) =
-  (match e.ino.Inode.dindirect with
-  | a when a = Layout.null_addr -> ()
-  | dind ->
-      for child = 0 to Layout.ptrs_per_block t.layout - 1 do
-        release_raw t (read_ptr t dind child)
-      done);
-  release_raw t e.ino.Inode.indirect;
-  release_raw t e.ino.Inode.dindirect
-
-let release_file_blocks t (e : entry) =
-  let bs = t.layout.Layout.block_size in
-  let inum = e.ino.Inode.inum in
-  let nblocks = Inode.nblocks ~block_size:bs e.ino in
-  for blkno = 0 to nblocks - 1 do
-    let addr = bmap_read t e blkno in
-    if addr <> Layout.null_addr then begin
-      Alloc.free_block t.alloc addr;
-      Cache.remove t.cache (key_data ~inum ~blkno)
-    end
-  done;
-  release_pointer_blocks t e
+  Alloc.free_block t.alloc addr;
+  Cache.remove t.cache (key_raw addr)
 
 (* Truncation to zero has freed every data block, so the pointer blocks
    map nothing: free them too, as BSD's itrunc does. *)
 let emptied t (e : entry) =
-  release_pointer_blocks t e;
+  Bmap.pointers map t e release_raw;
   e.ino.Inode.indirect <- Layout.null_addr;
   e.ino.Inode.dindirect <- Layout.null_addr;
   e.dirty <- true
@@ -508,8 +434,14 @@ let alloc_inode t ~(dir : entry) kind =
   else store_inode t (Some ino) ~inum ~mode:`Sync;
   inum
 
+let release_data t (e : entry) blkno addr =
+  if addr <> Layout.null_addr then begin
+    Alloc.free_block t.alloc addr;
+    Cache.remove t.cache (key_data ~inum:e.ino.Inode.inum ~blkno)
+  end
+
 let free_inode t inum (e : entry) =
-  release_file_blocks t e;
+  Bmap.release map t e ~data:release_data ~pointer:release_raw;
   Readahead.forget t.readahead ~owner:inum;
   store_inode t None ~inum ~mode:`Sync;
   Hashtbl.remove t.itable inum;
@@ -522,18 +454,13 @@ let ops : (t, entry) Fs_ops.backing =
     dir = dir_backing;
     root = root_inum;
     find = get_entry;
-    kind = (fun e -> e.ino.Inode.kind);
-    nlink = (fun e -> e.ino.Inode.nlink);
-    set_nlink = (fun e n -> e.ino.Inode.nlink <- n);
-    mtime = (fun e -> e.ino.Inode.mtime_us);
-    set_mtime = (fun e us -> e.ino.Inode.mtime_us <- us);
-    set_size = (fun e size -> e.ino.Inode.size <- size);
     atime = (fun _ _ e -> e.ino.Inode.atime_us);
     set_atime =
       (fun _ _ e us ->
         e.ino.Inode.atime_us <- us;
         e.dirty <- true);
-    max_size = (fun t -> Inode.max_size t.layout);
+    max_size =
+      (fun t -> Bmap.max_size ~block_size:t.layout.Layout.block_size);
     alloc_inode;
     free_inode;
     persist;
@@ -574,28 +501,29 @@ let unmount t = do_sync t
 
 (* Lifecycle *)
 
+let make io config layout =
+  {
+    io;
+    config;
+    layout;
+    cache =
+      Cache.create ~capacity_blocks:config.Config.cache_blocks
+        ~metrics:(Io.metrics io) ~bus:(Io.bus io) (Io.clock io);
+    readahead =
+      Readahead.create ~max_window:config.Config.readahead_blocks
+        (Io.metrics io);
+    alloc = Alloc.create layout;
+    itable = Hashtbl.create 256;
+    dirs = Dir.create ~io ~block_size:layout.Layout.block_size;
+  }
+
 let format io config =
   let geometry = Io.geometry io in
   match Layout.compute config geometry with
   | Error _ as e -> e
   | Ok layout ->
       Io.sync_write io ~sector:0 (Layout.encode_superblock layout);
-      let t =
-        {
-          io;
-          config;
-          layout;
-          cache =
-            Cache.create ~capacity_blocks:config.Config.cache_blocks
-              ~metrics:(Io.metrics io) ~bus:(Io.bus io) (Io.clock io);
-          readahead =
-            Readahead.create ~max_window:config.Config.readahead_blocks
-              (Io.metrics io);
-          alloc = Alloc.create layout;
-          itable = Hashtbl.create 256;
-          dirs = Dir.create ~io ~block_size:layout.Layout.block_size;
-        }
-      in
+      let t = make io config layout in
       (* Zero the inode-table blocks so stale data never decodes as
          inodes. *)
       let zero = Bytes.make layout.Layout.block_size '\000' in
@@ -635,22 +563,7 @@ let mount ?(config = Config.default) io =
           ngroups = layout.Layout.ngroups;
         }
       in
-      let t =
-        {
-          io;
-          config;
-          layout;
-          cache =
-            Cache.create ~capacity_blocks:config.Config.cache_blocks
-              ~metrics:(Io.metrics io) ~bus:(Io.bus io) (Io.clock io);
-          readahead =
-            Readahead.create ~max_window:config.Config.readahead_blocks
-              (Io.metrics io);
-          alloc = Alloc.create layout;
-          itable = Hashtbl.create 256;
-          dirs = Dir.create ~io ~block_size:layout.Layout.block_size;
-        }
-      in
+      let t = make io config layout in
       for g = 0 to layout.Layout.ngroups - 1 do
         Alloc.load_group t.alloc g ~read:(fun addr ->
             Io.sync_read io ~sector:(sector_of_block t addr)
@@ -658,161 +571,64 @@ let mount ?(config = Config.default) io =
       done;
       Ok t
 
-(* --- Structural verification (re-exported as Lfs_ffs.Check) ---------- *)
+(* --- Structural verification ----------------------------------------- *)
 
 (* The FFS counterpart of Lfs_core.Check: cylinder-group bitmaps vs the
-   blocks actually reachable from allocated inodes, plus the same
-   namespace/nlink/orphan audit LFS gets.  Runs on the live (cache-
-   coherent) state, so it sees unwritten changes too. *)
+   blocks actually reachable from allocated inodes, plus the namespace
+   audit LFS gets.  Runs on the live (cache-coherent) state, so it sees
+   unwritten changes too. *)
 
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-  | Leaked_block of { addr : int }
-  | Lost_block of { owner : string; addr : int }
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-  | Orphan_inode of { inum : int }
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
+let data_first l g = Layout.group_first_block l g + meta_blocks_per_group l
 
-let pp_issue ppf = function
-  | Double_reference { addr; owners } ->
-      Format.fprintf ppf "block %d referenced by: %s" addr
-        (String.concat ", " owners)
-  | Leaked_block { addr } ->
-      Format.fprintf ppf
-        "block %d marked used in its group bitmap but referenced by nothing"
-        addr
-  | Lost_block { owner; addr } ->
-      Format.fprintf ppf "%s claims block %d, which the group bitmap says is free"
-        owner addr
-  | Bad_dir_entry { dir; name; inum } ->
-      Format.fprintf ppf "directory %d entry %S points at unallocated inum %d"
-        dir name inum
-  | Bad_nlink { inum; nlink; entries } ->
-      Format.fprintf ppf "inum %d: nlink %d but %d directory entries" inum
-        nlink entries
-  | Orphan_inode { inum } ->
-      Format.fprintf ppf "inum %d allocated but unreachable" inum
-  | Unreadable { inum; reason } ->
-      Format.fprintf ppf "inum %d unreadable: %s" inum reason
-  | Address_out_of_range { owner; addr } ->
-      Format.fprintf ppf "%s references out-of-range address %d" owner addr
+(* Where a file's blocks may live: a group's data region. *)
+let in_data_range l addr =
+  addr >= 1
+  && addr < l.Layout.total_blocks
+  && addr >= data_first l (Layout.group_of_block l addr)
 
 let fsck t =
   let l = t.layout in
-  let bs = l.Layout.block_size in
   let issues = ref [] in
   let report i = issues := i :: !issues in
-  let data_first g = Layout.group_first_block l g + meta_blocks_per_group l in
   (* Block-reference map: every reachable data/pointer block must have
      exactly one owner, and must not alias the superblock or a group's
      bitmap/inode-table region. *)
-  let owners : (int, string list) Hashtbl.t = Hashtbl.create 1024 in
-  let reference ~owner addr =
-    if addr <> Layout.null_addr then begin
-      if
-        addr < 1
-        || addr >= l.Layout.total_blocks
-        || addr < data_first (Layout.group_of_block l addr)
-      then report (Address_out_of_range { owner; addr })
-      else begin
-        let prev = Option.value ~default:[] (Hashtbl.find_opt owners addr) in
-        Hashtbl.replace owners addr (owner :: prev)
-      end
-    end
-  in
-  for inum = 1 to l.Layout.max_files - 1 do
-    if Alloc.inode_allocated t.alloc inum then begin
-      match get_entry t inum with
-      | exception Errors.Error e ->
-          report (Unreadable { inum; reason = Errors.to_string e })
-      | e ->
-          let tag kind = Printf.sprintf "inum %d %s" inum kind in
-          let nblocks = Inode.nblocks ~block_size:bs e.ino in
-          for blkno = 0 to nblocks - 1 do
-            reference
-              ~owner:(tag (Printf.sprintf "block %d" blkno))
-              (bmap_read t e blkno)
-          done;
-          reference ~owner:(tag "indirect") e.ino.Inode.indirect;
-          if e.ino.Inode.dindirect <> Layout.null_addr then begin
-            reference ~owner:(tag "dindirect") e.ino.Inode.dindirect;
-            for child = 0 to Layout.ptrs_per_block l - 1 do
-              reference
-                ~owner:(tag (Printf.sprintf "dind child %d" child))
-                (read_ptr t e.ino.Inode.dindirect child)
-            done
-          end
-    end
-  done;
-  Hashtbl.iter
-    (fun addr os ->
-      if List.length os > 1 then report (Double_reference { addr; owners = os }))
-    owners;
+  let owners = Hashtbl.create 1024 in
+  let reference = Audit.reference owners report ~in_range:(in_data_range l) in
+  Audit.files map t ~max_files:l.Layout.max_files
+    ~allocated:(Alloc.inode_allocated t.alloc) ~find:(get_entry t) reference
+    report;
+  Audit.double_references owners report;
   (* Cylinder-group bitmap cross-check: metadata blocks are permanently
      allocated; a data block is allocated iff something references it. *)
   for g = 0 to l.Layout.ngroups - 1 do
     let first = Layout.group_first_block l g in
-    let dfirst = data_first g in
+    let dfirst = data_first l g in
     let last = min (first + l.Layout.group_blocks) l.Layout.total_blocks - 1 in
     for addr = first to last do
       let in_bitmap = Alloc.block_allocated t.alloc addr in
       if addr < dfirst then begin
         if not in_bitmap then
           report
-            (Lost_block { owner = Printf.sprintf "group %d metadata" g; addr })
+            (Audit.Lost_block
+               { owner = Printf.sprintf "group %d metadata" g; addr })
       end
       else
         match Hashtbl.find_opt owners addr with
         | Some os ->
             if not in_bitmap then
-              report (Lost_block { owner = List.hd os; addr })
-        | None -> if in_bitmap then report (Leaked_block { addr })
+              report (Audit.Lost_block { owner = List.hd os; addr })
+        | None -> if in_bitmap then report (Audit.Leaked_block { addr })
     done
   done;
-  (* Namespace walk: every entry resolves to an allocated inode; link
-     counts match; every allocated inode is reachable.  The visited
-     guard keeps the walk finite even on a corrupted (cyclic) tree. *)
-  let links = Hashtbl.create 256 in
-  let rec walk dir =
-    List.iter
-      (fun (name, inum) ->
-        if
-          inum <= 0
-          || inum >= l.Layout.max_files
-          || not (Alloc.inode_allocated t.alloc inum)
-        then report (Bad_dir_entry { dir; name; inum })
-        else begin
-          let first_visit = not (Hashtbl.mem links inum) in
-          Hashtbl.replace links inum
-            (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
-          match get_entry t inum with
-          | exception Errors.Error e ->
-              report (Unreadable { inum; reason = Errors.to_string e })
-          | e ->
-              if e.ino.Inode.kind = Fs_intf.Directory && first_visit then
-                walk inum
-        end)
-      (dir_entries t ~dir)
-  in
-  Hashtbl.replace links root_inum 1;
-  walk root_inum;
-  Hashtbl.iter
-    (fun inum count ->
-      match get_entry t inum with
-      | e ->
-          if e.ino.Inode.nlink <> count then
-            report (Bad_nlink { inum; nlink = e.ino.Inode.nlink; entries = count })
-      | exception _ -> ())
-    links;
-  for inum = 1 to l.Layout.max_files - 1 do
-    if Alloc.inode_allocated t.alloc inum && not (Hashtbl.mem links inum) then
-      report (Orphan_inode { inum })
-  done;
+  Audit.namespace ~root:root_inum ~max_files:l.Layout.max_files
+    ~allocated:(Alloc.inode_allocated t.alloc)
+    ~entries:(fun dir -> Dir.entries dir_backing t (get_entry t dir))
+    ~inode:(fun inum -> (get_entry t inum).ino)
+    report;
   List.rev !issues
 
-let integrity t = List.map (Format.asprintf "%a" pp_issue) (fsck t)
+let integrity t = List.map (Format.asprintf "%a" Audit.pp_issue) (fsck t)
 
 (* --- Crash repair ---------------------------------------------------- *)
 
@@ -845,7 +661,7 @@ let repair t =
   for inum = 1 to l.Layout.max_files - 1 do
     let addr, slot = Layout.inode_location l inum in
     let block = read_raw t addr in
-    match Inode.decode_at block ~off:(slot * Layout.inode_bytes) with
+    match Inode.decode_at ~atime:true block ~off:(slot * Layout.inode_bytes) with
     | Some ino when ino.Inode.inum = inum -> valid.(inum) <- true
     | None -> ()
     | Some _ | (exception Lfs_util.Codec.Error _) ->
@@ -870,7 +686,7 @@ let repair t =
           (Dir_block.encode ~block_size:l.Layout.block_size entries)
           ~sync_write:false
       in
-      for blk = 0 to dir_nblocks t e - 1 do
+      for blk = 0 to Inode.nblocks ~block_size:l.Layout.block_size e.ino - 1 do
         let entries =
           try Dir.block_entries dir_backing t e blk
           with Errors.Error (Errors.Ecorrupt _) | Io.Read_failed _ ->
@@ -937,87 +753,46 @@ let repair t =
      exactly what [fsck] counts as referenced so the result audits
      clean.  A pointer that is out of range, already claimed, or beyond
      the inode's size is bogus — clear it. *)
-  let data_first g = Layout.group_first_block l g + meta_blocks_per_group l in
-  let in_data_range addr =
-    addr >= 1
-    && addr < l.Layout.total_blocks
-    && addr >= data_first (Layout.group_of_block l addr)
-  in
   let owned = Hashtbl.create 1024 in
   let claim addr =
-    if addr = Layout.null_addr then `Null
-    else if (not (in_data_range addr)) || Hashtbl.mem owned addr then `Bogus
+    if (not (in_data_range l addr)) || Hashtbl.mem owned addr then false
     else begin
       Hashtbl.replace owned addr ();
       Alloc.mark_block t.alloc addr;
-      `Ok
+      true
     end
   in
-  let p = Layout.ptrs_per_block l in
   for inum = 1 to l.Layout.max_files - 1 do
     if valid.(inum) then begin
       let e = get_entry t inum in
       let ino = e.ino in
       let nblocks = Inode.nblocks ~block_size:l.Layout.block_size ino in
-      let claim_slot ~blkno ~what addr clear =
-        if blkno >= nblocks then begin
+      Bmap.iter ~past_end:true map t e
+        ~pointer:(fun kind addr ->
+          if not (claim addr) then begin
+            note "inum %d: cleared bogus %s pointer" inum
+              (Bmap.pointer_name kind);
+            match kind with
+            | Bmap.Single ->
+                ino.Inode.indirect <- Layout.null_addr;
+                e.dirty <- true
+            | Bmap.Top ->
+                ino.Inode.dindirect <- Layout.null_addr;
+                e.dirty <- true
+            | Bmap.Child c ->
+                ignore (write_ptr t ino.Inode.dindirect c Layout.null_addr)
+          end)
+        ~data:(fun blkno addr ->
           if addr <> Layout.null_addr then begin
-            note "inum %d: cleared %s beyond size" inum what;
-            clear ();
-            e.dirty <- true
-          end
-        end
-        else
-          match claim addr with
-          | `Bogus ->
-              note "inum %d: cleared bogus %s" inum what;
-              clear ();
+            let beyond = blkno >= nblocks in
+            if beyond || not (claim addr) then begin
+              note "inum %d: cleared %s pointer to block %d" inum
+                (if beyond then "beyond-size" else "bogus")
+                blkno;
+              ignore (Bmap.write map t e blkno Layout.null_addr);
               e.dirty <- true
-          | `Ok | `Null -> ()
-      in
-      for i = 0 to Inode.ndirect - 1 do
-        claim_slot ~blkno:i
-          ~what:(Printf.sprintf "direct pointer %d" i)
-          ino.Inode.direct.(i)
-          (fun () -> ino.Inode.direct.(i) <- Layout.null_addr)
-      done;
-      (match claim ino.Inode.indirect with
-      | `Bogus ->
-          note "inum %d: cleared bogus indirect pointer" inum;
-          ino.Inode.indirect <- Layout.null_addr;
-          e.dirty <- true
-      | `Null -> ()
-      | `Ok ->
-          for idx = 0 to p - 1 do
-            claim_slot ~blkno:(Inode.ndirect + idx)
-              ~what:(Printf.sprintf "indirect slot %d" idx)
-              (read_ptr t ino.Inode.indirect idx)
-              (fun () -> write_ptr t ino.Inode.indirect idx Layout.null_addr)
-          done);
-      match claim ino.Inode.dindirect with
-      | `Bogus ->
-          note "inum %d: cleared bogus dindirect pointer" inum;
-          ino.Inode.dindirect <- Layout.null_addr;
-          e.dirty <- true
-      | `Null -> ()
-      | `Ok ->
-          for child = 0 to p - 1 do
-            match claim (read_ptr t ino.Inode.dindirect child) with
-            | `Bogus ->
-                note "inum %d: cleared bogus dindirect child %d" inum child;
-                write_ptr t ino.Inode.dindirect child Layout.null_addr
-            | `Null -> ()
-            | `Ok ->
-                let ca = read_ptr t ino.Inode.dindirect child in
-                for idx = 0 to p - 1 do
-                  claim_slot
-                    ~blkno:(Inode.ndirect + p + (child * p) + idx)
-                    ~what:
-                      (Printf.sprintf "dindirect slot %d of child %d" idx child)
-                    (read_ptr t ca idx)
-                    (fun () -> write_ptr t ca idx Layout.null_addr)
-                done
-          done
+            end
+          end)
     end
   done;
   do_sync t;
@@ -1026,5 +801,7 @@ let repair t =
 (* Checker/test support *)
 
 let alloc t = t.alloc
+let entry_of = get_entry
+let block_map = map
 let inode_of t inum = (get_entry t inum).ino
 let dir_views t = t.dirs

@@ -43,43 +43,18 @@ val config : t -> Config.t
 val layout : t -> Layout.t
 val free_blocks : t -> int
 
-(** {1 Structural verification}
+(** {1 Structural verification} *)
 
-    Prefer {!Check}, which re-exports these under their conventional
-    name; they live here because the checker needs the block-map and
-    directory internals. *)
-
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-      (** one disk block claimed by two different structures *)
-  | Leaked_block of { addr : int }
-      (** marked used in its cylinder-group bitmap, referenced by
-          nothing *)
-  | Lost_block of { owner : string; addr : int }
-      (** referenced by a live structure, marked free in the bitmap *)
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-      (** directory entry pointing at an unallocated inode *)
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-      (** an inode whose link count disagrees with its directory
-          entries *)
-  | Orphan_inode of { inum : int }
-      (** allocated inode with no directory entry *)
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
-      (** pointer outside the disk, or into a bitmap/inode-table
-          region *)
-
-val pp_issue : Format.formatter -> issue -> unit
-
-val fsck : t -> issue list
+val fsck : t -> Lfs_vfs.Audit.issue list
 (** Full structural verification of the live state: walk every
     allocated inode's block pointers checking ownership, cross-check
     the cylinder-group bitmaps against the reachable-block truth, and
-    walk the namespace from the root validating entries, link counts
-    and reachability.  Empty means sound. *)
+    walk the namespace from the root validating entries, link counts,
+    one name per directory and reachability ({!Lfs_vfs.Audit}).  Empty
+    means sound. *)
 
 val integrity : t -> string list
-(** {!fsck} rendered with {!pp_issue} — the {!Lfs_vfs.Fs_intf.S}
+(** {!fsck} rendered with {!Lfs_vfs.Audit.pp_issue} — the {!Lfs_vfs.Fs_intf.S}
     sanitizer hook. *)
 
 val repair : t -> string list
@@ -102,7 +77,17 @@ val alloc : t -> Alloc.t
 (** The live allocator, exposed so corruption-injection tests can
     fabricate bitmap inconsistencies.  Not for normal use. *)
 
-val inode_of : t -> int -> Inode.t
+type entry
+(** A loaded inode and its dirty flag. *)
+
+val entry_of : t -> int -> entry
+(** [inum]'s entry, loading its inode if needed.  Test support. *)
+
+val block_map : (t, entry, int) Lfs_vfs.Bmap.store
+(** The block-map store: pointer blocks are addressed, read and written
+    in place through the cache.  Test support. *)
+
+val inode_of : t -> int -> Lfs_vfs.Inode.t
 (** The in-memory inode for [inum] (loading it if needed); raises
     [Lfs_vfs.Errors.Error Enoent] if unallocated.  Test support. *)
 

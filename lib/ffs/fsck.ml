@@ -1,7 +1,37 @@
 module Bitset = Lfs_util.Bitset
+module Bmap = Lfs_vfs.Bmap
 module Dir_block = Lfs_vfs.Dir_block
 module Geometry = Lfs_disk.Geometry
+module Inode = Lfs_vfs.Inode
 module Io = Lfs_disk.Io
+
+(* The block map read straight off the device: each pointer block is
+   read once per walk, when its slots are first needed (handles are the
+   block's bytes). *)
+let read_block io layout addr =
+  Io.sync_read io
+    ~sector:(Layout.sector_of_block layout addr)
+    ~count:layout.Layout.block_sectors
+
+let scan_only _ = invalid_arg "Fsck: the scan never writes"
+
+let map io layout : (unit, Inode.t, bytes) Bmap.store =
+  let find addr =
+    if addr = Layout.null_addr then Bytes.empty else read_block io layout addr
+  in
+  {
+    inode = Fun.id;
+    block_size = (fun () -> layout.Layout.block_size);
+    present = (fun block -> Bytes.length block > 0);
+    get = (fun () block i -> Bmap.get block i);
+    single = (fun () ino -> find ino.Inode.indirect);
+    top = (fun () ino -> find ino.Inode.dindirect);
+    child = (fun () _ top c -> find (Bmap.get top c));
+    make_single = (fun () _ _ -> scan_only ());
+    make_child = (fun () _ _ _ -> scan_only ());
+    put = (fun () _ _ _ _ _ -> scan_only ());
+    touch = (fun () _ -> scan_only ());
+  }
 
 type report = {
   inodes_scanned : int;
@@ -23,22 +53,14 @@ let run io =
   | Ok layout ->
       let t0 = Io.now_us io in
       let bs = layout.Layout.block_size in
-      let read_block addr =
-        Io.sync_read io
-          ~sector:(Layout.sector_of_block layout addr)
-          ~count:layout.Layout.block_sectors
-      in
+      let read_block = read_block io layout in
+      let map = map io layout in
       (* Pass 1: scan every inode-table block, walking all pointers and
          rebuilding reference bitmaps. *)
       let want_blocks =
         Array.init layout.Layout.ngroups (fun _ ->
             Bitset.create layout.Layout.group_blocks)
       in
-      let want_inodes =
-        Array.init layout.Layout.ngroups (fun _ ->
-            Bitset.create layout.Layout.inodes_per_group)
-      in
-      Bitset.set want_inodes.(0) 0 (* null inum *);
       let meta = layout.Layout.bb_blocks + layout.Layout.ib_blocks + layout.Layout.it_blocks in
       Array.iter
         (fun m ->
@@ -56,9 +78,6 @@ let run io =
           Bitset.set want_blocks.(g) (addr - Layout.group_first_block layout g)
         end
       in
-      let ptrs block = Array.init (Layout.ptrs_per_block layout) (fun i ->
-          Int32.to_int (Bytes.get_int32_le block (i * 4)) land 0xFFFFFFFF)
-      in
       for g = 0 to layout.Layout.ngroups - 1 do
         let it_first =
           Layout.group_first_block layout g + layout.Layout.bb_blocks
@@ -67,30 +86,14 @@ let run io =
         for blk = 0 to layout.Layout.it_blocks - 1 do
           let block = read_block (it_first + blk) in
           for slot = 0 to Layout.inodes_per_block layout - 1 do
-            match Inode.decode_at block ~off:(slot * Layout.inode_bytes) with
+            match Inode.decode_at ~atime:true block ~off:(slot * Layout.inode_bytes) with
             | exception Lfs_util.Codec.Error _ -> incr bad_inodes
             | None -> ()
             | Some ino ->
                 incr inodes_scanned;
-                let inum = ino.Inode.inum in
-                let ig = Layout.group_of_inum layout inum in
-                Bitset.set want_inodes.(ig)
-                  (inum mod layout.Layout.inodes_per_group);
-                Array.iter reference ino.Inode.direct;
-                if ino.Inode.indirect <> Layout.null_addr then begin
-                  reference ino.Inode.indirect;
-                  Array.iter reference (ptrs (read_block ino.Inode.indirect))
-                end;
-                if ino.Inode.dindirect <> Layout.null_addr then begin
-                  reference ino.Inode.dindirect;
-                  Array.iter
-                    (fun child ->
-                      if child <> Layout.null_addr then begin
-                        reference child;
-                        Array.iter reference (ptrs (read_block child))
-                      end)
-                    (ptrs (read_block ino.Inode.dindirect))
-                end
+                Bmap.iter map () ino
+                  ~pointer:(fun _ addr -> reference addr)
+                  ~data:(fun _ addr -> reference addr)
           done
         done
       done;
@@ -101,7 +104,10 @@ let run io =
          nowhere. *)
       let read_inode inum =
         let addr, slot = Layout.inode_location layout inum in
-        match Inode.decode_at (read_block addr) ~off:(slot * Layout.inode_bytes) with
+        match
+          Inode.decode_at ~atime:true (read_block addr)
+            ~off:(slot * Layout.inode_bytes)
+        with
         | ino -> ino
         | exception Lfs_util.Codec.Error _ -> None
       in
@@ -111,19 +117,13 @@ let run io =
           match read_inode inum with
           | Some ino when ino.Inode.kind = Lfs_vfs.Fs_intf.Directory ->
               incr dirs_walked;
-              let nblocks = Inode.nblocks ~block_size:bs ino in
-              for blk = 0 to nblocks - 1 do
-                let addr =
-                  if blk < Inode.ndirect then ino.Inode.direct.(blk)
-                  else Layout.null_addr
-                  (* directories beyond the direct range are unusual;
-                     walk what the direct pointers reach *)
-                in
-                if addr <> Layout.null_addr then
-                  match Dir_block.parse (read_block addr) with
-                  | entries -> List.iter (fun (_, child) -> walk child) entries
-                  | exception Lfs_util.Codec.Error _ -> ()
-              done
+              Bmap.iter map () ino
+                ~pointer:(fun _ _ -> ())
+                ~data:(fun _ addr ->
+                  if addr <> Layout.null_addr then
+                    match Dir_block.parse (read_block addr) with
+                    | entries -> List.iter (fun (_, child) -> walk child) entries
+                    | exception Lfs_util.Codec.Error _ -> ())
           | Some _ | None -> ()
         end
       in

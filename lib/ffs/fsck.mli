@@ -4,9 +4,9 @@
 
     [run] operates on the raw device, exactly like fsck after a crash:
     read the superblock, scan every inode-table block, walk every block
-    pointer (including indirect blocks), rebuild the block and inode
-    bitmaps from scratch, walk the directory tree for connectivity, and
-    compare with the on-disk allocation bitmaps.  Every step goes through
+    pointer (including indirect blocks and every directory block),
+    rebuild the block bitmaps from scratch, walk the directory tree for
+    connectivity, and compare with the on-disk block bitmaps.  Every step goes through
     the simulated disk, so [elapsed_us] is the honest simulated cost of
     an FFS recovery — compared against LFS's checkpoint read in the
     recovery benchmark. *)

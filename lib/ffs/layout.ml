@@ -15,10 +15,9 @@ type t = {
   max_files : int;
 }
 
-let inode_bytes = 128
+let inode_bytes = Lfs_vfs.Inode.slot_bytes
 let inodes_per_block t = t.block_size / inode_bytes
-let ptrs_per_block t = t.block_size / 4
-let null_addr = 0
+let null_addr = Lfs_vfs.Inode.null_addr
 
 let compute (config : Config.t) geometry =
   match Config.validate config with

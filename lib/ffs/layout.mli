@@ -25,7 +25,6 @@ type t = {
 
 val inode_bytes : int
 val inodes_per_block : t -> int
-val ptrs_per_block : t -> int
 val null_addr : int
 
 val compute : Config.t -> Lfs_disk.Geometry.t -> (t, string) result

@@ -72,17 +72,19 @@ let store t dir blk v =
 
 type ('fs, 'dir) backing = {
   views : 'fs -> t;
-  inum : 'dir -> int;
-  nblocks : 'fs -> 'dir -> int;
+  inode : 'fs -> 'dir -> Inode.t;
   read : 'fs -> 'dir -> int -> bytes option;
   write : 'fs -> 'dir -> int -> bytes -> unit;
 }
+
+let nblocks b fs d =
+  Inode.nblocks ~block_size:(b.views fs).block_size (b.inode fs d)
 
 let view b fs d blk =
   match b.read fs d blk with
   | None -> hole ()
   | Some src -> (
-      let t = b.views fs and dir = b.inum d in
+      let t = b.views fs and dir = (b.inode fs d).Inode.inum in
       let cached =
         match Itbl.find_opt t.views dir with
         | Some blocks -> Itbl.find_opt blocks blk
@@ -106,7 +108,7 @@ let examine b fs d blk =
    to the new view. *)
 let rewrite b fs d blk src used index =
   b.write fs d blk src;
-  store (b.views fs) (b.inum d) blk { src; used; index }
+  store (b.views fs) (b.inode fs d).Inode.inum blk { src; used; index }
 
 (* The block with [name, inum] put at the head of [v]'s entries, made
    from [v.src] rather than re-encoded: the header with one more entry,
@@ -161,7 +163,7 @@ let parsed v = if v.src == Bytes.empty then [] else Dir_block.parse v.src
 let block_entries b fs d blk = parsed (view b fs d blk)
 
 let lookup b fs d name =
-  let n = b.nblocks fs d in
+  let n = nblocks b fs d in
   let rec scan blk =
     if blk >= n then None
     else
@@ -174,7 +176,7 @@ let lookup b fs d name =
 let add b fs d name inum =
   if not (Path.valid_name name) then
     Errors.raise_ (Errors.Einval (Printf.sprintf "bad name %S" name));
-  let n = b.nblocks fs d and size = Dir_block.entry_bytes name in
+  let n = nblocks b fs d and size = Dir_block.entry_bytes name in
   let rec place blk =
     let v = if blk >= n then hole () else examine b fs d blk in
     let block_size = (b.views fs).block_size in
@@ -189,7 +191,7 @@ let add b fs d name inum =
   place 0
 
 let remove b fs d name =
-  let n = b.nblocks fs d in
+  let n = nblocks b fs d in
   let rec hunt blk =
     if blk >= n then Errors.raise_ (Errors.Enoent name)
     else begin
@@ -208,4 +210,4 @@ let remove b fs d name =
 
 let entries b fs d =
   List.concat
-    (List.init (b.nblocks fs d) (fun blk -> parsed (examine b fs d blk)))
+    (List.init (nblocks b fs d) (fun blk -> parsed (examine b fs d blk)))

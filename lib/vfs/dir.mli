@@ -36,13 +36,13 @@ val clear : t -> unit
 val held : t -> int list
 (** Directories some of whose views are held, for checks. *)
 
-(** What a file system supplies: where its views live, and how to read
-    and write one block of a directory.  A file system defines one
-    constant record of its own functions. *)
+(** What a file system supplies: where its views live, a directory's
+    inode (its inum and, from its size, its block count), and how to
+    read and write one block of it.  A file system defines one constant
+    record of its own functions. *)
 type ('fs, 'dir) backing = {
   views : 'fs -> t;
-  inum : 'dir -> int;
-  nblocks : 'fs -> 'dir -> int;
+  inode : 'fs -> 'dir -> Inode.t;
   read : 'fs -> 'dir -> int -> bytes option;
       (** The block's current buffer: the cache's, else read from disk
           (and cached).  [None] for a hole. *)

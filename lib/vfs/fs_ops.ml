@@ -8,12 +8,6 @@ type ('fs, 'file) backing = {
   dir : ('fs, 'file) Dir.backing;
   root : int;
   find : 'fs -> int -> 'file;
-  kind : 'file -> Fs_intf.file_kind;
-  nlink : 'file -> int;
-  set_nlink : 'file -> int -> unit;
-  mtime : 'file -> int;
-  set_mtime : 'file -> int -> unit;
-  set_size : 'file -> int -> unit;
   atime : 'fs -> int -> 'file -> int;
   set_atime : 'fs -> int -> 'file -> int -> unit;
   max_size : 'fs -> int;
@@ -40,11 +34,13 @@ let call b fs op f =
   | v -> Ok v
   | exception Errors.Error e -> Error e
 
+let inode b fs file = b.dir.Dir.inode fs file
+
 (* Path resolution: the namei walk, one directory scan per component. *)
 
 let dir_file b fs inum =
   let f = b.find fs inum in
-  if b.kind f <> Fs_intf.Directory then
+  if (inode b fs f).Inode.kind <> Fs_intf.Directory then
     Errors.raise_ (Errors.Enotdir (Printf.sprintf "inum %d" inum));
   f
 
@@ -74,7 +70,8 @@ let absent b fs dir name path =
 
 let regular b fs path =
   let file = b.find fs (resolve b fs path) in
-  if b.kind file = Fs_intf.Directory then Errors.raise_ (Errors.Eisdir path);
+  if (inode b fs file).Inode.kind = Fs_intf.Directory then
+    Errors.raise_ (Errors.Eisdir path);
   file
 
 (* Namespace *)
@@ -103,14 +100,18 @@ let delete b fs path =
     | None -> Errors.raise_ (Errors.Enoent path)
   in
   let file = b.find fs inum in
-  if b.kind file = Fs_intf.Directory && Dir.entries b.dir fs file <> [] then
+  if
+    (inode b fs file).Inode.kind = Fs_intf.Directory
+    && Dir.entries b.dir fs file <> []
+  then
     Errors.raise_ (Errors.Enotempty path);
   Dir.remove b.dir fs dir name;
   (* Hard links: the inode and its data live until the last name is
      gone. *)
-  if b.nlink file > 1 then begin
-    b.set_nlink file (b.nlink file - 1);
-    b.set_mtime file (Io.now_us (b.file.io fs));
+  let ino = inode b fs file in
+  if ino.Inode.nlink > 1 then begin
+    ino.Inode.nlink <- ino.Inode.nlink - 1;
+    ino.Inode.mtime_us <- Io.now_us (b.file.io fs);
     b.persist fs file
   end
   else b.free_inode fs inum file;
@@ -151,13 +152,15 @@ let link b fs src dst =
   call b fs `Link @@ fun () ->
   let inum = resolve b fs src in
   let file = b.find fs inum in
-  if b.kind file = Fs_intf.Directory then Errors.raise_ (Errors.Eisdir src);
+  if (inode b fs file).Inode.kind = Fs_intf.Directory then
+    Errors.raise_ (Errors.Eisdir src);
   let dst_parent, dst_name = split_parent dst in
   let dst_dir = resolve_dir b fs dst_parent in
   absent b fs dst_dir dst_name dst;
   (* As with creat: the inode, then the directory entry. *)
-  b.set_nlink file (b.nlink file + 1);
-  b.set_mtime file (Io.now_us (b.file.io fs));
+  let ino = inode b fs file in
+  ino.Inode.nlink <- ino.Inode.nlink + 1;
+  ino.Inode.mtime_us <- Io.now_us (b.file.io fs);
   b.persist fs file;
   Dir.add b.dir fs dst_dir dst_name inum;
   b.housekeep fs ~can_fail:true
@@ -166,12 +169,13 @@ let stat b fs path =
   call b fs `Stat @@ fun () ->
   let inum = resolve b fs path in
   let file = b.find fs inum in
+  let ino = inode b fs file in
   {
     Fs_intf.inum;
-    kind = b.kind file;
-    size = b.file.size file;
-    nlink = b.nlink file;
-    mtime_us = b.mtime file;
+    kind = ino.Inode.kind;
+    size = ino.Inode.size;
+    nlink = ino.Inode.nlink;
+    mtime_us = ino.Inode.mtime_us;
     atime_us = b.atime fs inum file;
   }
 
@@ -205,7 +209,7 @@ let write b fs path ~off data =
   let io = b.file.io fs in
   let cache = b.file.cache fs in
   let bs = b.file.block_size fs in
-  let inum = b.dir.inum file in
+  let inum = (inode b fs file).Inode.inum in
   let pos = ref 0 in
   while !pos < len do
     let abs = off + !pos in
@@ -243,8 +247,9 @@ let write b fs path ~off data =
     end;
     pos := !pos + chunk
   done;
-  if off + len > b.file.size file then b.set_size file (off + len);
-  b.set_mtime file (Io.now_us io);
+  let ino = inode b fs file in
+  if off + len > ino.Inode.size then ino.Inode.size <- off + len;
+  ino.Inode.mtime_us <- Io.now_us io;
   b.touch fs file;
   Io.charge_copy io ~bytes:len;
   b.housekeep fs ~can_fail:true
@@ -254,7 +259,7 @@ let read b fs path ~off ~len =
   if off < 0 || len < 0 then
     Errors.raise_ (Errors.Einval "negative offset or length");
   let file = regular b fs path in
-  let inum = b.dir.inum file in
+  let inum = (inode b fs file).Inode.inum in
   let data = File_read.read b.file fs file ~inum ~off ~len in
   b.set_atime fs inum file (Io.now_us (b.file.io fs));
   b.housekeep fs ~can_fail:false;
@@ -265,10 +270,11 @@ let truncate b fs path ~size =
   if size < 0 then Errors.raise_ (Errors.Einval "negative size");
   if size > b.max_size fs then Errors.raise_ Errors.Efbig;
   let file = regular b fs path in
-  let inum = b.dir.inum file in
+  let inum = (inode b fs file).Inode.inum in
   let cache = b.file.cache fs in
   let bs = b.file.block_size fs in
-  let old_size = b.file.size file in
+  let ino = inode b fs file in
+  let old_size = ino.Inode.size in
   if size < old_size then begin
     let keep = (size + bs - 1) / bs in
     let old_blocks = (old_size + bs - 1) / bs in
@@ -277,7 +283,7 @@ let truncate b fs path ~size =
        file's new bytes (FFS's [repair] clears pointers past the size).
        On FFS [persist] writes the inode synchronously; on LFS it only
        marks it dirty. *)
-    b.set_size file size;
+    ino.Inode.size <- size;
     b.persist fs file;
     for blkno = keep to old_blocks - 1 do
       b.free_block fs file blkno;
@@ -303,8 +309,8 @@ let truncate b fs path ~size =
     end;
     if size = 0 then b.emptied fs inum file
   end;
-  b.set_size file size;
-  b.set_mtime file (Io.now_us (b.file.io fs));
+  ino.Inode.size <- size;
+  ino.Inode.mtime_us <- Io.now_us (b.file.io fs);
   b.touch fs file;
   b.housekeep fs ~can_fail:false
 

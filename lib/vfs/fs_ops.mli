@@ -21,19 +21,17 @@
 type ('fs, 'file) backing = {
   file : ('fs, 'file) Lfs_cache.File_read.backing;
       (** The read path; also the front end's source for the state's
-          [io], cache, block size, file size, block map and fetch. *)
-  dir : ('fs, 'file) Dir.backing;  (** Directories; [dir.inum] names a file. *)
+          [io], cache, block size, block map and fetch. *)
+  dir : ('fs, 'file) Dir.backing;
+      (** Directories; [dir.inode] is any file's inode, the same record
+          on both systems, whose kind, link count, size and mtime the
+          front end reads and sets directly ([persist] or [touch] records
+          the change). *)
   root : int;  (** the root directory's inum *)
   find : 'fs -> int -> 'file;
       (** A file by inum, loading its inode if needed.
           @raise Errors.Error [Enoent] if unallocated, [Ecorrupt] if its
           slot does not decode. *)
-  kind : 'file -> Fs_intf.file_kind;
-  nlink : 'file -> int;
-  set_nlink : 'file -> int -> unit;
-  mtime : 'file -> int;
-  set_mtime : 'file -> int -> unit;
-  set_size : 'file -> int -> unit;
   atime : 'fs -> int -> 'file -> int;
       (** LFS keeps access times in the inode map (paper, footnote 2),
           FFS in the inode. *)
@@ -87,8 +85,8 @@ val create : ('fs, 'file) backing -> 'fs -> string -> (unit, Errors.t) result
 val mkdir : ('fs, 'file) backing -> 'fs -> string -> (unit, Errors.t) result
 
 val delete : ('fs, 'file) backing -> 'fs -> string -> (unit, Errors.t) result
-(** Remove the entry ([Enoent], [Enotempty]), then drop a link
-    ([set_nlink], [set_mtime], [persist]) or [free_inode]. *)
+(** Remove the entry ([Enoent], [Enotempty]), then drop a link (the
+    inode's nlink and mtime, then [persist]) or [free_inode]. *)
 
 val rename :
   ('fs, 'file) backing -> 'fs -> string -> string -> (unit, Errors.t) result

@@ -368,7 +368,7 @@ module Lfs = Cases (Lfs_core.Fs) (struct
     let inum = (Common.check_ok "stat" (Lfs_core.Fs.stat fs path)).Fs_intf.inum in
     let e = Lfs_core.Inode_store.find fs inum in
     Lfs_core.Layout.sector_of_block (Lfs_core.Fs.layout fs)
-      (Lfs_core.Inode_store.bmap_read fs e blk)
+      (Lfs_vfs.Bmap.read Lfs_core.Inode_store.map fs e blk)
 
   let inodes_in_use (fs : Lfs_core.Fs.t) = Lfs_core.Imap.count_allocated fs.imap
 end)
@@ -387,7 +387,7 @@ module Ffs = Cases (Lfs_ffs.Fs) (struct
   let dir_block_sector fs path blk =
     let inum = (Common.check_ok "stat" (Lfs_ffs.Fs.stat fs path)).Fs_intf.inum in
     Lfs_ffs.Layout.sector_of_block (Lfs_ffs.Fs.layout fs)
-      (Lfs_ffs.Fs.inode_of fs inum).Lfs_ffs.Inode.direct.(blk)
+      (Lfs_ffs.Fs.inode_of fs inum).Lfs_vfs.Inode.direct.(blk)
 
   let inodes_in_use fs =
     let l = Lfs_ffs.Fs.layout fs in

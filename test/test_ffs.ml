@@ -166,6 +166,28 @@ let test_fsck_healthy () =
       Alcotest.(check bool) "walked dirs" true (r.Lfs_ffs.Fsck.directories_walked >= 2);
       Alcotest.(check bool) "scan costs time" true (r.Lfs_ffs.Fsck.elapsed_us > 0)
 
+(* A directory past its 12 direct blocks (400 long names fill about
+   20 one-KB blocks): the scan walks its indirect block too, so the
+   children named there are reachable, not orphans. *)
+let test_fsck_walks_large_directory () =
+  let fs = make () in
+  check_ok "mkdir" (Fs.mkdir fs "/d");
+  for i = 0 to 399 do
+    check_ok "create"
+      (Fs.create fs
+         (Printf.sprintf "/d/a-name-long-enough-to-fill-blocks-quickly-%03d" i))
+  done;
+  Fs.sync fs;
+  let size = (check_ok "stat" (Fs.stat fs "/d")).Lfs_vfs.Fs_intf.size in
+  Alcotest.(check bool) "past the direct blocks" true (size > 12 * 1024);
+  Alcotest.(check (list string)) "integrity" [] (Fs.integrity fs);
+  match Lfs_ffs.Fsck.run (Fs.io fs) with
+  | Error e -> Alcotest.failf "fsck: %s" e
+  | Ok r ->
+      Alcotest.(check int) "no orphans" 0 r.Lfs_ffs.Fsck.orphan_inodes;
+      Alcotest.(check int) "inodes" 402 r.Lfs_ffs.Fsck.inodes_scanned;
+      Alcotest.(check int) "walked dirs" 2 r.Lfs_ffs.Fsck.directories_walked
+
 let test_fsck_detects_bitmap_corruption () =
   let fs = make () in
   check_ok "create" (Fs.create fs "/f");
@@ -201,9 +223,9 @@ let test_fsck_detects_orphan () =
       ~sector:(Layout.sector_of_block layout addr)
       ~count:layout.Layout.block_sectors
   in
-  (match Lfs_ffs.Inode.decode_at block ~off:(slot * Layout.inode_bytes) with
-  | Some root when root.Lfs_ffs.Inode.direct.(0) <> Layout.null_addr ->
-      let dir_block = root.Lfs_ffs.Inode.direct.(0) in
+  (match Lfs_vfs.Inode.decode_at ~atime:true block ~off:(slot * Layout.inode_bytes) with
+  | Some root when root.Lfs_vfs.Inode.direct.(0) <> Layout.null_addr ->
+      let dir_block = root.Lfs_vfs.Inode.direct.(0) in
       let empty = Lfs_vfs.Dir_block.encode ~block_size:layout.Layout.block_size [] in
       Io.sync_write io
         ~sector:(Layout.sector_of_block layout dir_block)
@@ -274,7 +296,7 @@ let inode_sector fs path =
 
 let data_sectors fs path =
   let l = Fs.layout fs in
-  Array.to_list (Fs.inode_of fs (inum fs path)).Lfs_ffs.Inode.direct
+  Array.to_list (Fs.inode_of fs (inum fs path)).Lfs_vfs.Inode.direct
   |> List.filter (fun a -> a <> Layout.null_addr)
   |> List.map (Layout.sector_of_block l)
 
@@ -334,7 +356,7 @@ let test_directory_growth_is_synchronous () =
   in
   (* The new directory's first block, its inode, the parent's block. *)
   Alcotest.(check int) "mkdir: three writes" 3 (List.length writes);
-  let size () = (Fs.inode_of fs (inum fs "/d")).Lfs_ffs.Inode.size in
+  let size () = (Fs.inode_of fs (inum fs "/d")).Lfs_vfs.Inode.size in
   let first = size () in
   let rec grow i =
     let path = Printf.sprintf "/d/file%d" i in
@@ -360,6 +382,8 @@ let suite =
     Alcotest.test_case "truncate to zero frees pointer blocks" `Quick
       test_truncate_frees_pointer_blocks;
     Alcotest.test_case "fsck on healthy fs" `Quick test_fsck_healthy;
+    Alcotest.test_case "fsck walks a directory past its direct blocks" `Quick
+      test_fsck_walks_large_directory;
     Alcotest.test_case "flush writes data before the inode" `Quick
       test_flush_writes_data_first;
     Alcotest.test_case "synchronous inode write follows its data" `Quick

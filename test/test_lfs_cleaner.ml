@@ -171,7 +171,7 @@ let test_structurally_sound_after_cleaning () =
   | issues ->
       Alcotest.failf "structural issues after cleaning: %s"
         (String.concat "; "
-           (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues))
+           (List.map (Format.asprintf "%a" Lfs_vfs.Audit.pp_issue) issues))
 
 let test_usage_accounting_exact () =
   (* The incremental live-byte estimates must track ground truth through
@@ -231,7 +231,7 @@ let find_inode_slot fs ~pick =
                    List.init (Layout.inodes_per_block layout) Fun.id
                    |> List.find_map (fun slot ->
                           let off = slot * Layout.inode_bytes in
-                          let inum = Lfs_core.Inode.inum_at block ~off in
+                          let inum = Lfs_vfs.Inode.inum_at block ~off in
                           if inum > 0 && pick ~inum ~addr ~slot then
                             Some (addr, block, off)
                           else None)
@@ -250,7 +250,7 @@ let plant_bad_slot fs ~addr block ~off ~whole =
   let module Layout = Lfs_core.Layout in
   let len = if whole then Layout.inode_bytes - 4 else 1 in
   Bytes.fill block (off + 4) len '\xEE';
-  (match Lfs_core.Inode.decode_at block ~off with
+  (match Lfs_vfs.Inode.decode_at ~atime:false block ~off with
   | exception Lfs_util.Codec.Error _ -> ()
   | _ -> Alcotest.fail "planted kind tag still decodes");
   Lfs_disk.Io.sync_write (Fs.io fs)
@@ -273,7 +273,7 @@ let check_kept_files fs =
   | issues ->
       Alcotest.failf "structural issues after cleaning: %s"
         (String.concat "; "
-           (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues))
+           (List.map (Format.asprintf "%a" Lfs_vfs.Audit.pp_issue) issues))
 
 let test_dead_inode_slot_not_decoded () =
   let fs = make_lfs ~config:no_autoclean () in
@@ -309,7 +309,7 @@ let test_loaded_live_inode_slot_not_decoded () =
     | Some found -> found
     | None -> Alcotest.fail "no loaded live inode slot in a dirty segment"
   in
-  let inum = Lfs_core.Inode.inum_at block ~off in
+  let inum = Lfs_vfs.Inode.inum_at block ~off in
   plant_bad_slot fs ~addr block ~off ~whole:true;
   let freed = Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ] in
   Alcotest.(check int) "victim cleaned" 1 freed;
@@ -340,7 +340,7 @@ let test_clean_allocation_per_block () =
       match Lfs_core.Inode_store.find_loaded fs inum with
       | Some e ->
           Lfs_core.Layout.segment_of_block (Fs.layout fs)
-            (Lfs_core.Inode_store.bmap_read fs e 0)
+            (Lfs_vfs.Bmap.read Lfs_core.Inode_store.map fs e 0)
       | None -> Alcotest.fail "/f not loaded after its write"
     in
     Fs.flush_caches fs;

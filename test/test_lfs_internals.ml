@@ -258,7 +258,7 @@ let test_dirty_set_matches_scan () =
         | Some (e : State.itable_entry)
           when e.ino_dirty || e.ind_dirty || e.dind_top_dirty
                || Lfs_util.Bitset.cardinal e.dind_child_dirty > 0 ->
-            e.ino.Lfs_core.Inode.inum :: acc
+            e.ino.Lfs_vfs.Inode.inum :: acc
         | Some _ | None -> acc)
       [] fs.State.itable
     |> List.sort compare
@@ -284,7 +284,7 @@ let test_dirty_set_matches_scan () =
     let got =
       Array.to_list
         (Array.map
-           (fun (e : State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
+           (fun (e : State.itable_entry) -> e.ino.Lfs_vfs.Inode.inum)
            (Lfs_core.Inode_store.dirty_inodes fs))
     in
     if got <> want then
@@ -313,12 +313,13 @@ let test_every_raise_records_inum () =
   let dirty () =
     Array.to_list
       (Array.map
-         (fun (e : Lfs_core.State.itable_entry) -> e.ino.Lfs_core.Inode.inum)
+         (fun (e : Lfs_core.State.itable_entry) -> e.ino.Lfs_vfs.Inode.inum)
          (Store.dirty_inodes fs))
   in
   Alcotest.(check (list int)) "clean after sync" [] (dirty ());
   let rewrite blkno =
-    ignore (Store.bmap_write fs e blkno (Store.bmap_read fs e blkno) : int)
+    let map = Store.map in
+    ignore (Lfs_vfs.Bmap.write map fs e blkno (Lfs_vfs.Bmap.read map fs e blkno) : int)
   in
   List.iter
     (fun (what, raise_flag) ->
@@ -331,11 +332,11 @@ let test_every_raise_records_inum () =
       ("single-indirect pointer", fun () -> rewrite 12);
       ("double-indirect pointer", fun () -> rewrite 268);
       ("cleaner touches the indirect block", fun () ->
-        Store.cleaner_touch_ind fs e);
+        Store.cleaner_touch fs e (-1));
       ("cleaner touches the double-indirect top", fun () ->
-        Store.cleaner_touch_dind_top fs e);
+        Store.cleaner_touch fs e (-2));
       ("cleaner touches a double-indirect child", fun () ->
-        Store.cleaner_touch_dind_child fs e 0);
+        Store.cleaner_touch fs e 0);
     ];
   check_bytes "/f reads back" (Bytes.make (270 * 1024) 'f')
     (Fs.flush_caches fs;

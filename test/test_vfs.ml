@@ -67,11 +67,14 @@ type toy = { views : Dir.t; blocks : (int, bytes) Hashtbl.t }
 let toy () =
   { views = Dir.create ~io:(Common.make_io ()) ~block_size:64; blocks = Hashtbl.create 4 }
 
+(* Directory [d] with [size] bytes of blocks. *)
+let toy_inode d ~size =
+  { (Lfs_vfs.Inode.create ~inum:d ~kind:Lfs_vfs.Fs_intf.Directory ~now_us:0) with size }
+
 let toy_backing : (toy, int) Dir.backing =
   {
     views = (fun t -> t.views);
-    inum = Fun.id;
-    nblocks = (fun t _ -> Hashtbl.length t.blocks);
+    inode = (fun t d -> toy_inode d ~size:(Hashtbl.length t.blocks * 64));
     read = (fun t _ blk -> Hashtbl.find_opt t.blocks blk);
     write = (fun t _ blk block -> Hashtbl.replace t.blocks blk block);
   }
@@ -187,8 +190,7 @@ type patch_dir = {
 let patch_backing : (patch_dir, int) Dir.backing =
   {
     views = (fun t -> t.p_views);
-    inum = Fun.id;
-    nblocks = (fun t _ -> t.p_n);
+    inode = (fun t d -> toy_inode d ~size:(t.p_n * patch_block_size));
     read = (fun t _ blk -> Hashtbl.find_opt t.p_blocks blk);
     write =
       (fun t _ blk block ->
